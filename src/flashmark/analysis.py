@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .microbench import ExperimentSpec
+
 
 @dataclass(frozen=True)
 class StartupEstimate:
@@ -118,6 +120,28 @@ class ExperimentOutcome:
     varying_value: int
     mean_us: float
     dispersion_flagged: bool = False
+
+
+def aggregate(
+    exp: ExperimentSpec, run_means: Sequence[float], dispersion_threshold: float
+) -> ExperimentOutcome:
+    """Average an experiment's run means.
+
+    The dispersion flag is set when the relative range of the run means,
+    (max - min) / min, exceeds the threshold: such a result should not be
+    trusted without more repetitions.
+    """
+    mean = sum(run_means) / len(run_means)
+    lo = min(run_means)
+    dispersion = (max(run_means) - lo) / lo if lo > 0 else 0.0
+    return ExperimentOutcome(
+        micro=exp.micro.value,
+        baseline=exp.baseline,
+        varying_name=exp.varying_name,
+        varying_value=exp.varying_value,
+        mean_us=mean,
+        dispersion_flagged=dispersion > dispersion_threshold,
+    )
 
 
 class MissingDataError(ValueError):

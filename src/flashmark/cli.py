@@ -21,8 +21,8 @@ import click
 
 from . import __version__
 from .analysis import (
-    ExperimentOutcome,
     SummaryThresholds,
+    aggregate,
     build_summary,
     emit_phase_trace,
     emit_plot_data,
@@ -48,7 +48,7 @@ from .methodology import (
     enforce_random_state,
     verify_plan,
 )
-from .microbench import Micro, SuiteConfig, expand_suite
+from .microbench import ExperimentSpec, Micro, SuiteConfig, expand_suite
 from .patterns import PatternError, derive_seed
 from .runner import (
     read_trace_csv,
@@ -112,14 +112,23 @@ class CampaignConfig:
     def sim_state_path(self) -> Path:
         return self.output_dir / "device_state.bin"
 
+    def sim_profile(self) -> SimProfile:
+        """The simulator profile: a JSON file if one exists at the given
+        path, otherwise a built-in profile name."""
+        name = self.device["simulator_profile"]
+        if Path(name).suffix == ".json" and Path(name).exists():
+            return SimProfile.load(name)
+        return builtin_profile(name)
+
+    def device_label(self) -> str:
+        """The device id that names the trace directory."""
+        if self.is_simulator:
+            return self.sim_profile().name
+        return Path(self.device["raw_path"]).name or "raw"
+
     def open_device(self, restore_state: bool = True) -> BlockDevice:
         if self.is_simulator:
-            name = self.device["simulator_profile"]
-            if Path(name).suffix == ".json" and Path(name).exists():
-                profile = SimProfile.load(name)
-            else:
-                profile = builtin_profile(name)
-            dev = SimulatedDevice(profile)
+            dev = SimulatedDevice(self.sim_profile())
             if restore_state and self.sim_state_path.exists():
                 dev.load_state(self.sim_state_path)
             return dev
@@ -239,6 +248,9 @@ def cmd_format(config_path: str, force: bool) -> None:
 
     def progress(fraction: float, ios: int) -> None:
         if ios % 2048 == 0:
+            # a resume replays the journaled IOs without issuing them, so
+            # the device they were issued to must be persisted first
+            cfg.persist_device(dev)
             journal.record("format", status="progress", ios=ios, coverage=fraction)
         elapsed = time.time() - t_wall
         eta = elapsed * (1 - fraction) / fraction if fraction > 0 else 0.0
@@ -271,20 +283,17 @@ def cmd_calibrate(config_path: str) -> None:
     """Measure start-up, period and the inter-run pause; write the device profile."""
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
-    cal = cfg.calibration
+
+    def calibration(*keys: str) -> dict:
+        return {k: int(cfg.calibration[k]) for k in keys if k in cfg.calibration}
+
     profile = calibrate_phases(
-        dev,
-        long_io_count=int(cal.get("long_io_count", 51200)),
-        seed=cfg.seed,
-        settle_pause_us=int(cal.get("settle_pause_us", 60_000_000)),
+        dev, seed=cfg.seed, **calibration("long_io_count", "settle_pause_us")
     )
     pause = calibrate_pause(
         dev,
         seed=cfg.seed,
-        probe_reads=int(cal.get("probe_reads", 512)),
-        disturb_writes=int(cal.get("disturb_writes", 1024)),
-        observe_reads=int(cal.get("observe_reads", 8192)),
-        settle_pause_us=int(cal.get("settle_pause_us", 60_000_000)),
+        **calibration("probe_reads", "disturb_writes", "observe_reads", "settle_pause_us"),
     )
     profile = DeviceProfile(
         startup=profile.startup,
@@ -386,10 +395,6 @@ def cmd_run(config_path: str) -> None:
             cfg.persist_device(dev)
             journal.record(step_id, status="failed", error=trace.error)
             _fail(EXIT_DEVICE, f"{step_id}: {trace.error} (partial trace at {path})")
-        stats = summarize(trace, min(step.experiment.io_ignore, len(trace.records) - 1))
-        path.with_suffix(".stats.json").write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True)
-        )
         cfg.persist_device(dev)
         journal.record(step_id, status="done")
         executed += 1
@@ -412,75 +417,41 @@ def cmd_report(config_path: str) -> None:
         large_stride_bytes=int(cfg.thresholds.get("large_stride_bytes", 1024 * 1024)),
     )
     dispersion_threshold = float(cfg.thresholds.get("dispersion", 0.05))
+    device = cfg.device_label()
+    io_size = cfg.suite_config(plan.capacity, None).base_io_size
 
-    by_experiment: dict[str, list] = {}
-    io_size = int(cfg.suite.get("base_io_size", 32 * 1024))
-    device_id = None
+    # Runs are read one at a time in plan order; only each run's mean and
+    # the response times of the longest RW run (the most start-up-prone
+    # trace, shown in the phase plot) are kept.
+    run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
+    phase_rts: list[int] = []
+    phase_io_ignore = 0
     for step in plan.run_steps():
         exp = step.experiment
-        path = traces_root / trace_relpath(exp, step.run_index, _device_label(cfg))
+        path = traces_root / trace_relpath(exp, step.run_index, device)
         if not path.exists():
             continue
-        device_id = device_id or _device_label(cfg)
         with path.open() as fp:
             trace = read_trace_csv(fp, exp.experiment_id, step.run_index)
         stats = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))
-        by_experiment.setdefault(exp.experiment_id, []).append((exp, stats, trace))
+        run_means.setdefault(exp.experiment_id, (exp, []))[1].append(stats.mean_us)
+        if exp.baseline == "RW" and len(trace.records) > len(phase_rts):
+            phase_rts, phase_io_ignore = trace.rts, exp.io_ignore
 
-    outcomes = []
-    for exp_id, entries in by_experiment.items():
-        exp = entries[0][0]
-        means = [stats.mean_us for _, stats, _ in entries]
-        mean = sum(means) / len(means)
-        dispersion = (max(means) - min(means)) / min(means) if min(means) > 0 else 0.0
-        outcomes.append(
-            ExperimentOutcome(
-                micro=exp.micro.value,
-                baseline=exp.baseline,
-                varying_name=exp.varying_name,
-                varying_value=exp.varying_value,
-                mean_us=mean,
-                dispersion_flagged=dispersion > dispersion_threshold,
-            )
-        )
-
+    outcomes = [aggregate(exp, means, dispersion_threshold) for exp, means in run_means.values()]
     report_dir = cfg.output_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    report = build_summary(outcomes, device=device_id or _device_label(cfg), io_size=io_size, thresholds=th)
+    report = build_summary(outcomes, device=device, io_size=io_size, thresholds=th)
     (report_dir / "summary.json").write_text(report.to_json())
     (report_dir / "summary.txt").write_text(report.to_text() + "\n")
     plots = report_dir / "plots"
     for micro in sorted({o.micro for o in outcomes}):
         emit_plot_data(outcomes, micro, plots)
-    phases = _phase_trace_example(by_experiment)
-    if phases is not None:
-        emit_phase_trace(plots / "phase_trace.tsv", phases[0], phases[1])
-    cfg.write_manifest("report", experiments=len(by_experiment))
+    if phase_rts:
+        emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase_io_ignore)
+    cfg.write_manifest("report", experiments=len(run_means))
     click.echo(report.to_text())
     click.echo(f"report written to {report_dir}")
-
-
-def _phase_trace_example(by_experiment: dict) -> tuple[list[int], int] | None:
-    """Pick the most start-up-prone trace (an RW baseline run) for the
-    per-IO phase plot."""
-    best = None
-    for entries in by_experiment.values():
-        for exp, _, trace in entries:
-            if exp.baseline == "RW" and trace.records:
-                if best is None or len(trace.records) > len(best[0].records):
-                    best = (trace, exp.io_ignore)
-    if best is None:
-        return None
-    return best[0].rts, best[1]
-
-
-def _device_label(cfg: CampaignConfig) -> str:
-    if cfg.is_simulator:
-        name = cfg.device["simulator_profile"]
-        if Path(name).suffix == ".json" and Path(name).exists():
-            return SimProfile.load(name).name
-        return name
-    return Path(cfg.device["raw_path"]).name or "raw"
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -529,7 +530,16 @@ class SimulatedDevice:
             off += nbytes
 
     def save_state(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.snapshot_state())
+        """Replace the snapshot at path atomically, through a temporary
+        file and os.replace: a save that fails part-way leaves the
+        previous snapshot in place.  There is no fsync: a campaign saves
+        after every run step, and a sync per save would add to the time
+        of every step.  Without it a power loss, unlike a crash of the
+        process, can still lose the snapshot."""
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(self.snapshot_state())
+        os.replace(tmp, path)
 
     def load_state(self, path: str | Path) -> None:
         self.restore_state(Path(path).read_bytes())

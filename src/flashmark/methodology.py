@@ -198,49 +198,6 @@ def enforce_random_state(
 _BASELINE_TAG = {"SR": 1, "RR": 2, "SW": 3, "RW": 4}
 
 
-def enforce_sequential_state(
-    device: BlockDevice,
-    io_size: int = 128 * KB,
-    progress: Callable[[float, int], None] | None = None,
-) -> EnforceResult:
-    """Rewrite the whole device sequentially.
-
-    Faster than random enforcement but less stable: random writes,
-    misaligned IOs, or different sizes disturb a sequential state far
-    more than a random one, so no calibration guarantees attach to it.
-    Provided as an explicit opt-in only.
-    """
-    cap = device.capacity
-    t0 = device.now_us()
-    written = 0
-    ios = 0
-    lba = 0
-    while lba < cap:
-        size = min(io_size, cap - lba)
-        size -= size % 512
-        if size == 0:
-            break
-        try:
-            device.write(lba, size)
-        except DeviceError as exc:
-            raise EnforcementError(
-                f"sequential format write {ios} failed: {exc}", coverage=lba / cap
-            ) from exc
-        lba += size
-        written += size
-        ios += 1
-        if progress and ios % 512 == 0:
-            progress(lba / cap, ios)
-    if progress:
-        progress(1.0, ios)
-    return EnforceResult(
-        elapsed_us=device.now_us() - t0,
-        ios_issued=ios,
-        bytes_written=written,
-        coverage=1.0,
-    )
-
-
 def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed: int) -> PatternSpec:
     sequential = baseline[0] == "S"
     io_size = 32 * KB
@@ -507,7 +464,8 @@ def verify_plan(plan: BenchmarkPlan) -> None:
 
     Checks, per state epoch, that sequential-write ranges never overlap
     and never accumulate beyond the capacity, and that a sufficient
-    pause precedes every run.
+    pause precedes every run.  A range includes the io_shift overhang
+    past the nominal target end, as assign_target_offsets allocates it.
     """
     epoch_ranges: list[tuple[int, int]] = []
     epoch_total = 0
@@ -530,7 +488,8 @@ def verify_plan(plan: BenchmarkPlan) -> None:
                 for spec in exp.component_specs():
                     if spec.mode is not Mode.WRITE or isinstance(spec.location, Random):
                         continue
-                    rng = (spec.target_offset, spec.target_offset + spec.target_size)
+                    size = spec.target_size + spec.io_shift
+                    rng = (spec.target_offset, spec.target_offset + size)
                     for lo, hi in epoch_ranges:
                         if rng[0] < hi and lo < rng[1]:
                             raise PlanError(
@@ -538,7 +497,7 @@ def verify_plan(plan: BenchmarkPlan) -> None:
                                 f"earlier one in the same epoch"
                             )
                     epoch_ranges.append(rng)
-                    epoch_total += spec.target_size
+                    epoch_total += size
                     if epoch_total > plan.capacity:
                         raise PlanError(
                             f"{exp.experiment_id}: accumulated sequential-write space "

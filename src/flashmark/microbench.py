@@ -9,7 +9,6 @@ second pass once the device capacity is known.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
@@ -97,17 +96,6 @@ class SuiteConfig:
             **overrides,
         )
 
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["extra_io_sizes"] = list(self.extra_io_sizes)
-        return json.dumps(d, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SuiteConfig":
-        d = json.loads(text)
-        d["extra_io_sizes"] = tuple(d.get("extra_io_sizes", ()))
-        return cls(**d)
-
     def io_count(self, baseline: str) -> int:
         return self.io_count_by_pattern[baseline]
 
@@ -153,10 +141,6 @@ class ExperimentSpec:
         """True when any component writes through a non-random location
         function; those runs disturb the enforced device state."""
         return any(_seq_write(s) for s in self.component_specs())
-
-    @property
-    def sequential_write_span(self) -> int:
-        return sum(s.target_size for s in self.component_specs() if _seq_write(s))
 
     def component_specs(self) -> list[PatternSpec]:
         p = self.pattern

@@ -17,11 +17,10 @@ depends on measured response times, which only the runner knows.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Union
+from typing import Union
 
 SECTOR = 512
 
@@ -369,27 +368,6 @@ def lba_at(spec: PatternSpec, i: int) -> int:
     return spec.target_offset + off + spec.io_shift
 
 
-def next_submit_time(spec: PatternSpec, i: int, prev_submit_us: int, prev_rt_us: int) -> int:
-    """Submission time of IO i given the previous IO's submit time and rt.
-
-    Consecutive chains completions; pause adds a fixed gap after every
-    IO; burst adds the gap only at group boundaries (every burst_count
-    IOs), so burst(p, 1) degenerates to pause(p) and a zero-pause burst
-    to consecutive.
-    """
-    if i < 1:
-        raise ValueError("next_submit_time is defined for i >= 1")
-    base = prev_submit_us + prev_rt_us
-    t = spec.timing
-    if isinstance(t, Consecutive):
-        return base
-    if isinstance(t, Pause):
-        return base + t.pause_us
-    if isinstance(t, Burst):
-        return base + (t.pause_us if i % t.burst_count == 0 else 0)
-    raise PatternError(f"unknown timing function: {t!r}")  # pragma: no cover
-
-
 def scheduled_gap_before(spec: PatternSpec, i: int) -> int:
     """Pause the runner must insert between completion of IO i-1 and submission of IO i."""
     t = spec.timing
@@ -479,29 +457,3 @@ def split_parallel(par: ParallelSpec) -> list[PatternSpec]:
         )
     return out
 
-
-SCHEDULE_CSV_HEADER = ["index", "earliest_submit_us", "lba", "size", "mode"]
-
-
-def write_schedule_csv(schedule: Iterable[IORequest], fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(SCHEDULE_CSV_HEADER)
-    for r in schedule:
-        w.writerow([r.index, r.earliest_submit_us, r.lba, r.size, r.mode.value])
-
-
-def read_schedule_csv(fp: IO[str]) -> list[IORequest]:
-    rd = csv.reader(fp)
-    header = next(rd)
-    if header != SCHEDULE_CSV_HEADER:
-        raise ValueError(f"unexpected schedule header: {header}")
-    return [
-        IORequest(
-            index=int(row[0]),
-            earliest_submit_us=int(row[1]),
-            lba=int(row[2]),
-            size=int(row[3]),
-            mode=Mode(row[4]),
-        )
-        for row in rd
-    ]

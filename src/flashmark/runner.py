@@ -14,7 +14,6 @@ queued simulator workers includes time spent waiting for the device.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import threading
 import time
@@ -73,16 +72,6 @@ class RunStats:
     stddev_us: float
     count_ignored: int
     count_kept: int
-
-    def to_dict(self) -> dict:
-        return {
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-            "mean_us": self.mean_us,
-            "stddev_us": self.stddev_us,
-            "count_ignored": self.count_ignored,
-            "count_kept": self.count_kept,
-        }
 
 
 class EmptySummaryError(ValueError):
@@ -256,69 +245,6 @@ def _run_parallel_threads(device: BlockDevice, schedules: list, trace: Trace) ->
     trace.records.sort(key=lambda r: (r.actual_submit_us, r.worker))
 
 
-@dataclass
-class ExperimentResult:
-    experiment: ExperimentSpec
-    runs: list[RunStats]
-    traces: list[Trace]
-    mean_us: float
-    dispersion: float
-    dispersion_flagged: bool
-    error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment.experiment_id,
-            "runs": [r.to_dict() for r in self.runs],
-            "mean_us": self.mean_us,
-            "dispersion": self.dispersion,
-            "dispersion_flagged": self.dispersion_flagged,
-            "error": self.error,
-        }
-
-
-def execute_experiment(
-    device: BlockDevice,
-    exp: ExperimentSpec,
-    pause_between_runs_us: int = 0,
-    dispersion_threshold: float = 0.05,
-) -> ExperimentResult:
-    """Run an experiment's repetitions and average them.
-
-    The dispersion flag is set when the relative range of run means
-    ((max - min) / min) exceeds the threshold, marking a result that
-    should not be trusted without more repetitions.  Completed runs are
-    preserved when a later run fails.
-    """
-    runs: list[RunStats] = []
-    traces: list[Trace] = []
-    error = None
-    for k in range(exp.repetitions):
-        if pause_between_runs_us > 0:
-            device.idle(pause_between_runs_us)
-        trace = execute_run(device, exp.pattern, exp.experiment_id, run_index=k)
-        traces.append(trace)
-        if trace.error is not None:
-            error = trace.error
-            break
-        runs.append(summarize(trace, min(exp.io_ignore, max(0, len(trace.records) - 1))))
-    if runs:
-        means = [r.mean_us for r in runs]
-        mean = sum(means) / len(means)
-        dispersion = (max(means) - min(means)) / min(means) if min(means) > 0 else 0.0
-    else:
-        mean, dispersion = float("nan"), 0.0
-    return ExperimentResult(
-        experiment=exp,
-        runs=runs,
-        traces=traces,
-        mean_us=mean,
-        dispersion=dispersion,
-        dispersion_flagged=dispersion > dispersion_threshold,
-        error=error,
-    )
-
-
 # ----------------------------------------------------------------- files
 
 
@@ -375,11 +301,3 @@ def save_trace(trace: Trace, root: Path, exp: ExperimentSpec) -> Path:
         write_trace_csv(trace, fp)
     return path
 
-
-def save_result(result: ExperimentResult, root: Path) -> Path:
-    exp = result.experiment
-    path = root / trace_relpath(exp, 0, result.traces[0].device_id if result.traces else "unknown").parent
-    path.mkdir(parents=True, exist_ok=True)
-    out = path / "result.json"
-    out.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    return out

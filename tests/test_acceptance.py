@@ -5,6 +5,7 @@ reads as a checklist.  Criteria 8 and 9 drive the full CLI pipeline on
 the bundled simulator profiles end to end.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -316,15 +317,38 @@ def _run_campaign(config_path):
         assert result.exit_code == 0, f"{cmd} failed:\n{result.output}"
 
 
+# SHA-256 over every trace CSV and every report file of acceptance 8's
+# campaigns.  A change to simulator results, trace bytes or report bytes
+# shows here; an intended behaviour change must update these constants.
+GOLDEN_DIGESTS = {
+    "highend-ssd": "f8265ea3c59ff8d7dbd94b9340536436a42d3f199d7478fad3f978ce11228240",
+    "lowend-usb": "f990673791b4f48e46f03bc6f731d7cff34e7f124651c92b0659633930b028b0",
+}
+
+
+def _artifact_digest(out):
+    """SHA-256 of traces/**/*.csv and report/**, each file preceded by its
+    path relative to the campaign output directory."""
+    files = sorted(out.glob("traces/**/*.csv")) + sorted(
+        p for p in (out / "report").rglob("*") if p.is_file()
+    )
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def end_to_end_reports(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("e2e")
-    reports = {"elapsed_s": 0.0}
+    reports = {"elapsed_s": 0.0, "digests": {}}
     t0 = time.monotonic()
     for name in ("highend-ssd", "lowend-usb"):
         config_path, out = _campaign_config(tmp_path, name, name)
         _run_campaign(config_path)
         reports[name] = json.loads((out / "report" / "summary.json").read_text())
+        reports["digests"][name] = _artifact_digest(out)
     reports["elapsed_s"] = time.monotonic() - t0
     return reports
 
@@ -359,9 +383,16 @@ def test_acceptance_8_end_to_end_summary(end_to_end_reports):
     )
 
 
+def test_acceptance_8_golden_digests(end_to_end_reports):
+    """The acceptance-8 campaigns reproduce the pinned trace and report
+    bytes on both profiles."""
+    assert end_to_end_reports["digests"] == GOLDEN_DIGESTS
+    ok(8, "trace and report digests match the pinned constants on both profiles")
+
+
 def test_acceptance_9_campaign_determinism(tmp_path):
-    """Two campaigns with equal seeds produce byte-identical traces,
-    stats, and reports."""
+    """Two campaigns with equal seeds produce byte-identical traces and
+    reports."""
     outputs = []
     for tag in ("a", "b"):
         config_path, out = _campaign_config(

@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from flashmark.cli import main
-from flashmark.device import SimProfile
+from flashmark.device import DeviceError, SimProfile, SimulatedDevice
 
 MB = 1024 * 1024
 
@@ -40,6 +42,20 @@ def campaign(tmp_path):
 
 def invoke(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def fail_simulator_write(monkeypatch, at):
+    """Make the at-th simulator write from now on raise a DeviceError."""
+    real_write = SimulatedDevice.write
+    count = [0]
+
+    def write(self, lba, size):
+        count[0] += 1
+        if count[0] == at:
+            raise DeviceError("injected write failure")
+        return real_write(self, lba, size)
+
+    monkeypatch.setattr(SimulatedDevice, "write", write)
 
 
 class TestPipeline:
@@ -129,6 +145,62 @@ class TestPipeline:
         enforce_random_state(reference, seed=derive_seed(cfg.seed, 0xF0))
         resumed = cfg.open_device()
         assert resumed.snapshot_state() == reference.snapshot_state()
+
+
+    def test_format_interrupted_after_checkpoint_resumes_identically(
+        self, tmp_path, monkeypatch
+    ):
+        # a 128 MB device formats in about 3100 IOs, so a failure at write
+        # 2500 comes after the checkpoint journaled at IO 2048
+        profile_path = tmp_path / "midsim.json"
+        profile_path.write_text(SimProfile(capacity=128 * MB, name="midsim").to_json())
+        configs = {}
+        for tag in ("whole", "interrupted"):
+            configs[tag] = tmp_path / f"{tag}.json"
+            configs[tag].write_text(json.dumps({
+                "device": {"simulator_profile": str(profile_path)},
+                "output_dir": str(tmp_path / tag),
+                "seed": 3,
+            }))
+        assert invoke(["format", "--config", str(configs["whole"])]).exit_code == 0
+
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=2500)
+            r = invoke(["format", "--config", str(configs["interrupted"])])
+        assert r.exit_code == 3
+        r = invoke(["format", "--config", str(configs["interrupted"])])
+        assert r.exit_code == 0, r.output
+        assert "resuming format at IO 2048" in r.output
+
+        whole = (tmp_path / "whole" / "device_state.bin").read_bytes()
+        assert (tmp_path / "interrupted" / "device_state.bin").read_bytes() == whole
+
+    def test_run_failure_keeps_partial_trace_and_resumes(self, campaign, monkeypatch):
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        plan = json.loads((out / "plan.json").read_text())
+        runs = [s for s in plan["steps"] if s["kind"] == "run"]
+
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=20)
+            r = invoke(["run", "--config", str(config_path)])
+        assert r.exit_code == 3
+        partial = Path(re.search(r"partial trace at (\S+)\)", r.output).group(1))
+        rows = partial.read_text().splitlines()
+        assert rows[0].startswith("index,")
+        assert 1 <= len(rows) - 1 < 16  # truncated at the failing IO
+
+        entries = [json.loads(line) for line in (out / "journal.jsonl").read_text().splitlines()]
+        failed = [e for e in entries if e.get("status") == "failed"]
+        assert len(failed) == 1 and "injected write failure" in failed[0]["error"]
+        done_before = sum(1 for e in entries if e.get("status") == "done" and "/run" in e["step"])
+        assert 0 < done_before < len(runs)
+
+        r = invoke(["run", "--config", str(config_path)])
+        assert r.exit_code == 0, r.output
+        assert f"runs executed: {len(runs) - done_before}, resumed past: {done_before}" in r.output
+        assert len(partial.read_text().splitlines()) == 17  # re-run rewrote the full trace
 
 
 class TestValidation:

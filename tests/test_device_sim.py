@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,29 @@ class TestSnapshot:
         other = fresh(erase_block_us=9999)
         with pytest.raises(DeviceError):
             other.restore_state(snap)
+
+    def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "device_state.bin"
+        dev = fresh()
+        random_write_costs(dev, 50)
+        dev.save_state(path)
+        saved = dev.snapshot_state()
+        random_write_costs(dev, 50, seed=9)
+
+        real_write_bytes = Path.write_bytes
+
+        def torn_write(self, data):
+            real_write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError):
+            dev.save_state(path)
+        monkeypatch.undo()
+
+        restored = fresh()
+        restored.load_state(path)
+        assert restored.snapshot_state() == saved
 
     def test_raw_device_reports_unsupported(self, tmp_path):
         path = tmp_path / "blob"

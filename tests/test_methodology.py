@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
@@ -135,15 +137,6 @@ class TestEnforceRandomState:
         marks = []
         enforce_random_state(small_sim(), seed=3, progress=lambda f, n: marks.append(f))
         assert marks and marks[-1] == 1.0
-
-    def test_sequential_enforcement_available_as_explicit_option(self):
-        from flashmark.methodology import enforce_sequential_state
-
-        dev = small_sim()
-        result = enforce_sequential_state(dev, io_size=128 * KB)
-        assert result.coverage == 1.0
-        assert result.bytes_written == dev.capacity
-        dev.check_consistency()
 
 
 class TestCalibratePhases:
@@ -314,6 +307,40 @@ class TestBuildPlan:
             capacity=1 * GB,
         )
         with pytest.raises(PlanError):
+            verify_plan(plan)
+
+    def test_verify_counts_io_shift_overhang(self):
+        # the first range ends at 2 MB nominally but its shifted IOs reach
+        # 512 bytes further, into the second range
+        sw = baseline_pattern(mode=Mode.WRITE, location=Sequential(), io_count=64, seed=5)
+        first = replace(sw, target_size=2 * MB, io_shift=512)
+        second = replace(sw, target_offset=2 * MB, target_size=2 * MB)
+        exps = [
+            ExperimentSpec(
+                micro=Micro.ALIGNMENT, baseline="SW", varying_name="io_shift",
+                varying_value=p.io_shift, pattern=p,
+            )
+            for p in (first, second)
+        ]
+        assert exps[0].target_ranges == [(0, 2 * MB + 512)]
+        plan = BenchmarkPlan(
+            steps=[
+                PauseStep(1_000_000), RunStep(exps[0], 0),
+                PauseStep(1_000_000), RunStep(exps[1], 0),
+            ],
+            capacity=1 * GB,
+        )
+        with pytest.raises(PlanError, match="overlaps"):
+            verify_plan(plan)
+
+    def test_verify_capacity_counts_io_shift_overhang(self):
+        sw = baseline_pattern(mode=Mode.WRITE, location=Sequential(), io_count=64, seed=5)
+        exp = ExperimentSpec(
+            micro=Micro.ALIGNMENT, baseline="SW", varying_name="io_shift",
+            varying_value=512, pattern=replace(sw, target_size=2 * MB, io_shift=512),
+        )
+        plan = BenchmarkPlan(steps=[PauseStep(1_000_000), RunStep(exp, 0)], capacity=2 * MB)
+        with pytest.raises(PlanError, match="exceeds capacity"):
             verify_plan(plan)
 
     def test_verify_requires_pause(self):

@@ -1,4 +1,3 @@
-import io
 import json
 from dataclasses import replace
 
@@ -23,10 +22,7 @@ from flashmark.patterns import (
     generate_schedule,
     interleave_mix,
     lba_at,
-    next_submit_time,
-    read_schedule_csv,
     split_parallel,
-    write_schedule_csv,
 )
 
 KB = 1024
@@ -140,33 +136,6 @@ class TestLbaAt:
             assert spec.target_offset <= lba
             assert lba + spec.io_size <= spec.target_offset + spec.target_size + spec.io_shift
             assert (lba - spec.target_offset - spec.io_shift) % spec.io_size == 0
-
-
-class TestNextSubmitTime:
-    def test_consecutive(self):
-        spec = make_spec()
-        assert next_submit_time(spec, 1, 100, 40) == 140
-
-    def test_pause(self):
-        spec = make_spec(timing=Pause(pause_us=500))
-        assert next_submit_time(spec, 1, 100, 40) == 640
-
-    def test_burst_boundary(self):
-        spec = make_spec(timing=Burst(pause_us=100_000, burst_count=10), io_count=32)
-        assert next_submit_time(spec, 10, 1000, 70) == 1000 + 70 + 100_000
-        assert next_submit_time(spec, 11, 1000, 70) == 1070
-
-    def test_burst_of_one_equals_pause(self):
-        burst = make_spec(timing=Burst(pause_us=777, burst_count=1), io_count=16)
-        pause = make_spec(timing=Pause(pause_us=777), io_count=16)
-        for i in range(1, 16):
-            assert next_submit_time(burst, i, 5, 3) == next_submit_time(pause, i, 5, 3)
-
-    def test_zero_pause_burst_equals_consecutive(self):
-        burst = make_spec(timing=Burst(pause_us=0, burst_count=7), io_count=16)
-        cons = make_spec(io_count=16)
-        for i in range(1, 16):
-            assert next_submit_time(burst, i, 5, 3) == next_submit_time(cons, i, 5, 3)
 
 
 class TestGenerateSchedule:
@@ -343,18 +312,6 @@ class TestSerialization:
             "timing", "location", "mode", "io_size", "io_shift",
             "target_offset", "target_size", "io_count", "io_ignore", "seed",
         }
-
-    def test_schedule_csv_round_trip(self):
-        sched = generate_schedule(make_spec(location=Random(), io_count=32))
-        buf = io.StringIO()
-        write_schedule_csv(sched, buf)
-        buf.seek(0)
-        assert read_schedule_csv(buf) == sched
-
-    def test_schedule_csv_header(self):
-        buf = io.StringIO()
-        write_schedule_csv([], buf)
-        assert buf.getvalue().splitlines()[0] == "index,earliest_submit_us,lba,size,mode"
 
     def test_mix_and_parallel_round_trip(self):
         first = make_spec(location=Random(), mode=Mode.READ)

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from flashmark.analysis import aggregate
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice
 from flashmark.microbench import ExperimentSpec, Micro
 from flashmark.patterns import (
@@ -18,7 +19,6 @@ from flashmark.runner import (
     EmptySummaryError,
     Trace,
     TraceRecord,
-    execute_experiment,
     execute_run,
     read_trace_csv,
     save_trace,
@@ -229,42 +229,45 @@ class TestSummarize:
         assert summarize(again, 1) == stats
 
 
-class TestExecuteExperiment:
+def run_means(device, exp):
+    """Run an experiment's repetitions back to back; one mean per run."""
+    means = []
+    for k in range(exp.repetitions):
+        trace = execute_run(device, exp.pattern, exp.experiment_id, run_index=k)
+        means.append(summarize(trace, exp.io_ignore).mean_us)
+    return means
+
+
+class TestAggregate:
     def test_three_identical_runs_no_dispersion(self):
         exp = make_experiment(make_pattern(io_count=8))
-        result = execute_experiment(SimulatedDevice(SimProfile()), exp)
-        assert len(result.runs) == 3
-        assert result.dispersion == 0.0
-        assert not result.dispersion_flagged
+        means = run_means(SimulatedDevice(SimProfile()), exp)
+        assert len(means) == 3
+        outcome = aggregate(exp, means, dispersion_threshold=0.0)
+        assert outcome.mean_us == means[0]
+        assert not outcome.dispersion_flagged
 
     def test_dispersion_flag_at_eight_percent(self):
         # three runs with means 1000, 1040, 1080 us
         costs = [1000] * 8 + [1040] * 8 + [1080] * 8
         exp = make_experiment(make_pattern(io_count=8))
-        result = execute_experiment(StubDevice(costs), exp)
-        assert result.dispersion == pytest.approx(0.08)
-        assert result.dispersion_flagged
+        means = run_means(StubDevice(costs), exp)
+        assert means == [1000, 1040, 1080]
+        assert aggregate(exp, means, dispersion_threshold=0.05).dispersion_flagged
+        assert aggregate(exp, means, dispersion_threshold=0.0799).dispersion_flagged
+        assert not aggregate(exp, means, dispersion_threshold=0.0801).dispersion_flagged
 
     def test_single_repetition_average_equals_run(self):
         exp = make_experiment(make_pattern(io_count=8), repetitions=1)
-        result = execute_experiment(SimulatedDevice(SimProfile()), exp)
-        assert len(result.runs) == 1
-        assert result.mean_us == result.runs[0].mean_us
+        means = run_means(SimulatedDevice(SimProfile()), exp)
+        assert len(means) == 1
+        assert aggregate(exp, means, dispersion_threshold=0.05).mean_us == means[0]
 
-    def test_partial_results_preserved_on_error(self):
-        costs = [100] * 8 + [100] * 4 + [DeviceError("dead")]
+    def test_outcome_keyed_by_experiment(self):
         exp = make_experiment(make_pattern(io_count=8))
-        result = execute_experiment(StubDevice(costs), exp)
-        assert result.error is not None
-        assert len(result.runs) == 1  # first run completed
-        assert len(result.traces) == 2  # second run truncated
-
-    def test_pause_between_runs_applied(self):
-        dev = SimulatedDevice(SimProfile())
-        exp = make_experiment(make_pattern(io_count=4))
-        t0 = dev.now_us()
-        execute_experiment(dev, exp, pause_between_runs_us=1_000_000)
-        assert dev.now_us() - t0 >= 3_000_000
+        outcome = aggregate(exp, [10.0, 10.0], dispersion_threshold=0.05)
+        assert (outcome.micro, outcome.baseline) == ("granularity", "SR")
+        assert (outcome.varying_name, outcome.varying_value) == ("io_size", 32 * KB)
 
 
 class TestTraceFiles:
