@@ -13,7 +13,7 @@ partition threshold, order ratios, alignment/mix/parallel factors).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -251,10 +251,6 @@ class SummaryReport:
     dispersion_flags: list = field(default_factory=list)
     notes: list = field(default_factory=list)  # partial sweeps, capacity clamps
     thresholds: SummaryThresholds = field(default_factory=SummaryThresholds)
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         ms = {

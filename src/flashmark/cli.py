@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -38,17 +38,14 @@ from .device import (
 )
 from .journal import Journal
 from .methodology import (
-    BenchmarkPlan,
     DeviceProfile,
-    PauseStep,
-    StateReset,
     build_plan,
     calibrate_pause,
     calibrate_phases,
     enforce_random_state,
     verify_plan,
 )
-from .microbench import ExperimentSpec, Micro, SuiteConfig, expand_suite
+from .microbench import ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, expand_suite
 from .patterns import PatternError, derive_seed
 from .runner import (
     read_trace_csv,
@@ -57,7 +54,7 @@ from .runner import (
     execute_run,
     trace_relpath,
 )
-from .serialization import SchemaError
+from .serialization import SchemaError, load, load_plan, save, save_plan
 
 EXIT_VALIDATION = 2
 EXIT_DEVICE = 3
@@ -117,7 +114,7 @@ class CampaignConfig:
         path, otherwise a built-in profile name."""
         name = self.device["simulator_profile"]
         if Path(name).suffix == ".json" and Path(name).exists():
-            return SimProfile.load(name)
+            return load(SimProfile, name)
         return builtin_profile(name)
 
     def device_label(self) -> str:
@@ -150,8 +147,7 @@ class CampaignConfig:
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             **extra,
         }
-        path = self.output_dir / f"manifest-{command}.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        save(manifest, self.output_dir / f"manifest-{command}.json")
 
     def suite_config(self, capacity: int, profile: DeviceProfile | None) -> SuiteConfig:
         overrides = dict(self.suite)
@@ -295,15 +291,9 @@ def cmd_calibrate(config_path: str) -> None:
         seed=cfg.seed,
         **calibration("probe_reads", "disturb_writes", "observe_reads", "settle_pause_us"),
     )
-    profile = DeviceProfile(
-        startup=profile.startup,
-        period=profile.period,
-        inter_run_pause_us=pause.pause_us,
-        io_count_recommendation=profile.io_count_recommendation,
-        flags=profile.flags,
-    )
+    profile = replace(profile, inter_run_pause_us=pause.pause_us)
     out = cfg.output_dir / "device_profile.json"
-    profile.save(out)
+    save(profile, out)
     cfg.persist_device(dev)
     cfg.write_manifest(
         "calibrate", affected_reads=pause.affected_reads, lingering_us=pause.lingering_us
@@ -331,7 +321,7 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
     capacity = dev.capacity
     dev.close()
     profile_path = cfg.output_dir / "device_profile.json"
-    profile = DeviceProfile.load(profile_path) if profile_path.exists() else DeviceProfile()
+    profile = load(DeviceProfile, profile_path) if profile_path.exists() else DeviceProfile()
     suite = cfg.suite_config(capacity, profile)
     experiments = expand_suite(suite, cfg.micros())
     plan = build_plan(experiments, profile, capacity, base_offset=suite.base_target_offset)
@@ -342,7 +332,7 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
         click.echo(f"{len({s.experiment.experiment_id for s in plan.run_steps()})} experiments")
         return
     out = cfg.output_dir / "plan.json"
-    plan.save(out)
+    save_plan(plan, out)
     cfg.write_manifest("plan", experiments=len(experiments), steps=len(plan.steps))
     click.echo(
         f"plan written to {out}: {len(experiments)} experiments, "
@@ -357,7 +347,7 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
 def cmd_run(config_path: str) -> None:
     """Execute the plan, journaling each completed step."""
     cfg = CampaignConfig.load(config_path)
-    plan = BenchmarkPlan.load(cfg.output_dir / "plan.json")
+    plan = load_plan(cfg.output_dir / "plan.json")
     verify_plan(plan)
     journal = cfg.journal()
     done = journal.done_steps() if cfg.resume else set()
@@ -408,7 +398,7 @@ def cmd_run(config_path: str) -> None:
 def cmd_report(config_path: str) -> None:
     """Summarize traces into the characterization report and plot data."""
     cfg = CampaignConfig.load(config_path)
-    plan = BenchmarkPlan.load(cfg.output_dir / "plan.json")
+    plan = load_plan(cfg.output_dir / "plan.json")
     traces_root = cfg.output_dir / "traces"
     th = SummaryThresholds(
         locality_factor=float(cfg.thresholds.get("locality_factor", 2.0)),
@@ -422,15 +412,19 @@ def cmd_report(config_path: str) -> None:
 
     # Runs are read one at a time in plan order; only each run's mean and
     # the response times of the longest RW run (the most start-up-prone
-    # trace, shown in the phase plot) are kept.
+    # trace, shown in the phase plot) are kept.  A run counts only once it
+    # is journaled done: a failed or interrupted run leaves a partial trace.
+    done = cfg.journal().done_steps()
+    unfinished = 0
     run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
     phase_rts: list[int] = []
     phase_io_ignore = 0
     for step in plan.run_steps():
+        if step.step_id not in done:
+            unfinished += 1
+            continue
         exp = step.experiment
         path = traces_root / trace_relpath(exp, step.run_index, device)
-        if not path.exists():
-            continue
         with path.open() as fp:
             trace = read_trace_csv(fp, exp.experiment_id, step.run_index)
         stats = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))
@@ -442,7 +436,11 @@ def cmd_report(config_path: str) -> None:
     report_dir = cfg.output_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     report = build_summary(outcomes, device=device, io_size=io_size, thresholds=th)
-    (report_dir / "summary.json").write_text(report.to_json())
+    if unfinished:
+        report.notes.append(
+            f"{unfinished} of {len(plan.run_steps())} planned runs left out: not journaled done"
+        )
+    save(report, report_dir / "summary.json")
     (report_dir / "summary.txt").write_text(report.to_text() + "\n")
     plots = report_dir / "plots"
     for micro in sorted({o.micro for o in outcomes}):

@@ -40,11 +40,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ..serialization import dumps, to_data
 from . import DeviceError, check_alignment
 
 KB = 1024
@@ -107,19 +108,11 @@ class SimProfile:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
+            json.dumps(to_data(self), sort_keys=True).encode()
         ).hexdigest()[:16]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimProfile":
-        return cls(**json.loads(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SimProfile":
-        return cls.from_json(Path(path).read_text())
+        return dumps(self)
 
 
 # Reference profiles. Latency constants are tuned so that, at the default

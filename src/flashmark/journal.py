@@ -33,7 +33,9 @@ class Journal:
             fp.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def done_steps(self) -> set[str]:
-        return {e["step"] for e in self._entries if e.get("status") == "done"}
+        """Steps whose latest entry is done."""
+        latest = {e["step"]: e.get("status") for e in self._entries}
+        return {step for step, status in latest.items() if status == "done"}
 
     def last(self, step: str) -> dict | None:
         for e in reversed(self._entries):

@@ -16,17 +16,24 @@ deferred reclamation cannot bleed into the next.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import detect_startup, estimate_period
 from .device import BlockDevice, DeviceError
-from .microbench import ExperimentSpec, assign_target_offsets
+from .microbench import (
+    MIN_INTER_RUN_PAUSE_US,
+    BenchmarkPlan,
+    ExperimentSpec,
+    PauseStep,
+    PlanStep,
+    RunStep,
+    StateReset,
+    assign_target_offsets,
+)
 from .patterns import (
     Consecutive,
     MixSpec,
@@ -46,7 +53,6 @@ MB = 1024 * 1024
 BASELINE_FLOOR_IO_COUNT = {"SR": 1024, "RR": 1024, "SW": 1024, "RW": 5120}
 DEFAULT_LONG_IO_COUNT = 10 * max(BASELINE_FLOOR_IO_COUNT.values())
 DEFAULT_SETTLE_PAUSE_US = 60_000_000  # generous: lets any deferred backlog drain
-MIN_INTER_RUN_PAUSE_US = 1_000_000
 
 
 class EnforcementError(DeviceError):
@@ -70,22 +76,6 @@ class DeviceProfile:
     def startup_for(self, baseline: str) -> int:
         return int(self.startup.get(baseline, 0))
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceProfile":
-        d = json.loads(text)
-        d["flags"] = tuple(d.get("flags", ()))
-        return cls(**d)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DeviceProfile":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
 
 @dataclass
 class EnforceResult:
@@ -98,17 +88,12 @@ class EnforceResult:
 MAX_FORMAT_IO = 128 * KB  # writes range from one sector to the flash block size
 
 
-class _FormatInterrupted(Exception):
-    pass
-
-
 def enforce_random_state(
     device: BlockDevice,
     seed: int,
     overwrite_factor: float = 1.1,
     progress: Callable[[float, int], None] | None = None,
     start_io: int = 0,
-    max_ios: int | None = None,
 ) -> EnforceResult:
     """Drive the device into the well-defined random-write state.
 
@@ -120,10 +105,7 @@ def enforce_random_state(
 
     The write sequence is a pure function of the seed, which makes the
     process resumable: the first start_io writes are replayed into the
-    bitmap without touching the device.  max_ios stops after that many
-    issued writes (a controlled interruption, used by tests and by
-    operators pacing multi-day formats); the partial result carries the
-    coverage reached.
+    bitmap without touching the device.
     """
     cap = device.capacity
     sectors = cap // 512
@@ -133,13 +115,10 @@ def enforce_random_state(
 
     written = 0
     ios = 0
-    issued = 0
 
     def one_write(lba: int, size: int) -> None:
-        nonlocal written, ios, issued
+        nonlocal written, ios
         live = ios >= start_io
-        if live and max_ios is not None and issued >= max_ios:
-            raise _FormatInterrupted()
         if live:
             try:
                 device.write(lba, size)
@@ -147,41 +126,32 @@ def enforce_random_state(
                 raise EnforcementError(
                     f"format write {ios} failed: {exc}", coverage=float(covered.mean())
                 ) from exc
-            issued += 1
         covered[lba // 512 : (lba + size) // 512] = True
         written += size
         ios += 1
         if live and progress and ios % 512 == 0:
             progress(float(covered.mean()), ios)
 
-    try:
-        while written < target_bytes:
-            size = (uniform_index(seed, 2 * ios, MAX_FORMAT_IO // 512) + 1) * 512
-            lba = uniform_index(seed, 2 * ios + 1, (cap - size) // 512 + 1) * 512
-            one_write(lba, size)
+    while written < target_bytes:
+        size = (uniform_index(seed, 2 * ios, MAX_FORMAT_IO // 512) + 1) * 512
+        lba = uniform_index(seed, 2 * ios + 1, (cap - size) // 512 + 1) * 512
+        one_write(lba, size)
 
-        # fill remaining holes with targeted writes, largest-chunk first
-        hole = np.flatnonzero(~covered)
-        i = 0
-        while i < hole.size:
-            start = int(hole[i])
-            end = start
-            while (
-                i + 1 < hole.size
-                and hole[i + 1] == end + 1
-                and (end + 1 - start) < MAX_FORMAT_IO // 512 - 1
-            ):
-                i += 1
-                end = int(hole[i])
-            one_write(start * 512, (end - start + 1) * 512)
+    # fill remaining holes with targeted writes, largest-chunk first
+    hole = np.flatnonzero(~covered)
+    i = 0
+    while i < hole.size:
+        start = int(hole[i])
+        end = start
+        while (
+            i + 1 < hole.size
+            and hole[i + 1] == end + 1
+            and (end + 1 - start) < MAX_FORMAT_IO // 512 - 1
+        ):
             i += 1
-    except _FormatInterrupted:
-        return EnforceResult(
-            elapsed_us=device.now_us() - t0,
-            ios_issued=ios,
-            bytes_written=written,
-            coverage=float(covered.mean()),
-        )
+            end = int(hole[i])
+        one_write(start * 512, (end - start + 1) * 512)
+        i += 1
 
     if progress:
         progress(1.0, ios)
@@ -199,16 +169,15 @@ _BASELINE_TAG = {"SR": 1, "RR": 2, "SW": 3, "RW": 4}
 
 
 def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed: int) -> PatternSpec:
-    sequential = baseline[0] == "S"
+    """A consecutive 32 KB baseline pattern from offset 0 with the given stream
+    seed: a random one roams the device, a sequential one spans its IOs."""
     io_size = 32 * KB
-    if sequential:
-        target = min(io_count * io_size, device.capacity)
-        target -= target % io_size
-    else:
-        target = device.capacity - device.capacity % io_size
+    target = device.capacity - device.capacity % io_size
+    if baseline[0] == "S":
+        target = min(io_count * io_size, target)
     return PatternSpec(
         timing=Consecutive(),
-        location=Sequential() if sequential else Random(),
+        location=Sequential() if baseline[0] == "S" else Random(),
         mode=Mode.READ if baseline[1] == "R" else Mode.WRITE,
         io_size=io_size,
         io_shift=0,
@@ -216,7 +185,7 @@ def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed
         target_size=target,
         io_count=io_count,
         io_ignore=0,
-        seed=derive_seed(seed, _BASELINE_TAG[baseline]),
+        seed=seed,
     )
 
 
@@ -239,7 +208,9 @@ def calibrate_phases(
     recommendation: dict[str, int] = {}
     for baseline in ("SR", "RR", "SW", "RW"):
         device.idle(settle_pause_us)
-        spec = _calibration_pattern(baseline, device, long_io_count, seed)
+        spec = _calibration_pattern(
+            baseline, device, long_io_count, derive_seed(seed, _BASELINE_TAG[baseline])
+        )
         trace = execute_run(device, spec, experiment_id=f"calibrate/{baseline}")
         if trace.error:
             raise DeviceError(f"calibration run {baseline} aborted: {trace.error}")
@@ -290,47 +261,18 @@ def calibrate_pause(
     affected.  The returned pause doubles the observed lingering time
     and never goes below one second, deliberately overestimating.
     """
-    io_size = 32 * KB
-    cap = device.capacity - device.capacity % io_size
     device.idle(settle_pause_us)
 
-    def seq_reads(n: int, tag: int) -> list[int]:
-        spec = PatternSpec(
-            timing=Consecutive(),
-            location=Sequential(),
-            mode=Mode.READ,
-            io_size=io_size,
-            io_shift=0,
-            target_offset=0,
-            target_size=cap,
-            io_count=n,
-            io_ignore=0,
-            seed=derive_seed(seed, tag),
-        )
+    def probe(baseline: str, n: int, tag: int) -> list[int]:
+        spec = _calibration_pattern(baseline, device, n, derive_seed(seed, tag))
         trace = execute_run(device, spec, experiment_id=f"pause-probe/{tag}")
         if trace.error:
             raise DeviceError(f"pause probe aborted: {trace.error}")
         return trace.rts
 
-    pre = np.asarray(seq_reads(probe_reads, 1), dtype=float)
-
-    rw = PatternSpec(
-        timing=Consecutive(),
-        location=Random(),
-        mode=Mode.WRITE,
-        io_size=io_size,
-        io_shift=0,
-        target_offset=0,
-        target_size=cap,
-        io_count=disturb_writes,
-        io_ignore=0,
-        seed=derive_seed(seed, 2),
-    )
-    trace = execute_run(device, rw, experiment_id="pause-probe/disturb")
-    if trace.error:
-        raise DeviceError(f"pause probe aborted: {trace.error}")
-
-    post = np.asarray(seq_reads(observe_reads, 3), dtype=float)
+    pre = np.asarray(probe("SR", probe_reads, 1), dtype=float)
+    probe("RW", disturb_writes, 2)
+    post = np.asarray(probe("SR", observe_reads, 3), dtype=float)
     threshold = pre.mean() + k_sigma * pre.std() + 1e-9
     affected = post > threshold
     count = int(affected.sum())
@@ -348,62 +290,8 @@ def calibrate_pause(
 # ------------------------------------------------------------------ plans
 
 
-@dataclass(frozen=True)
-class StateReset:
-    kind: str = "state_reset"
-
-
-@dataclass(frozen=True)
-class PauseStep:
-    duration_us: int
-    kind: str = "pause"
-
-
-@dataclass(frozen=True)
-class RunStep:
-    experiment: ExperimentSpec
-    run_index: int
-    kind: str = "run"
-
-    @property
-    def step_id(self) -> str:
-        return f"{self.experiment.experiment_id}/run{self.run_index}"
-
-
-PlanStep = StateReset | PauseStep | RunStep
-
-
 class PlanError(ValueError):
     """The plan violates capacity or overlap constraints."""
-
-
-@dataclass
-class BenchmarkPlan:
-    steps: list
-    capacity: int
-    base_offset: int = 0
-    inter_run_pause_us: int = MIN_INTER_RUN_PAUSE_US
-
-    def run_steps(self) -> list[RunStep]:
-        return [s for s in self.steps if isinstance(s, RunStep)]
-
-    def to_json(self) -> str:
-        from .serialization import plan_to_dict
-
-        return json.dumps(plan_to_dict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchmarkPlan":
-        from .serialization import plan_from_dict
-
-        return plan_from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BenchmarkPlan":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
 
 
 def scaled_io_ignore(exp: ExperimentSpec, profile: DeviceProfile) -> int:

@@ -4,7 +4,9 @@ A micro-benchmark is a family of experiments over the four baseline
 patterns (SR, RR, SW, RW) in which exactly one parameter is swept over
 its declared range while everything else stays at the suite's shared
 baseline values.  Expansion is pure; target offsets are assigned in a
-second pass once the device capacity is known.
+second pass once the device capacity is known.  The plan step types at
+the end, which methodology.build_plan compiles experiments into, live
+here so that the JSON codec can load a plan without the device layer.
 """
 
 from __future__ import annotations
@@ -470,3 +472,44 @@ def assign_target_offsets(
         out.append(e.rebase(cursor))
         cursor += span
     return out, resets
+
+
+# ------------------------------------------------------------------ plans
+
+MIN_INTER_RUN_PAUSE_US = 1_000_000
+
+
+@dataclass(frozen=True)
+class StateReset:
+    kind = "state_reset"
+
+
+@dataclass(frozen=True)
+class PauseStep:
+    duration_us: int
+    kind = "pause"
+
+
+@dataclass(frozen=True)
+class RunStep:
+    experiment: ExperimentSpec
+    run_index: int
+    kind = "run"
+
+    @property
+    def step_id(self) -> str:
+        return f"{self.experiment.experiment_id}/run{self.run_index}"
+
+
+PlanStep = StateReset | PauseStep | RunStep
+
+
+@dataclass
+class BenchmarkPlan:
+    steps: list[PlanStep]
+    capacity: int
+    base_offset: int = 0
+    inter_run_pause_us: int = MIN_INTER_RUN_PAUSE_US
+
+    def run_steps(self) -> list[RunStep]:
+        return [s for s in self.steps if isinstance(s, RunStep)]

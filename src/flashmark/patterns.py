@@ -17,7 +17,6 @@ depends on measured response times, which only the runner knows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Union
@@ -132,14 +131,6 @@ class Partitioned:
 
 Location = Union[Sequential, Random, Ordered, Partitioned]
 
-_TIMING_KINDS = {"consecutive": Consecutive, "pause": Pause, "burst": Burst}
-_LOCATION_KINDS = {
-    "sequential": Sequential,
-    "random": Random,
-    "ordered": Ordered,
-    "partitioned": Partitioned,
-}
-
 
 @dataclass(frozen=True)
 class IORequest:
@@ -170,6 +161,7 @@ class PatternSpec:
     io_count: int
     io_ignore: int
     seed: int
+    kind = "pattern"
 
     def __post_init__(self):
         if self.io_size < SECTOR or self.io_size % SECTOR:
@@ -203,58 +195,6 @@ class PatternSpec:
         """Number of whole-io_size slots in the target space."""
         return self.target_size // self.io_size
 
-    def to_dict(self) -> dict:
-        d = {
-            "timing": _variant_to_dict(self.timing),
-            "location": _variant_to_dict(self.location),
-            "mode": self.mode.value,
-            "io_size": self.io_size,
-            "io_shift": self.io_shift,
-            "target_offset": self.target_offset,
-            "target_size": self.target_size,
-            "io_count": self.io_count,
-            "io_ignore": self.io_ignore,
-            "seed": self.seed,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PatternSpec":
-        return cls(
-            timing=_variant_from_dict(d["timing"], _TIMING_KINDS),
-            location=_variant_from_dict(d["location"], _LOCATION_KINDS),
-            mode=Mode(d["mode"]),
-            io_size=d["io_size"],
-            io_shift=d["io_shift"],
-            target_offset=d["target_offset"],
-            target_size=d["target_size"],
-            io_count=d["io_count"],
-            io_ignore=d["io_ignore"],
-            seed=d["seed"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PatternSpec":
-        return cls.from_dict(json.loads(text))
-
-
-def _variant_to_dict(v) -> dict:
-    d = {"kind": v.kind}
-    for name in getattr(v, "__dataclass_fields__", {}):
-        d[name] = getattr(v, name)
-    return d
-
-
-def _variant_from_dict(d: dict, table: dict):
-    cls = table.get(d.get("kind"))
-    if cls is None:
-        raise PatternError(f"unknown kind: {d.get('kind')!r}")
-    args = {k: v for k, v in d.items() if k != "kind"}
-    return cls(**args)
-
 
 @dataclass(frozen=True)
 class MixSpec:
@@ -267,6 +207,7 @@ class MixSpec:
     first: PatternSpec
     second: PatternSpec
     ratio: int
+    kind = "mix"
 
     def __post_init__(self):
         if self.ratio < 1:
@@ -282,21 +223,6 @@ class MixSpec:
         ):
             raise PatternError("mix component target spaces overlap")
 
-    def to_dict(self) -> dict:
-        return {
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-            "ratio": self.ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixSpec":
-        return cls(
-            first=PatternSpec.from_dict(d["first"]),
-            second=PatternSpec.from_dict(d["second"]),
-            ratio=d["ratio"],
-        )
-
 
 @dataclass(frozen=True)
 class ParallelSpec:
@@ -304,6 +230,7 @@ class ParallelSpec:
 
     base: PatternSpec
     parallel_degree: int
+    kind = "parallel"
 
     def __post_init__(self):
         if self.parallel_degree < 1:
@@ -312,13 +239,6 @@ class ParallelSpec:
             raise PatternError("target_size must be divisible by parallel_degree")
         if self.base.target_size // self.parallel_degree < self.base.io_size:
             raise PatternError("per-worker slice smaller than io_size")
-
-    def to_dict(self) -> dict:
-        return {"base": self.base.to_dict(), "parallel_degree": self.parallel_degree}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParallelSpec":
-        return cls(base=PatternSpec.from_dict(d["base"]), parallel_degree=d["parallel_degree"])
 
 
 def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:

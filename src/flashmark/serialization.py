@@ -1,118 +1,156 @@
-"""JSON encoding for experiments and benchmark plans.
+"""The JSON codec for every artifact a campaign hands between stages.
 
-Plans are file artifacts handed between pipeline commands, so the
-encoding is versioned and strict: unknown kinds or version mismatches
-fail loudly rather than guessing.
+Dataclasses encode as objects of their fields, enums as their values,
+tuples as lists.  Decoding is driven by the field annotations of the
+target class.  A class that can stand in a union (a timing function, a
+pattern, a plan step) names itself with a ``kind`` class attribute; the
+tag is written wherever the declared type does not already fix the
+class, and decoding picks the union member by it; other unions, such as
+an optional number, are taken as they are.  Artifacts are strict:
+an unknown kind, an unknown or missing key, or a plan format mismatch
+raises SchemaError rather than guessing.
 """
 
 from __future__ import annotations
 
-from .microbench import ExperimentSpec, Micro
-from .patterns import MixSpec, ParallelSpec, PatternSpec
+import dataclasses
+import functools
+import json
+import types
+import typing
+from enum import Enum
+from pathlib import Path
 
-PLAN_FORMAT_VERSION = 1
+from .microbench import BenchmarkPlan
+
+PLAN_FORMAT_VERSION = 2
 
 
 class SchemaError(ValueError):
     """Artifact written by an incompatible tool version or corrupted."""
 
 
-def pattern_to_dict(pattern) -> dict:
-    if isinstance(pattern, PatternSpec):
-        return {"type": "pattern", **pattern.to_dict()}
-    if isinstance(pattern, MixSpec):
-        return {"type": "mix", **pattern.to_dict()}
-    if isinstance(pattern, ParallelSpec):
-        return {"type": "parallel", **pattern.to_dict()}
-    raise SchemaError(f"unknown pattern object: {type(pattern)!r}")
+_SCALARS = {str, int, float, bool, type(None)}
 
 
-def pattern_from_dict(d: dict):
-    kind = d.get("type")
-    body = {k: v for k, v in d.items() if k != "type"}
-    if kind == "pattern":
-        return PatternSpec.from_dict(body)
-    if kind == "mix":
-        return MixSpec.from_dict(body)
-    if kind == "parallel":
-        return ParallelSpec.from_dict(body)
-    raise SchemaError(f"unknown pattern type: {kind!r}")
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def experiment_to_dict(exp: ExperimentSpec) -> dict:
-    return {
-        "micro": exp.micro.value,
-        "baseline": exp.baseline,
-        "varying_name": exp.varying_name,
-        "varying_value": exp.varying_value,
-        "pattern": pattern_to_dict(exp.pattern),
-        "repetitions": exp.repetitions,
-        "io_ignore": exp.io_ignore,
-    }
+def _item_type(tp):
+    """Declared item type of list[T], tuple[T, ...] or dict[K, T]; None if unstated."""
+    args = [a for a in typing.get_args(tp) if a is not Ellipsis]
+    return args[-1] if args else None
 
 
-def experiment_from_dict(d: dict) -> ExperimentSpec:
-    return ExperimentSpec(
-        micro=Micro(d["micro"]),
-        baseline=d["baseline"],
-        varying_name=d["varying_name"],
-        varying_value=d["varying_value"],
-        pattern=pattern_from_dict(d["pattern"]),
-        repetitions=d["repetitions"],
-        io_ignore=d["io_ignore"],
-    )
+@functools.cache
+def _shape(tp) -> tuple:
+    """How from_data decodes the declared type tp, worked out once per type."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        kinds = {m.kind: m for m in typing.get_args(tp) if hasattr(m, "kind")}
+        return ("tagged", kinds) if kinds else ("plain", None)
+    origin = typing.get_origin(tp) or tp
+    if origin in (list, tuple, dict):
+        return (origin.__name__, _item_type(tp))
+    if dataclasses.is_dataclass(tp):
+        fields = dataclasses.fields(tp)
+        required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
+        return ("dataclass", (_field_types(tp), required))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return ("enum", None)
+    return ("plain", None)
 
 
-def plan_to_dict(plan) -> dict:
-    from .methodology import PauseStep, RunStep, StateReset
-
-    steps = []
-    for step in plan.steps:
-        if isinstance(step, StateReset):
-            steps.append({"kind": "state_reset"})
-        elif isinstance(step, PauseStep):
-            steps.append({"kind": "pause", "duration_us": step.duration_us})
-        elif isinstance(step, RunStep):
-            steps.append(
-                {
-                    "kind": "run",
-                    "run_index": step.run_index,
-                    "experiment": experiment_to_dict(step.experiment),
-                }
-            )
-        else:
-            raise SchemaError(f"unknown plan step: {step!r}")
-    return {
-        "format_version": PLAN_FORMAT_VERSION,
-        "capacity": plan.capacity,
-        "base_offset": plan.base_offset,
-        "inter_run_pause_us": plan.inter_run_pause_us,
-        "steps": steps,
-    }
+def _encode(obj, tp):
+    if type(obj) in _SCALARS:
+        return obj
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        item = _item_type(tp)
+        return [_encode(v, item) for v in obj]
+    if isinstance(obj, dict):
+        item = _item_type(tp)
+        return {k: _encode(v, item) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        cls = type(obj)
+        data = {name: _encode(getattr(obj, name), t) for name, t in _field_types(cls).items()}
+        if hasattr(cls, "kind") and tp is not cls:
+            data["kind"] = cls.kind
+        return data
+    return obj
 
 
-def plan_from_dict(d: dict):
-    from .methodology import BenchmarkPlan, PauseStep, RunStep, StateReset
+def to_data(obj):
+    """obj as JSON values: dicts, lists, strings, numbers, booleans, None."""
+    return _encode(obj, type(obj))
 
-    if d.get("format_version") != PLAN_FORMAT_VERSION:
+
+def from_data(cls, data):
+    """Rebuild a value of the declared type cls from to_data's output."""
+    form, detail = _shape(cls)
+    if form == "plain":
+        return data
+    if form == "tagged":
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind not in detail:
+            raise SchemaError(f"unknown kind {kind!r} (expected one of {sorted(detail)})")
+        return from_data(detail[kind], data)
+    if form == "list" or form == "tuple":
+        items = [from_data(detail, v) for v in data]
+        return items if form == "list" else tuple(items)
+    if form == "dict":
+        return {k: from_data(detail, v) for k, v in data.items()}
+    if form == "enum":
+        return cls(data)
+    fields, required = detail
+    if not isinstance(data, dict):
+        raise SchemaError(f"{cls.__name__}: expected an object, got {data!r}")
+    body = dict(data)
+    if hasattr(cls, "kind") and body.pop("kind", cls.kind) != cls.kind:
+        raise SchemaError(f"{cls.__name__}: unknown kind {data['kind']!r}")
+    unknown = body.keys() - fields.keys()
+    if unknown:
+        raise SchemaError(f"{cls.__name__}: unknown key(s) {sorted(unknown)}")
+    missing = required - body.keys()
+    if missing:
+        raise SchemaError(f"{cls.__name__}: missing key(s) {sorted(missing)}")
+    return cls(**{k: from_data(fields[k], v) for k, v in body.items()})
+
+
+def dumps(obj) -> str:
+    """The text of an artifact: obj's JSON, indented, keys sorted."""
+    return json.dumps(to_data(obj), indent=2, sort_keys=True)
+
+
+def save(obj, path: str | Path) -> None:
+    Path(path).write_text(dumps(obj))
+
+
+def load(cls, path: str | Path):
+    return from_data(cls, json.loads(Path(path).read_text()))
+
+
+def plan_to_dict(plan: BenchmarkPlan) -> dict:
+    return {"format_version": PLAN_FORMAT_VERSION, **to_data(plan)}
+
+
+def plan_from_dict(d: dict) -> BenchmarkPlan:
+    body = dict(d)
+    version = body.pop("format_version", None)
+    if version != PLAN_FORMAT_VERSION:
         raise SchemaError(
-            f"plan format {d.get('format_version')!r} not supported "
-            f"(expected {PLAN_FORMAT_VERSION})"
+            f"plan format {version!r} not supported (expected {PLAN_FORMAT_VERSION})"
         )
-    steps = []
-    for s in d["steps"]:
-        kind = s.get("kind")
-        if kind == "state_reset":
-            steps.append(StateReset())
-        elif kind == "pause":
-            steps.append(PauseStep(s["duration_us"]))
-        elif kind == "run":
-            steps.append(RunStep(experiment_from_dict(s["experiment"]), s["run_index"]))
-        else:
-            raise SchemaError(f"unknown step kind: {kind!r}")
-    return BenchmarkPlan(
-        steps=steps,
-        capacity=d["capacity"],
-        base_offset=d["base_offset"],
-        inter_run_pause_us=d["inter_run_pause_us"],
-    )
+    return from_data(BenchmarkPlan, body)
+
+
+def save_plan(plan: BenchmarkPlan, path: str | Path) -> None:
+    # plan_to_dict already holds JSON values; dumps would copy them again
+    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True))
+
+
+def load_plan(path: str | Path) -> BenchmarkPlan:
+    return plan_from_dict(json.loads(Path(path).read_text()))

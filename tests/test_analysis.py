@@ -18,6 +18,7 @@ from flashmark.analysis import (
     partition_threshold,
     running_average,
 )
+from flashmark.serialization import dumps
 
 KB = 1024
 MB = 1024 * 1024
@@ -255,7 +256,7 @@ class TestBuildSummary:
         assert rep.partition_threshold is None
         assert rep.order == {"reverse": None, "in_place": None, "large_incr": None}
         assert rep.alignment_penalty is None
-        data = json.loads(rep.to_json())
+        data = json.loads(dumps(rep))
         assert data["device"] == "empty"
 
     def test_text_table_renders_missing_as_dashes(self):

@@ -79,7 +79,7 @@ class TestPipeline:
         r = invoke(["plan", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["format_version"] == 1
+        assert plan["format_version"] == 2
 
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
@@ -119,33 +119,6 @@ class TestPipeline:
         assert manifest["tool_version"]
         assert manifest["seed"] == 3
         assert len(manifest["config_hash"]) == 64
-
-    def test_format_resumes_from_journal_checkpoint(self, campaign, tmp_path):
-        # interrupt a format after 100 writes, journal the checkpoint,
-        # then let the command pick it up and finish; the device must
-        # end up in the same state as an uninterrupted format
-        from flashmark.cli import CampaignConfig
-        from flashmark.methodology import enforce_random_state
-        from flashmark.patterns import derive_seed
-
-        config_path, out = campaign
-        cfg = CampaignConfig.load(config_path)
-        dev = cfg.open_device()
-        partial = enforce_random_state(dev, seed=derive_seed(cfg.seed, 0xF0), max_ios=100)
-        assert partial.coverage < 1.0
-        cfg.persist_device(dev)
-        cfg.journal().record("format", status="progress", ios=partial.ios_issued)
-
-        r = invoke(["format", "--config", str(config_path)])
-        assert r.exit_code == 0
-        assert "resuming format at IO 100" in r.output
-
-        # reference: one-shot format of the same profile and seed
-        reference = cfg.open_device(restore_state=False)
-        enforce_random_state(reference, seed=derive_seed(cfg.seed, 0xF0))
-        resumed = cfg.open_device()
-        assert resumed.snapshot_state() == reference.snapshot_state()
-
 
     def test_format_interrupted_after_checkpoint_resumes_identically(
         self, tmp_path, monkeypatch
@@ -202,6 +175,37 @@ class TestPipeline:
         assert f"runs executed: {len(runs) - done_before}, resumed past: {done_before}" in r.output
         assert len(partial.read_text().splitlines()) == 17  # re-run rewrote the full trace
 
+    @pytest.mark.parametrize("at, rows_kept", [(17, 0), (20, 3)])
+    def test_report_leaves_out_runs_not_journaled_done(
+        self, campaign, monkeypatch, at, rows_kept
+    ):
+        # write 17 fails the first IO of a run, write 20 its fourth; either
+        # way the failed run's trace is partial and must not be averaged
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        runs = len([s for s in json.loads((out / "plan.json").read_text())["steps"]
+                    if s["kind"] == "run"])
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=at)
+            r = invoke(["run", "--config", str(config_path)])
+        assert r.exit_code == 3
+        partial = Path(re.search(r"partial trace at (\S+)\)", r.output).group(1))
+        assert len(partial.read_text().splitlines()) - 1 == rows_kept
+        entries = [json.loads(line) for line in (out / "journal.jsonl").read_text().splitlines()]
+        done = sum(1 for e in entries if e.get("status") == "done" and "/run" in e["step"])
+
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 0, r.output
+        summary = (out / "report" / "summary.json").read_text()
+        assert json.loads(summary)["notes"] == [
+            f"{runs - done} of {runs} planned runs left out: not journaled done"
+        ]
+        # the report does not depend on the partial trace
+        partial.unlink()
+        assert invoke(["report", "--config", str(config_path)]).exit_code == 0
+        assert (out / "report" / "summary.json").read_text() == summary
+
 
 class TestValidation:
     def test_raw_device_requires_force(self, tmp_path):
@@ -253,6 +257,20 @@ class TestValidation:
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0
         assert "runs executed: 0" not in r.output
+
+    def test_misspelt_simulator_profile_key_rejected(self, tmp_path):
+        profile = json.loads(SimProfile(capacity=32 * MB, name="tinysim").to_json())
+        profile["page_sise"] = profile.pop("page_size")
+        profile_path = tmp_path / "tinysim.json"
+        profile_path.write_text(json.dumps(profile))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "device": {"simulator_profile": str(profile_path)},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        r = invoke(["format", "--config", str(p)])
+        assert r.exit_code == 2
+        assert "page_sise" in r.output
 
     def test_unknown_suite_option_rejected(self, tmp_path):
         config = {

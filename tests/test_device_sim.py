@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from flashmark.device import (
     probe_raw_capabilities,
 )
 from flashmark.patterns import uniform_index
+from flashmark.serialization import from_data
 
 KB = 1024
 MB = 1024 * 1024
@@ -284,7 +286,7 @@ class TestInvariants:
 class TestProfiles:
     def test_json_round_trip(self):
         prof = builtin_profile("lowend-usb")
-        assert SimProfile.from_json(prof.to_json()) == prof
+        assert from_data(SimProfile, json.loads(prof.to_json())) == prof
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):

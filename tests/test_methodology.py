@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from flashmark.patterns import (
     Sequential,
 )
 from flashmark.runner import execute_run, summarize
+from flashmark.serialization import dumps, from_data, plan_from_dict, plan_to_dict
 
 KB = 1024
 MB = 1024 * 1024
@@ -357,7 +359,7 @@ class TestBuildPlan:
         cfg = SuiteConfig(io_count_by_pattern={"SR": 64, "RR": 64, "SW": 64, "RW": 64})
         exps = expand(Micro.MIX, cfg)[:4] + expand(Micro.PARALLELISM, cfg)[:4]
         plan = build_plan(exps, profile_with(), capacity=32 * GB)
-        again = BenchmarkPlan.from_json(plan.to_json())
+        again = plan_from_dict(json.loads(dumps(plan_to_dict(plan))))
         assert again.capacity == plan.capacity
         assert len(again.steps) == len(plan.steps)
         assert [s.kind for s in again.steps] == [s.kind for s in plan.steps]
@@ -369,4 +371,4 @@ class TestBuildPlan:
 class TestDeviceProfileSerialization:
     def test_round_trip(self):
         p = profile_with()
-        assert DeviceProfile.from_json(p.to_json()) == p
+        assert from_data(DeviceProfile, json.loads(dumps(p))) == p

@@ -22,6 +22,7 @@ from flashmark.patterns import (
     Random,
     Sequential,
 )
+from flashmark.serialization import from_data, to_data
 
 KB = 1024
 MB = 1024 * 1024
@@ -235,10 +236,8 @@ class TestAssignTargetOffsets:
 
 class TestSuiteSerialization:
     def test_expansion_round_trips_through_plan_encoding(self, cfg):
-        from flashmark.serialization import experiment_from_dict, experiment_to_dict
-
         for exp in expand(Micro.MIX, cfg)[:3] + expand(Micro.PARALLELISM, cfg)[:3]:
-            assert experiment_from_dict(experiment_to_dict(exp)) == exp
+            assert from_data(ExperimentSpec, to_data(exp)) == exp
 
 
 class TestExperimentSpec:

@@ -24,6 +24,7 @@ from flashmark.patterns import (
     lba_at,
     split_parallel,
 )
+from flashmark.serialization import dumps, from_data, to_data
 
 KB = 1024
 
@@ -304,10 +305,10 @@ class TestSerialization:
             io_shift=512,
             target_size=8 * 32 * KB,
         )
-        assert PatternSpec.from_json(spec.to_json()) == spec
+        assert from_data(PatternSpec, json.loads(dumps(spec))) == spec
 
     def test_pattern_json_field_names(self):
-        d = json.loads(make_spec().to_json())
+        d = json.loads(dumps(make_spec()))
         assert set(d) == {
             "timing", "location", "mode", "io_size", "io_shift",
             "target_offset", "target_size", "io_count", "io_ignore", "seed",
@@ -317,9 +318,9 @@ class TestSerialization:
         first = make_spec(location=Random(), mode=Mode.READ)
         second = make_spec(location=Random(), mode=Mode.WRITE, target_offset=8 * KB * KB)
         mix = MixSpec(first=first, second=second, ratio=4)
-        assert MixSpec.from_dict(mix.to_dict()) == mix
+        assert from_data(MixSpec, to_data(mix)) == mix
         par = ParallelSpec(base=make_spec(), parallel_degree=4)
-        assert ParallelSpec.from_dict(par.to_dict()) == par
+        assert from_data(ParallelSpec, to_data(par)) == par
 
 
 class TestInvariantValidation:

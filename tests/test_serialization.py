@@ -1,0 +1,117 @@
+import json
+
+import pytest
+
+from flashmark.device import SimProfile
+from flashmark.methodology import DeviceProfile
+from flashmark.microbench import (
+    BenchmarkPlan,
+    ExperimentSpec,
+    Micro,
+    PauseStep,
+    RunStep,
+    StateReset,
+)
+from flashmark.patterns import Burst, Consecutive, MixSpec, Mode, PatternSpec, Random, Sequential
+from flashmark.serialization import (
+    PLAN_FORMAT_VERSION,
+    SchemaError,
+    from_data,
+    plan_from_dict,
+    plan_to_dict,
+    to_data,
+)
+
+KB = 1024
+MB = 1024 * KB
+
+
+def make_spec(**kw):
+    base = dict(
+        timing=Consecutive(), location=Sequential(), mode=Mode.WRITE,
+        io_size=32 * KB, io_shift=0, target_offset=0, target_size=1 * MB,
+        io_count=16, io_ignore=0, seed=7,
+    )
+    base.update(kw)
+    return PatternSpec(**base)
+
+
+def small_plan() -> BenchmarkPlan:
+    exp = ExperimentSpec(
+        micro=Micro.BURSTS, baseline="SW", varying_name="burst_count", varying_value=4,
+        pattern=make_spec(timing=Burst(pause_us=1000, burst_count=4)),
+    )
+    return BenchmarkPlan(
+        steps=[StateReset(), PauseStep(1_000_000), RunStep(exp, 0)], capacity=64 * MB
+    )
+
+
+def plan_data() -> dict:
+    return json.loads(json.dumps(plan_to_dict(small_plan())))
+
+
+class TestTags:
+    def test_union_positions_carry_kind(self):
+        d = plan_data()
+        assert d["format_version"] == PLAN_FORMAT_VERSION
+        assert [s["kind"] for s in d["steps"]] == ["state_reset", "pause", "run"]
+        pattern = d["steps"][2]["experiment"]["pattern"]
+        assert pattern["kind"] == "pattern"
+        assert pattern["timing"] == {"kind": "burst", "pause_us": 1000, "burst_count": 4}
+        assert pattern["location"] == {"kind": "sequential"}
+
+    def test_field_that_fixes_the_class_is_untagged(self):
+        mix = MixSpec(
+            first=make_spec(),
+            second=make_spec(location=Random(), target_offset=4 * MB),
+            ratio=2,
+        )
+        d = to_data(mix)
+        assert "kind" not in d
+        assert "kind" not in d["first"] and "kind" not in d["second"]
+
+    def test_plan_round_trip(self):
+        plan = small_plan()
+        assert plan_from_dict(plan_data()) == plan
+
+
+class TestStrictness:
+    def test_unknown_kind_rejected(self):
+        d = plan_data()
+        d["steps"][2]["experiment"]["pattern"]["timing"]["kind"] = "jitter"
+        with pytest.raises(SchemaError, match="jitter"):
+            plan_from_dict(d)
+
+    def test_unknown_step_kind_rejected(self):
+        d = plan_data()
+        d["steps"][0]["kind"] = "trim"
+        with pytest.raises(SchemaError, match="trim"):
+            plan_from_dict(d)
+
+    def test_unknown_key_rejected(self):
+        d = plan_data()
+        d["steps"][2]["experiment"]["pattern"]["io_sise"] = 4096
+        with pytest.raises(SchemaError, match="io_sise"):
+            plan_from_dict(d)
+
+    def test_missing_key_rejected(self):
+        d = plan_data()
+        del d["steps"][1]["duration_us"]
+        with pytest.raises(SchemaError, match="duration_us"):
+            plan_from_dict(d)
+
+    def test_format_version_1_plan_rejected(self):
+        d = plan_data()
+        d["format_version"] = 1
+        with pytest.raises(SchemaError, match="plan format 1"):
+            plan_from_dict(d)
+
+    def test_unknown_profile_key_rejected(self):
+        with pytest.raises(SchemaError, match="page_sise"):
+            from_data(SimProfile, {"page_sise": 2048})
+
+    def test_profile_defaults_fill_missing_keys(self):
+        assert from_data(DeviceProfile, {"inter_run_pause_us": 5}) == DeviceProfile(
+            inter_run_pause_us=5
+        )
+        assert from_data(DeviceProfile, {"flags": ["a"]}).flags == ("a",)
