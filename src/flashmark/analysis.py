@@ -22,6 +22,12 @@ import numpy as np
 from .microbench import ExperimentSpec
 
 
+STARTUP_MIN_SERIES = 64  # shorter series report no start-up, inconclusively
+STARTUP_CHEAP_RATIO = 0.5  # start-up IOs cost less than this share of the running level
+STARTUP_PERIOD_GUARD = 1.5  # a cheap prefix up to this many periods long is phase
+DISPERSION_THRESHOLD = 0.05  # default relative range of run means that flags an experiment
+
+
 @dataclass(frozen=True)
 class StartupEstimate:
     count: int
@@ -34,28 +40,23 @@ class PeriodEstimate:
     confident: bool = True
 
 
-def detect_startup(
-    rts: Sequence[float],
-    min_series: int = 64,
-    cheap_ratio: float = 0.5,
-    period_guard: float = 1.5,
-) -> StartupEstimate:
+def detect_startup(rts: Sequence[float]) -> StartupEstimate:
     """Length of the cheap start-up prefix of a response-time series.
 
     The running-phase level is taken from the second half of the series
     (callers provide series at least twice the longest expected
     start-up).  The start-up candidate is the initial maximal run of
-    samples below cheap_ratio times that level.  A cheap stretch no
+    samples below STARTUP_CHEAP_RATIO times that level.  A cheap stretch no
     longer than about one oscillation of the remaining series is phase,
     not start-up, and reports 0, as do series whose prefix is not
     clearly cheaper (constant or purely oscillating traces).
     """
     x = np.asarray(rts, dtype=float)
     n = x.size
-    if n < min_series:
+    if n < STARTUP_MIN_SERIES:
         return StartupEstimate(0, conclusive=False)
     running_level = float(x[n // 2 :].mean())
-    threshold = cheap_ratio * running_level
+    threshold = STARTUP_CHEAP_RATIO * running_level
     exceed = np.flatnonzero(x > threshold)
     if exceed.size == 0 or exceed[0] == 0:
         return StartupEstimate(0)
@@ -64,12 +65,12 @@ def detect_startup(
         return StartupEstimate(0)
     per = estimate_period(x[s:])
     guard = per.period if per.confident else 1
-    if s <= period_guard * guard:
+    if s <= STARTUP_PERIOD_GUARD * guard:
         return StartupEstimate(0)
     return StartupEstimate(s)
 
 
-def estimate_period(rts: Sequence[float], max_lag: int | None = None) -> PeriodEstimate:
+def estimate_period(rts: Sequence[float]) -> PeriodEstimate:
     """Dominant oscillation period of a (start-up-free) series, in IOs.
 
     Uses the unnormalized autocorrelation of the mean-subtracted series
@@ -86,7 +87,7 @@ def estimate_period(rts: Sequence[float], max_lag: int | None = None) -> PeriodE
     size = 1 << int(np.ceil(np.log2(2 * n)))
     spectrum = np.fft.rfft(d, size)
     r = np.fft.irfft(spectrum * np.conj(spectrum), size)[:n]
-    limit = min(max_lag or n // 2, n - 2)
+    limit = min(n // 2, n - 2)
     if limit < 2:
         return PeriodEstimate(1, confident=False)
     interior = r[1 : limit + 1]
@@ -142,10 +143,6 @@ def aggregate(
         mean_us=mean,
         dispersion_flagged=dispersion > dispersion_threshold,
     )
-
-
-class MissingDataError(ValueError):
-    """The sweep needed for a metric was not measured."""
 
 
 def _sweep(

@@ -21,6 +21,7 @@ import click
 
 from . import __version__
 from .analysis import (
+    DISPERSION_THRESHOLD,
     SummaryThresholds,
     aggregate,
     build_summary,
@@ -38,6 +39,7 @@ from .device import (
 )
 from .journal import Journal
 from .methodology import (
+    CalibrationConfig,
     DeviceProfile,
     build_plan,
     calibrate_pause,
@@ -54,7 +56,7 @@ from .runner import (
     execute_run,
     trace_relpath,
 )
-from .serialization import SchemaError, load, load_plan, save, save_plan
+from .serialization import SchemaError, from_data, load, load_plan, save, save_plan
 
 EXIT_VALIDATION = 2
 EXIT_DEVICE = 3
@@ -62,39 +64,41 @@ EXIT_DEVICE = 3
 _VALIDATION_ERRORS = (ValueError, KeyError, PatternError, SchemaError, FileNotFoundError)
 
 
+@dataclass(frozen=True)
+class DeviceConfig:
+    """The device under test: exactly one of the two is set."""
+
+    simulator_profile: str | None = None  # built-in name or profile JSON path
+    raw_path: str | None = None
+
+
 @dataclass
 class CampaignConfig:
-    device: dict
+    """The campaign config file, decoded by the artifact codec: an unknown
+    key or a value of the wrong type is a validation error."""
+
+    device: DeviceConfig
     output_dir: Path
     seed: int = 0
-    suite: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=dict)
-    calibration: dict = field(default_factory=dict)
-    force: bool = False
+    suite: dict = field(default_factory=dict)  # micros plus SuiteConfig overrides
+    thresholds: dict = field(default_factory=dict)  # SummaryThresholds plus dispersion
+    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     resume: bool = True  # False ignores the journal and redoes every step
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignConfig":
         raw = json.loads(Path(path).read_text())
-        device = raw.get("device") or {}
-        selectors = [k for k in ("simulator_profile", "raw_path") if device.get(k)]
-        if len(selectors) != 1:
+        cfg = from_data(cls, raw)
+        if bool(cfg.device.simulator_profile) == bool(cfg.device.raw_path):
             raise ValueError(
                 "config.device must contain exactly one of simulator_profile / raw_path"
             )
-        out = raw.get("output_dir")
-        if not out:
-            raise ValueError("config.output_dir is required")
-        cfg = cls(
-            device=device,
-            output_dir=Path(out),
-            seed=int(raw.get("seed", 0)),
-            suite=raw.get("suite", {}),
-            thresholds=raw.get("thresholds", {}),
-            calibration=raw.get("calibration", {}),
-            force=bool(raw.get("force", False)),
-            resume=bool(raw.get("resume", True)),
-        )
+        if not raw["output_dir"]:
+            raise ValueError("config.output_dir must not be empty")
+        # later stages read the suite and thresholds; reject a bad key now
+        cfg.micros()
+        cfg.suite_overrides()
+        cfg.report_thresholds()
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         cfg._config_hash = hashlib.sha256(
             json.dumps(raw, sort_keys=True).encode()
@@ -103,7 +107,7 @@ class CampaignConfig:
 
     @property
     def is_simulator(self) -> bool:
-        return bool(self.device.get("simulator_profile"))
+        return bool(self.device.simulator_profile)
 
     @property
     def sim_state_path(self) -> Path:
@@ -112,7 +116,7 @@ class CampaignConfig:
     def sim_profile(self) -> SimProfile:
         """The simulator profile: a JSON file if one exists at the given
         path, otherwise a built-in profile name."""
-        name = self.device["simulator_profile"]
+        name = self.device.simulator_profile
         if Path(name).suffix == ".json" and Path(name).exists():
             return load(SimProfile, name)
         return builtin_profile(name)
@@ -121,7 +125,7 @@ class CampaignConfig:
         """The device id that names the trace directory."""
         if self.is_simulator:
             return self.sim_profile().name
-        return Path(self.device["raw_path"]).name or "raw"
+        return Path(self.device.raw_path).name or "raw"
 
     def open_device(self, restore_state: bool = True) -> BlockDevice:
         if self.is_simulator:
@@ -129,7 +133,7 @@ class CampaignConfig:
             if restore_state and self.sim_state_path.exists():
                 dev.load_state(self.sim_state_path)
             return dev
-        return RawDevice(self.device["raw_path"], write_seed=derive_seed(self.seed, 0xB0F))
+        return RawDevice(self.device.raw_path, write_seed=derive_seed(self.seed, 0xB0F))
 
     def persist_device(self, dev: BlockDevice) -> None:
         if self.is_simulator:
@@ -149,38 +153,40 @@ class CampaignConfig:
         }
         save(manifest, self.output_dir / f"manifest-{command}.json")
 
+    def suite_overrides(self) -> dict:
+        """The suite's SuiteConfig fields, decoded against SuiteConfig."""
+        options = {k: v for k, v in self.suite.items() if k != "micros"}
+        if "seed" in options:  # the suite seed is the campaign seed
+            raise SchemaError("CampaignConfig.suite: unknown key(s) ['seed']")
+        decoded = _decode(SuiteConfig, options, "CampaignConfig.suite")
+        return {k: getattr(decoded, k) for k in options}
+
     def suite_config(self, capacity: int, profile: DeviceProfile | None) -> SuiteConfig:
-        overrides = dict(self.suite)
-        overrides.pop("micros", None)
-        counts = overrides.pop("io_count_by_pattern", None)
-        if counts is None and profile is not None and profile.io_count_recommendation:
-            counts = profile.io_count_recommendation
-        kwargs = {}
-        if counts:
-            kwargs["io_count_by_pattern"] = {k: int(v) for k, v in counts.items()}
-        for key in (
-            "base_io_size",
-            "base_target_size",
-            "base_target_offset",
-            "max_target_size",
-            "repetitions",
-            "burst_fixed_pause_us",
-        ):
-            if key in overrides:
-                kwargs[key] = overrides.pop(key)
-        if "extra_io_sizes" in overrides:
-            kwargs["extra_io_sizes"] = tuple(overrides.pop("extra_io_sizes"))
-        if "io_ignore_by_pattern" in overrides:
-            kwargs["io_ignore_by_pattern"] = overrides.pop("io_ignore_by_pattern")
-        if overrides:
-            raise ValueError(f"unknown suite options: {sorted(overrides)}")
-        return SuiteConfig.for_device(capacity, seed=self.seed, **kwargs)
+        overrides = self.suite_overrides()
+        if profile is not None and profile.io_count_recommendation:
+            overrides.setdefault("io_count_by_pattern", profile.io_count_recommendation)
+        return SuiteConfig.for_device(capacity, seed=self.seed, **overrides)
 
     def micros(self) -> list[Micro]:
-        names = self.suite.get("micros")
-        if not names:
-            return list(Micro)
-        return [Micro(n) for n in names]
+        names = _decode(list[Micro], self.suite.get("micros", []), "CampaignConfig.suite.micros")
+        return names or list(Micro)
+
+    def report_thresholds(self) -> tuple[SummaryThresholds, float]:
+        """The summary thresholds, and the dispersion threshold of a run's means."""
+        options = dict(self.thresholds)
+        dispersion = options.pop("dispersion", DISPERSION_THRESHOLD)
+        return (
+            _decode(SummaryThresholds, options, "CampaignConfig.thresholds"),
+            _decode(float, dispersion, "CampaignConfig.thresholds.dispersion"),
+        )
+
+
+def _decode(tp, data, key: str):
+    """from_data for one section or key of the config, named in the error."""
+    try:
+        return from_data(tp, data)
+    except SchemaError as exc:
+        raise SchemaError(f"{key}: {exc}") from None
 
 
 def _fail(code: int, message: str) -> None:
@@ -222,9 +228,9 @@ def cmd_format(config_path: str, force: bool) -> None:
     """Enforce the random device state (writes the whole device)."""
     cfg = CampaignConfig.load(config_path)
     if not cfg.is_simulator:
-        caps = probe_raw_capabilities(cfg.device["raw_path"])
+        caps = probe_raw_capabilities(cfg.device.raw_path)
         click.echo(f"capabilities: {json.dumps(caps, sort_keys=True)}")
-        if not (force or cfg.force):
+        if not force:
             _fail(
                 EXIT_VALIDATION,
                 "formatting a raw device destroys its contents; pass --force to proceed",
@@ -280,16 +286,12 @@ def cmd_calibrate(config_path: str) -> None:
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
 
-    def calibration(*keys: str) -> dict:
-        return {k: int(cfg.calibration[k]) for k in keys if k in cfg.calibration}
-
+    c = cfg.calibration
     profile = calibrate_phases(
-        dev, seed=cfg.seed, **calibration("long_io_count", "settle_pause_us")
+        dev, long_io_count=c.long_io_count, seed=cfg.seed, settle_pause_us=c.settle_pause_us
     )
     pause = calibrate_pause(
-        dev,
-        seed=cfg.seed,
-        **calibration("probe_reads", "disturb_writes", "observe_reads", "settle_pause_us"),
+        dev, cfg.seed, c.probe_reads, c.disturb_writes, c.observe_reads, c.settle_pause_us
     )
     profile = replace(profile, inter_run_pause_us=pause.pause_us)
     out = cfg.output_dir / "device_profile.json"
@@ -400,13 +402,7 @@ def cmd_report(config_path: str) -> None:
     cfg = CampaignConfig.load(config_path)
     plan = load_plan(cfg.output_dir / "plan.json")
     traces_root = cfg.output_dir / "traces"
-    th = SummaryThresholds(
-        locality_factor=float(cfg.thresholds.get("locality_factor", 2.0)),
-        partition_factor=float(cfg.thresholds.get("partition_factor", 2.0)),
-        pause_factor=float(cfg.thresholds.get("pause_factor", 1.2)),
-        large_stride_bytes=int(cfg.thresholds.get("large_stride_bytes", 1024 * 1024)),
-    )
-    dispersion_threshold = float(cfg.thresholds.get("dispersion", 0.05))
+    th, dispersion_threshold = cfg.report_thresholds()
     device = cfg.device_label()
     io_size = cfg.suite_config(plan.capacity, None).base_io_size
 

@@ -133,12 +133,6 @@ class RawDevice:
     def now_us(self) -> int:
         return _now_us()
 
-    def snapshot_state(self) -> bytes:
-        raise UnsupportedError("raw devices cannot snapshot their internal state")
-
-    def restore_state(self, blob: bytes) -> None:
-        raise UnsupportedError("raw devices cannot restore internal state")
-
     def close(self) -> None:
         if not self._closed:
             self._closed = True

@@ -82,7 +82,6 @@ class SimProfile:
     busy_drain_blocks_per_sec: float = 0.0
     read_drain_extra_us: int = 0
     spare_blocks: int | None = None  # physical over-provisioning; None = derived
-    seed: int = 0
     name: str = "sim"
 
     def __post_init__(self):

@@ -51,8 +51,20 @@ KB = 1024
 MB = 1024 * 1024
 
 BASELINE_FLOOR_IO_COUNT = {"SR": 1024, "RR": 1024, "SW": 1024, "RW": 5120}
-DEFAULT_LONG_IO_COUNT = 10 * max(BASELINE_FLOOR_IO_COUNT.values())
-DEFAULT_SETTLE_PAUSE_US = 60_000_000  # generous: lets any deferred backlog drain
+PAUSE_K_SIGMA = 3.0  # a read this many stddevs over the pre-batch mean is affected
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """Probe lengths of calibrate_phases and calibrate_pause, and their
+    defaults; a campaign config's `calibration` decodes into it."""
+
+    long_io_count: int = 10 * max(BASELINE_FLOOR_IO_COUNT.values())
+    settle_pause_us: int = 60_000_000  # generous: lets any deferred backlog drain
+    # pause calibration: reads before and after a batch of random writes
+    probe_reads: int = 512
+    disturb_writes: int = 1024
+    observe_reads: int = 8192
 
 
 class EnforcementError(DeviceError):
@@ -67,14 +79,14 @@ class EnforcementError(DeviceError):
 class DeviceProfile:
     """Calibrated per-baseline run parameters for one device."""
 
-    startup: dict = field(default_factory=dict)          # baseline -> IOs
-    period: dict = field(default_factory=dict)           # baseline -> IOs
+    startup: dict[str, int] = field(default_factory=dict)  # baseline -> IOs
+    period: dict[str, int] = field(default_factory=dict)   # baseline -> IOs
     inter_run_pause_us: int = MIN_INTER_RUN_PAUSE_US
-    io_count_recommendation: dict = field(default_factory=dict)
-    flags: tuple = ()
+    io_count_recommendation: dict[str, int] = field(default_factory=dict)
+    flags: tuple[str, ...] = ()
 
     def startup_for(self, baseline: str) -> int:
-        return int(self.startup.get(baseline, 0))
+        return self.startup.get(baseline, 0)
 
 
 @dataclass
@@ -86,19 +98,19 @@ class EnforceResult:
 
 
 MAX_FORMAT_IO = 128 * KB  # writes range from one sector to the flash block size
+OVERWRITE_FACTOR = 1.1  # random writes cover this many capacities before the hole fill
 
 
 def enforce_random_state(
     device: BlockDevice,
     seed: int,
-    overwrite_factor: float = 1.1,
     progress: Callable[[float, int], None] | None = None,
     start_io: int = 0,
 ) -> EnforceResult:
     """Drive the device into the well-defined random-write state.
 
     Random writes of random size (one sector up to the flash block size)
-    land at random sector offsets until overwrite_factor times the
+    land at random sector offsets until OVERWRITE_FACTOR times the
     capacity has been written; a coverage bitmap then directs targeted
     writes at any still-unwritten sectors, so every logical sector is
     written at least once and termination is guaranteed.
@@ -111,7 +123,7 @@ def enforce_random_state(
     sectors = cap // 512
     covered = np.zeros(sectors, dtype=bool)
     t0 = device.now_us()
-    target_bytes = int(cap * overwrite_factor)
+    target_bytes = int(cap * OVERWRITE_FACTOR)
 
     written = 0
     ios = 0
@@ -184,16 +196,15 @@ def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed
         target_offset=0,
         target_size=target,
         io_count=io_count,
-        io_ignore=0,
         seed=seed,
     )
 
 
 def calibrate_phases(
     device: BlockDevice,
-    long_io_count: int = DEFAULT_LONG_IO_COUNT,
+    long_io_count: int = CalibrationConfig.long_io_count,
     seed: int = 0,
-    settle_pause_us: int = DEFAULT_SETTLE_PAUSE_US,
+    settle_pause_us: int = CalibrationConfig.settle_pause_us,
 ) -> DeviceProfile:
     """Measure start-up and period for each baseline pattern.
 
@@ -240,24 +251,21 @@ class PauseCalibration:
     pause_us: int
     affected_reads: int
     lingering_us: int
-    pre_mean_us: float
-    pre_stddev_us: float
 
 
 def calibrate_pause(
     device: BlockDevice,
     seed: int = 0,
-    probe_reads: int = 512,
-    disturb_writes: int = 1024,
-    observe_reads: int = 8192,
-    k_sigma: float = 3.0,
-    settle_pause_us: int = DEFAULT_SETTLE_PAUSE_US,
+    probe_reads: int = CalibrationConfig.probe_reads,
+    disturb_writes: int = CalibrationConfig.disturb_writes,
+    observe_reads: int = CalibrationConfig.observe_reads,
+    settle_pause_us: int = CalibrationConfig.settle_pause_us,
 ) -> PauseCalibration:
     """Measure how long one run's side effects linger into the next.
 
     Sequential reads, then a batch of random writes, then sequential
     reads again; reads in the second batch whose response time exceeds
-    the pre-batch mean by k_sigma standard deviations are counted as
+    the pre-batch mean by PAUSE_K_SIGMA standard deviations are counted as
     affected.  The returned pause doubles the observed lingering time
     and never goes below one second, deliberately overestimating.
     """
@@ -273,18 +281,12 @@ def calibrate_pause(
     pre = np.asarray(probe("SR", probe_reads, 1), dtype=float)
     probe("RW", disturb_writes, 2)
     post = np.asarray(probe("SR", observe_reads, 3), dtype=float)
-    threshold = pre.mean() + k_sigma * pre.std() + 1e-9
+    threshold = pre.mean() + PAUSE_K_SIGMA * pre.std() + 1e-9
     affected = post > threshold
     count = int(affected.sum())
     lingering = int(post[affected].sum())
     pause = max(2 * lingering, MIN_INTER_RUN_PAUSE_US)
-    return PauseCalibration(
-        pause_us=pause,
-        affected_reads=count,
-        lingering_us=lingering,
-        pre_mean_us=float(pre.mean()),
-        pre_stddev_us=float(pre.std()),
-    )
+    return PauseCalibration(pause_us=pause, affected_reads=count, lingering_us=lingering)
 
 
 # ------------------------------------------------------------------ plans
@@ -340,9 +342,7 @@ def build_plan(
         for k in range(exp.repetitions):
             steps.append(PauseStep(pause))
             steps.append(RunStep(exp, k))
-    plan = BenchmarkPlan(
-        steps=steps, capacity=capacity, base_offset=base_offset, inter_run_pause_us=pause
-    )
+    plan = BenchmarkPlan(steps=steps, capacity=capacity, inter_run_pause_us=pause)
     verify_plan(plan)
     return plan
 

@@ -73,14 +73,11 @@ class SuiteConfig:
     base_io_size: int = 32 * KB
     base_target_size: int = 32 * MB
     base_target_offset: int = 0
-    io_count_by_pattern: dict = field(
+    io_count_by_pattern: dict[str, int] = field(
         default_factory=lambda: {"SR": 1024, "RR": 1024, "SW": 1024, "RW": 5120}
     )
-    io_ignore_by_pattern: dict = field(
-        default_factory=lambda: {"SR": 0, "RR": 0, "SW": 0, "RW": 0}
-    )
     seed: int = 0
-    extra_io_sizes: tuple = (1536, 3072, 5120, 48 * KB)
+    extra_io_sizes: tuple[int, ...] = (1536, 3072, 5120, 48 * KB)
     burst_fixed_pause_us: int = 100_000
     max_target_size: int | None = None
     repetitions: int = 3
@@ -101,9 +98,6 @@ class SuiteConfig:
     def io_count(self, baseline: str) -> int:
         return self.io_count_by_pattern[baseline]
 
-    def io_ignore(self, baseline: str) -> int:
-        return self.io_ignore_by_pattern.get(baseline, 0)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -115,7 +109,7 @@ class ExperimentSpec:
     varying_value: int
     pattern: AnyPattern
     repetitions: int = 3
-    io_ignore: int = 0
+    io_ignore: int = 0  # warm-up IOs left out of each run's mean; build_plan sets it
 
     @property
     def experiment_id(self) -> str:
@@ -175,11 +169,7 @@ class ExperimentSpec:
 
     def with_io_ignore(self, io_ignore: int) -> "ExperimentSpec":
         """Set the per-run warm-up count (clamped below the run length)."""
-        io_ignore = max(0, min(io_ignore, self.io_count - 1))
-        p = self.pattern
-        if isinstance(p, PatternSpec):
-            p = replace(p, io_ignore=min(io_ignore, p.io_count - 1))
-        return replace(self, io_ignore=io_ignore, pattern=p)
+        return replace(self, io_ignore=max(0, min(io_ignore, self.io_count - 1)))
 
     def describe(self) -> str:
         offs = ",".join(str(o) for o, _ in self.target_ranges)
@@ -213,7 +203,6 @@ def _baseline_pattern(cfg: SuiteConfig, baseline: str, seed_tags: tuple, **overr
         target_offset=overrides.pop("target_offset", cfg.base_target_offset),
         target_size=target_size,
         io_count=io_count,
-        io_ignore=overrides.pop("io_ignore", cfg.io_ignore(baseline)),
         seed=derive_seed(cfg.seed, *seed_tags),
         **overrides,
     )
@@ -244,7 +233,7 @@ def _fits(cfg: SuiteConfig, needed: int) -> bool:
 
 
 def _mk(cfg, micro, baseline, name, value, pattern) -> ExperimentSpec:
-    exp = ExperimentSpec(
+    return ExperimentSpec(
         micro=micro,
         baseline=baseline,
         varying_name=name,
@@ -252,8 +241,6 @@ def _mk(cfg, micro, baseline, name, value, pattern) -> ExperimentSpec:
         pattern=pattern,
         repetitions=cfg.repetitions,
     )
-    ignore = pattern.io_ignore if isinstance(pattern, PatternSpec) else 0
-    return replace(exp, io_ignore=ignore)
 
 
 def _expand_granularity(cfg: SuiteConfig) -> list[ExperimentSpec]:
@@ -508,7 +495,6 @@ PlanStep = StateReset | PauseStep | RunStep
 class BenchmarkPlan:
     steps: list[PlanStep]
     capacity: int
-    base_offset: int = 0
     inter_run_pause_us: int = MIN_INTER_RUN_PAUSE_US
 
     def run_steps(self) -> list[RunStep]:

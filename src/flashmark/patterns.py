@@ -159,7 +159,6 @@ class PatternSpec:
     target_offset: int
     target_size: int
     io_count: int
-    io_ignore: int
     seed: int
     kind = "pattern"
 
@@ -174,8 +173,6 @@ class PatternSpec:
             raise PatternError(f"target_offset must be a non-negative {SECTOR}-multiple")
         if self.io_count < 1:
             raise PatternError("io_count must be >= 1")
-        if not 0 <= self.io_ignore < self.io_count:
-            raise PatternError("io_ignore must be < io_count")
         if isinstance(self.timing, Pause) and self.timing.pause_us < 0:
             raise PatternError("pause_us must be >= 0")
         if isinstance(self.timing, Burst):
@@ -362,7 +359,6 @@ def split_parallel(par: ParallelSpec) -> list[PatternSpec]:
     degree = par.parallel_degree
     slice_size = base.target_size // degree
     io_count = max(1, base.io_count // degree)
-    io_ignore = min(base.io_ignore // degree, io_count - 1)
     out = []
     for p in range(degree):
         out.append(
@@ -371,7 +367,6 @@ def split_parallel(par: ParallelSpec) -> list[PatternSpec]:
                 target_offset=base.target_offset + p * slice_size,
                 target_size=slice_size,
                 io_count=io_count,
-                io_ignore=io_ignore,
                 seed=derive_seed(base.seed, p + 1),
             )
         )

@@ -5,10 +5,11 @@ tuples as lists.  Decoding is driven by the field annotations of the
 target class.  A class that can stand in a union (a timing function, a
 pattern, a plan step) names itself with a ``kind`` class attribute; the
 tag is written wherever the declared type does not already fix the
-class, and decoding picks the union member by it; other unions, such as
-an optional number, are taken as they are.  Artifacts are strict:
-an unknown kind, an unknown or missing key, or a plan format mismatch
-raises SchemaError rather than guessing.
+class, and decoding picks the union member by it.  Artifacts are strict:
+an unknown kind, an unknown or missing key, a value of the wrong JSON
+type, or a plan format mismatch raises SchemaError rather than guessing.
+A bool takes only true/false, an int only an integer, a float an integer
+or a float; ``X | None`` also takes null.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from .microbench import BenchmarkPlan
 
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 
 class SchemaError(ValueError):
@@ -31,6 +32,9 @@ class SchemaError(ValueError):
 
 
 _SCALARS = {str, int, float, bool, type(None)}
+
+# the JSON types each scalar field type takes; bool is not an int here
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), Path: (str,)}
 
 
 @functools.cache
@@ -49,11 +53,17 @@ def _item_type(tp):
 def _shape(tp) -> tuple:
     """How from_data decodes the declared type tp, worked out once per type."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
-        kinds = {m.kind: m for m in typing.get_args(tp) if hasattr(m, "kind")}
-        return ("tagged", kinds) if kinds else ("plain", None)
+        members = typing.get_args(tp)
+        kinds = {m.kind: m for m in members if hasattr(m, "kind")}
+        if kinds:
+            return ("tagged", kinds)
+        (rest,) = [m for m in members if m is not type(None)]
+        return ("optional", rest)
     origin = typing.get_origin(tp) or tp
     if origin in (list, tuple, dict):
         return (origin.__name__, _item_type(tp))
+    if tp in _ACCEPTS:
+        return ("scalar", _ACCEPTS[tp])
     if dataclasses.is_dataclass(tp):
         fields = dataclasses.fields(tp)
         required = {f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING}
@@ -91,20 +101,33 @@ def to_data(obj):
 def from_data(cls, data):
     """Rebuild a value of the declared type cls from to_data's output."""
     form, detail = _shape(cls)
+    if form == "scalar":
+        if type(data) not in detail:
+            raise SchemaError(f"expected {cls.__name__}, got {data!r}")
+        return cls(data)
     if form == "plain":
         return data
+    if form == "optional":
+        return None if data is None else from_data(detail, data)
     if form == "tagged":
         kind = data.get("kind") if isinstance(data, dict) else None
         if kind not in detail:
             raise SchemaError(f"unknown kind {kind!r} (expected one of {sorted(detail)})")
         return from_data(detail[kind], data)
     if form == "list" or form == "tuple":
+        if not isinstance(data, list):
+            raise SchemaError(f"expected a list, got {data!r}")
         items = [from_data(detail, v) for v in data]
         return items if form == "list" else tuple(items)
     if form == "dict":
+        if not isinstance(data, dict):
+            raise SchemaError(f"expected an object, got {data!r}")
         return {k: from_data(detail, v) for k, v in data.items()}
     if form == "enum":
-        return cls(data)
+        try:
+            return cls(data)
+        except ValueError:
+            raise SchemaError(f"expected one of {[m.value for m in cls]}, got {data!r}") from None
     fields, required = detail
     if not isinstance(data, dict):
         raise SchemaError(f"{cls.__name__}: expected an object, got {data!r}")
@@ -117,7 +140,13 @@ def from_data(cls, data):
     missing = required - body.keys()
     if missing:
         raise SchemaError(f"{cls.__name__}: missing key(s) {sorted(missing)}")
-    return cls(**{k: from_data(fields[k], v) for k, v in body.items()})
+    values = {}
+    for k, v in body.items():
+        try:
+            values[k] = from_data(fields[k], v)
+        except SchemaError as exc:
+            raise SchemaError(f"{cls.__name__}.{k}: {exc}") from None
+    return cls(**values)
 
 
 def dumps(obj) -> str:

@@ -66,7 +66,6 @@ def make_spec(**kw):
         target_offset=0,
         target_size=4 * MB,
         io_count=16,
-        io_ignore=0,
         seed=0,
     )
     defaults.update(kw)

@@ -79,7 +79,7 @@ class TestPipeline:
         r = invoke(["plan", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["format_version"] == 2
+        assert plan["format_version"] == 3
 
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
@@ -207,7 +207,58 @@ class TestPipeline:
         assert (out / "report" / "summary.json").read_text() == summary
 
 
+# Config and simulator-profile inputs that must stop a command with exit 2
+# before it touches the device: (edit of config, profile, raw file path;
+# the key the error message names).
+MALFORMED_INPUTS = [
+    pytest.param(
+        lambda c, p, raw: c.update(device={"raw_path": str(raw)}, force="false"),
+        "force", id="force-string",
+    ),
+    pytest.param(lambda c, p, raw: c.update(seed=None), "seed", id="seed-null"),
+    pytest.param(lambda c, p, raw: p.update(page_size=None), "page_size", id="profile-page-size-null"),
+    pytest.param(
+        lambda c, p, raw: c["calibration"].update(long_io_cout=4096), "long_io_cout",
+        id="calibration-misspelt",
+    ),
+    pytest.param(
+        lambda c, p, raw: c.update(thresholds={"dispersoin": 0.1}), "dispersoin",
+        id="thresholds-misspelt",
+    ),
+    pytest.param(lambda c, p, raw: c.update(sede=4), "sede", id="top-level-misspelt"),
+    pytest.param(
+        lambda c, p, raw: c["device"].update(raw_pth=str(raw)), "raw_pth", id="device-misspelt"
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(
+            io_ignore_by_pattern={"SR": 10, "RR": 10, "SW": 10, "RW": 10}
+        ),
+        "io_ignore_by_pattern", id="suite-io-ignore",
+    ),
+    pytest.param(lambda c, p, raw: p.update(seed=7), "seed", id="profile-seed"),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("edit, key", MALFORMED_INPUTS)
+    def test_malformed_input_exits_two_before_device_io(self, campaign, edit, key):
+        config_path, out = campaign
+        config = json.loads(config_path.read_text())
+        profile_path = Path(config["device"]["simulator_profile"])
+        profile = json.loads(profile_path.read_text())
+        raw = config_path.parent / "disk"
+        blob = bytes(range(256)) * 4096
+        raw.write_bytes(blob)
+        edit(config, profile, raw)
+        config_path.write_text(json.dumps(config))
+        profile_path.write_text(json.dumps(profile))
+
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert key in r.output
+        assert not (out / "device_state.bin").exists()
+        assert raw.read_bytes() == blob
+
     def test_raw_device_requires_force(self, tmp_path):
         blob = tmp_path / "disk"
         blob.write_bytes(b"\0" * MB)
@@ -240,7 +291,6 @@ class TestValidation:
         config = {
             "device": {"raw_path": str(tmp_path / "does-not-exist")},
             "output_dir": str(tmp_path / "out"),
-            "force": True,
         }
         p = tmp_path / "c.json"
         p.write_text(json.dumps(config))

@@ -9,7 +9,6 @@ from flashmark.device import (
     RawDevice,
     SimProfile,
     SimulatedDevice,
-    UnsupportedError,
     builtin_profile,
     probe_raw_capabilities,
 )
@@ -191,16 +190,6 @@ class TestSnapshot:
         restored.load_state(path)
         assert restored.snapshot_state() == saved
 
-    def test_raw_device_reports_unsupported(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"\0" * (4 * MB))
-        dev = RawDevice(str(path), require_direct=False)
-        try:
-            with pytest.raises(UnsupportedError):
-                dev.snapshot_state()
-        finally:
-            dev.close()
-
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,7 +334,6 @@ class TestRawBackend:
                 target_offset=0,
                 target_size=4 * MB,
                 io_count=64,
-                io_ignore=0,
                 seed=1,
             )
             trace = execute_run(dev, ParallelSpec(base=base, parallel_degree=4))

@@ -50,7 +50,6 @@ def baseline_pattern(mode=Mode.READ, location=None, io_count=256, capacity=32 * 
         target_offset=0,
         target_size=capacity - capacity % (32 * KB),
         io_count=io_count,
-        io_ignore=0,
         seed=seed,
     )
 

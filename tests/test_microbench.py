@@ -44,7 +44,6 @@ def sw_experiment(target_size, tag=0):
         target_offset=0,
         target_size=target_size,
         io_count=target_size // (32 * KB),
-        io_ignore=0,
         seed=tag,
     )
     return ExperimentSpec(
@@ -248,7 +247,6 @@ class TestExperimentSpec:
     def test_io_ignore_override_clamps(self):
         e = sw_experiment(32 * MB)
         assert e.with_io_ignore(10_000_000).io_ignore == e.io_count - 1
-        assert e.with_io_ignore(16).pattern.io_ignore == 16
 
     def test_mix_io_count_is_merged_length(self, cfg):
         e = [x for x in expand(Micro.MIX, cfg) if x.varying_value == 4][0]

@@ -39,7 +39,6 @@ def make_spec(**kw):
         target_offset=0,
         target_size=4 * KB * KB,
         io_count=16,
-        io_ignore=0,
         seed=42,
     )
     defaults.update(kw)
@@ -290,12 +289,6 @@ class TestSplitParallel:
         subs = split_parallel(ParallelSpec(base=base, parallel_degree=4))
         assert len({s.seed for s in subs}) == 4
 
-    def test_io_ignore_stays_below_io_count(self):
-        base = make_spec(io_count=5, io_ignore=4, target_size=10 * 32 * KB)
-        subs = split_parallel(ParallelSpec(base=base, parallel_degree=2))
-        for s in subs:
-            assert s.io_ignore < s.io_count
-
 
 class TestSerialization:
     def test_pattern_json_round_trip(self):
@@ -311,7 +304,7 @@ class TestSerialization:
         d = json.loads(dumps(make_spec()))
         assert set(d) == {
             "timing", "location", "mode", "io_size", "io_shift",
-            "target_offset", "target_size", "io_count", "io_ignore", "seed",
+            "target_offset", "target_size", "io_count", "seed",
         }
 
     def test_mix_and_parallel_round_trip(self):
@@ -331,10 +324,6 @@ class TestInvariantValidation:
     def test_target_smaller_than_io_rejected(self):
         with pytest.raises(PatternError):
             make_spec(target_size=16 * KB)
-
-    def test_io_ignore_must_be_less_than_count(self):
-        with pytest.raises(PatternError):
-            make_spec(io_count=8, io_ignore=8)
 
     def test_partition_divisibility(self):
         with pytest.raises(PatternError):

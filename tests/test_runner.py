@@ -40,7 +40,6 @@ def make_pattern(**kw):
         target_offset=0,
         target_size=4 * KB * KB,
         io_count=16,
-        io_ignore=0,
         seed=7,
     )
     defaults.update(kw)

@@ -30,7 +30,7 @@ def make_spec(**kw):
     base = dict(
         timing=Consecutive(), location=Sequential(), mode=Mode.WRITE,
         io_size=32 * KB, io_shift=0, target_offset=0, target_size=1 * MB,
-        io_count=16, io_ignore=0, seed=7,
+        io_count=16, seed=7,
     )
     base.update(kw)
     return PatternSpec(**base)
@@ -115,3 +115,36 @@ class TestStrictness:
             inter_run_pause_us=5
         )
         assert from_data(DeviceProfile, {"flags": ["a"]}).flags == ("a",)
+
+    def test_format_version_2_plan_rejected(self):
+        d = plan_data()
+        d["format_version"] = 2
+        with pytest.raises(SchemaError, match="plan format 2"):
+            plan_from_dict(d)
+
+
+class TestScalarTypes:
+    def test_bool_for_int_field_rejected(self):
+        with pytest.raises(SchemaError, match=r"PauseStep\.duration_us"):
+            from_data(PauseStep, {"duration_us": True})
+
+    def test_string_for_bool_field_rejected(self):
+        with pytest.raises(SchemaError, match=r"SimProfile\.hide_stream_gc"):
+            from_data(SimProfile, {"hide_stream_gc": "false"})
+
+    def test_null_for_non_optional_field_rejected(self):
+        with pytest.raises(SchemaError, match=r"SimProfile\.page_size"):
+            from_data(SimProfile, {"page_size": None})
+
+    def test_null_for_optional_field_accepted(self):
+        assert from_data(SimProfile, {"spare_blocks": None}).spare_blocks is None
+
+    def test_int_for_float_field_decodes_to_float(self):
+        rate = from_data(SimProfile, {"idle_drain_blocks_per_sec": 3}).idle_drain_blocks_per_sec
+        assert rate == 3.0 and type(rate) is float
+
+    def test_nested_mismatch_names_the_path(self):
+        d = plan_data()
+        d["steps"][2]["experiment"]["pattern"]["io_count"] = "16"
+        with pytest.raises(SchemaError, match=r"PatternSpec\.io_count: expected int, got '16'"):
+            plan_from_dict(d)
