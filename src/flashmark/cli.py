@@ -49,13 +49,7 @@ from .methodology import (
 )
 from .microbench import ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, expand_suite
 from .patterns import PatternError, derive_seed
-from .runner import (
-    read_trace_csv,
-    save_trace,
-    summarize,
-    execute_run,
-    trace_relpath,
-)
+from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
 from .serialization import SchemaError, from_data, load, load_plan, save, save_plan
 
 EXIT_VALIDATION = 2
@@ -227,8 +221,11 @@ config_option = click.option(
 def cmd_format(config_path: str, force: bool) -> None:
     """Enforce the random device state (writes the whole device)."""
     cfg = CampaignConfig.load(config_path)
+    manifest = {}
     if not cfg.is_simulator:
+        # the clock resolution among them says whether per-IO timing is trustworthy
         caps = probe_raw_capabilities(cfg.device.raw_path)
+        manifest["capabilities"] = caps
         click.echo(f"capabilities: {json.dumps(caps, sort_keys=True)}")
         if not force:
             _fail(
@@ -271,6 +268,7 @@ def cmd_format(config_path: str, force: bool) -> None:
         ios=result.ios_issued,
         bytes_written=result.bytes_written,
         device_elapsed_us=result.elapsed_us,
+        **manifest,
     )
     click.echo(
         f"state enforced: {result.ios_issued} IOs, "
@@ -355,6 +353,7 @@ def cmd_run(config_path: str) -> None:
     done = journal.done_steps() if cfg.resume else set()
     dev = cfg.open_device()
     traces_root = cfg.output_dir / "traces"
+    device = cfg.device_label()
     executed = 0
     skipped = 0
     pending_pause = 0
@@ -379,10 +378,9 @@ def cmd_run(config_path: str) -> None:
         if pending_pause:
             dev.idle(pending_pause)
             pending_pause = 0
-        trace = execute_run(
-            dev, step.experiment.pattern, step.experiment.experiment_id, step.run_index
-        )
-        path = save_trace(trace, traces_root, step.experiment)
+        trace = execute_run(dev, step.experiment.pattern)
+        path = traces_root / trace_relpath(step.experiment, step.run_index, device)
+        save_trace(trace, path)
         if trace.error:
             cfg.persist_device(dev)
             journal.record(step_id, status="failed", error=trace.error)
@@ -422,9 +420,9 @@ def cmd_report(config_path: str) -> None:
         exp = step.experiment
         path = traces_root / trace_relpath(exp, step.run_index, device)
         with path.open() as fp:
-            trace = read_trace_csv(fp, exp.experiment_id, step.run_index)
-        stats = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))
-        run_means.setdefault(exp.experiment_id, (exp, []))[1].append(stats.mean_us)
+            trace = read_trace_csv(fp)
+        mean = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))
+        run_means.setdefault(exp.experiment_id, (exp, []))[1].append(mean)
         if exp.baseline == "RW" and len(trace.records) > len(phase_rts):
             phase_rts, phase_io_ignore = trace.rts, exp.io_ignore
 

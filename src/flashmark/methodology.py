@@ -222,7 +222,7 @@ def calibrate_phases(
         spec = _calibration_pattern(
             baseline, device, long_io_count, derive_seed(seed, _BASELINE_TAG[baseline])
         )
-        trace = execute_run(device, spec, experiment_id=f"calibrate/{baseline}")
+        trace = execute_run(device, spec)
         if trace.error:
             raise DeviceError(f"calibration run {baseline} aborted: {trace.error}")
         rts = trace.rts
@@ -273,7 +273,7 @@ def calibrate_pause(
 
     def probe(baseline: str, n: int, tag: int) -> list[int]:
         spec = _calibration_pattern(baseline, device, n, derive_seed(seed, tag))
-        trace = execute_run(device, spec, experiment_id=f"pause-probe/{tag}")
+        trace = execute_run(device, spec)
         if trace.error:
             raise DeviceError(f"pause probe aborted: {trace.error}")
         return trace.rts

@@ -82,6 +82,16 @@ class SuiteConfig:
     max_target_size: int | None = None
     repetitions: int = 3
 
+    def __post_init__(self):
+        counts = self.io_count_by_pattern
+        if sorted(counts) != sorted(BASELINES):
+            raise ValueError(
+                f"io_count_by_pattern: keys must be exactly {list(BASELINES)}, got {sorted(counts)}"
+            )
+        low = {b: n for b, n in counts.items() if n < 1}
+        if low:
+            raise ValueError(f"io_count_by_pattern: counts must be at least 1, got {low}")
+
     @classmethod
     def for_device(cls, capacity: int, **overrides) -> "SuiteConfig":
         """Suite defaults scaled to a device: random patterns roam half

@@ -3,23 +3,25 @@
 Timing semantics: an IO's successor is submitted as soon as the IO
 completes, plus whatever gap the schedule encodes (pause and burst
 schedules carry cumulative lower-bound offsets, so the gap between two
-IOs is the difference of their earliest_submit times).  Parallel
-patterns run one worker per sub-schedule; on the simulator the workers
-are interleaved on its serialized virtual timeline (ties broken by
-worker id), on a raw device they are real threads released together by
-a barrier.  Response time is completion minus submission, which for
+IOs is the difference of their earliest_submit times).  Every pattern
+runs as one or more workers, one per schedule: a plain or mixed pattern
+is one worker, a parallel pattern one per degree.  On the simulator the
+workers are interleaved on its serialized virtual timeline (ties broken
+by worker id), on a raw device they are real threads released together
+by a barrier.  Response time is completion minus submission, which for
 queued simulator workers includes time spent waiting for the device.
+
+A trace is its rows: one TraceRecord per IO, whose fields are the trace
+CSV's columns in order.
 """
 
 from __future__ import annotations
 
-import csv
-import math
+import heapq
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .device import BlockDevice, DeviceError
 from .microbench import ExperimentSpec
@@ -34,29 +36,24 @@ from .patterns import (
     split_parallel,
 )
 
-TRACE_CSV_HEADER = ["index", "actual_submit_us", "response_time_us", "lba", "size", "mode", "worker"]
 
-
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     index: int
     actual_submit_us: int
     response_time_us: int
     lba: int
     size: int
-    mode: Mode
-    worker: int = 0
+    mode: str  # a Mode value: "read" or "write"
+    worker: int
+
+
+TRACE_CSV_HEADER = ",".join(TraceRecord._fields)
+_ROW = "%d,%d,%d,%d,%d,%s,%d\n"
 
 
 @dataclass
 class Trace:
-    experiment_id: str
-    run_index: int
-    seed: int
-    device_id: str
-    wallclock_start: float
     records: list[TraceRecord] = field(default_factory=list)
-    clock_warning: bool = False
     error: str | None = None
 
     @property
@@ -64,22 +61,12 @@ class Trace:
         return [r.response_time_us for r in self.records]
 
 
-@dataclass(frozen=True)
-class RunStats:
-    min_us: float
-    max_us: float
-    mean_us: float
-    stddev_us: float
-    count_ignored: int
-    count_kept: int
-
-
 class EmptySummaryError(ValueError):
     """io_ignore left no records to summarize."""
 
 
-def summarize(trace: Trace, io_ignore: int) -> RunStats:
-    """Population statistics over the records past the warm-up prefix.
+def summarize(trace: Trace, io_ignore: int) -> float:
+    """Mean response time of the records past the warm-up prefix.
 
     The prefix is taken in submission order, so mixed and parallel runs
     scale the ignored share across their components naturally.
@@ -88,161 +75,115 @@ def summarize(trace: Trace, io_ignore: int) -> RunStats:
         raise EmptySummaryError(
             f"io_ignore={io_ignore} leaves no records of {len(trace.records)}"
         )
-    kept = [r.response_time_us for r in trace.records[io_ignore:]]
-    n = len(kept)
-    mean = sum(kept) / n
-    var = sum((v - mean) ** 2 for v in kept) / n
-    return RunStats(
-        min_us=float(min(kept)),
-        max_us=float(max(kept)),
-        mean_us=mean,
-        stddev_us=math.sqrt(var),
-        count_ignored=io_ignore,
-        count_kept=n,
-    )
+    kept = trace.records[io_ignore:]
+    return sum(r.response_time_us for r in kept) / len(kept)
 
 
-def _check_clock() -> bool:
-    return time.get_clock_info("perf_counter").resolution > 1e-6
-
-
-def _submit(device: BlockDevice, req: IORequest) -> int:
-    if req.mode is Mode.READ:
-        return device.read(req.lba, req.size)
-    return device.write(req.lba, req.size)
-
-
-def execute_run(
-    device: BlockDevice,
-    pattern: PatternSpec | MixSpec | ParallelSpec,
-    experiment_id: str = "adhoc",
-    run_index: int = 0,
-) -> Trace:
+def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSpec) -> Trace:
     """Execute one run of a pattern and return its trace.
 
-    On a device IO failure the trace is truncated at the failing request
-    and its error field names the index; callers decide whether to
-    propagate.
+    On a device IO failure the failing worker stops at the failing
+    request and the trace's error field names it; callers decide whether
+    to propagate.
     """
-    seed = pattern.base.seed if isinstance(pattern, ParallelSpec) else (
-        pattern.first.seed if isinstance(pattern, MixSpec) else pattern.seed
-    )
-    trace = Trace(
-        experiment_id=experiment_id,
-        run_index=run_index,
-        seed=seed,
-        device_id=device.device_id,
-        wallclock_start=time.time(),
-        clock_warning=not getattr(device, "virtual_timeline", False) and _check_clock(),
-    )
-    if isinstance(pattern, ParallelSpec) and pattern.parallel_degree > 1:
+    if isinstance(pattern, ParallelSpec):
         schedules = [generate_schedule(s) for s in split_parallel(pattern)]
-        if getattr(device, "virtual_timeline", False):
-            _run_parallel_virtual(device, schedules, trace)
-        else:
-            _run_parallel_threads(device, schedules, trace)
-        return trace
-
-    if isinstance(pattern, MixSpec):
-        schedule = interleave_mix(pattern)
-    elif isinstance(pattern, ParallelSpec):
-        schedule = generate_schedule(split_parallel(pattern)[0])
+    elif isinstance(pattern, MixSpec):
+        schedules = [interleave_mix(pattern)]
     else:
-        schedule = generate_schedule(pattern)
-    _run_worker(device, schedule, worker=0, trace=trace)
+        schedules = [generate_schedule(pattern)]
+    trace = Trace()
+    if getattr(device, "virtual_timeline", False):
+        _run_virtual(device, schedules, trace)
+    else:
+        _run_threads(device, schedules, trace)
     return trace
 
 
-def _run_worker(device: BlockDevice, schedule: Sequence[IORequest], worker: int, trace: Trace, lock=None) -> None:
-    run_start = device.now_us()
-    prev_submit_floor = 0
-    for req in schedule:
-        gap = req.earliest_submit_us - prev_submit_floor
-        prev_submit_floor = req.earliest_submit_us
-        if gap > 0:
-            device.idle(gap)
-        submit = device.now_us()
-        try:
-            rt = _submit(device, req)
-        except DeviceError as exc:
-            trace.error = f"IO {req.index} failed: {exc}"
-            return
-        record = TraceRecord(
-            index=req.index,
-            actual_submit_us=submit - run_start,
-            response_time_us=rt,
-            lba=req.lba,
-            size=req.size,
-            mode=req.mode,
-            worker=worker,
-        )
-        if lock:
-            with lock:
-                trace.records.append(record)
-        else:
-            trace.records.append(record)
+def _failure(worker: int, req: IORequest, exc: DeviceError) -> str:
+    return f"worker {worker} IO {req.index} failed: {exc}"
 
 
-def _run_parallel_virtual(device: BlockDevice, schedules: list, trace: Trace) -> None:
+def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
     """Interleave workers on the simulator's serialized timeline.
 
     Each worker is synchronous: its next IO becomes ready when its
-    previous one completes.  The device serves one IO at a time in
-    ready-time order (ties to the lowest worker id); response time
-    includes any wait behind other workers.
+    previous one completes, plus the schedule's gap.  The device serves
+    one IO at a time in ready-time order (ties to the lowest worker id);
+    response time includes any wait behind other workers.
     """
-    run_start = device.now_us()
-    n_workers = len(schedules)
-    heads = [0] * n_workers
-    ready = [run_start] * n_workers
-    while True:
-        live = [w for w in range(n_workers) if heads[w] < len(schedules[w])]
-        if not live:
-            return
-        w = min(live, key=lambda i: (ready[i], i))
-        req = schedules[w][heads[w]]
-        submit = ready[w]
-        now = device.now_us()
+    now_us, idle, read, write = device.now_us, device.idle, device.read, device.write
+    append = trace.records.append
+    run_start = now_us()
+    # (ready time, worker, position in its schedule); the heap's head is
+    # the worker the device serves next
+    ready = [(run_start, w, 0) for w, s in enumerate(schedules) if s]
+    while ready:
+        submit, w, i = ready[0]
+        schedule = schedules[w]
+        req = schedule[i]
+        now = now_us()
         if now < submit:
-            device.idle(submit - now)
+            idle(submit - now)
         try:
-            _submit(device, req)
+            (read if req.mode is Mode.READ else write)(req.lba, req.size)
         except DeviceError as exc:
-            trace.error = f"worker {w} IO {req.index} failed: {exc}"
+            trace.error = _failure(w, req, exc)
             return
-        completion = device.now_us()
-        trace.records.append(
-            TraceRecord(
-                index=req.index,
-                actual_submit_us=submit - run_start,
-                response_time_us=completion - submit,
-                lba=req.lba,
-                size=req.size,
-                mode=req.mode,
-                worker=w,
-            )
-        )
-        gap = 0
-        if heads[w] + 1 < len(schedules[w]):
-            gap = schedules[w][heads[w] + 1].earliest_submit_us - req.earliest_submit_us
-        ready[w] = completion + gap
-        heads[w] += 1
+        completion = now_us()
+        append(TraceRecord(
+            req.index, submit - run_start, completion - submit, req.lba, req.size,
+            req.mode.value, w,
+        ))
+        i += 1
+        if i < len(schedule):
+            gap = schedule[i].earliest_submit_us - req.earliest_submit_us
+            heapq.heapreplace(ready, (completion + gap, w, i))
+        else:
+            heapq.heappop(ready)
 
 
-def _run_parallel_threads(device: BlockDevice, schedules: list, trace: Trace) -> None:
+def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
+    """One thread per worker, released together by a barrier."""
     barrier = threading.Barrier(len(schedules))
-    lock = threading.Lock()
+    rows: list[list[TraceRecord]] = [[] for _ in schedules]
 
-    def work(worker: int) -> None:
+    def work(w: int, schedule: Sequence[IORequest]) -> None:
         barrier.wait()
-        _run_worker(device, schedules[worker], worker=worker, trace=trace, lock=lock)
+        run_start = device.now_us()
+        prev_submit_floor = 0
+        for req in schedule:
+            gap = req.earliest_submit_us - prev_submit_floor
+            prev_submit_floor = req.earliest_submit_us
+            if gap > 0:
+                device.idle(gap)
+            submit = device.now_us()
+            try:
+                if req.mode is Mode.READ:
+                    rt = device.read(req.lba, req.size)
+                else:
+                    rt = device.write(req.lba, req.size)
+            except DeviceError as exc:
+                trace.error = _failure(w, req, exc)
+                return
+            rows[w].append(TraceRecord(
+                req.index, submit - run_start, rt, req.lba, req.size, req.mode.value, w
+            ))
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(len(schedules))]
+    # the calling thread is worker 0: a one-worker run starts no thread and
+    # keeps the device's per-thread IO buffers from run to run
+    threads = [threading.Thread(target=work, args=ws) for ws in enumerate(schedules) if ws[0]]
     for t in threads:
         t.start()
-    for t in threads:
-        t.join()
-    trace.records.sort(key=lambda r: (r.actual_submit_us, r.worker))
+    try:
+        work(0, schedules[0])
+    finally:
+        for t in threads:
+            t.join()
+    trace.records = sorted(
+        (r for worker_rows in rows for r in worker_rows),
+        key=lambda r: (r.actual_submit_us, r.worker),
+    )
 
 
 # ----------------------------------------------------------------- files
@@ -259,45 +200,20 @@ def trace_relpath(exp: ExperimentSpec, run_index: int, device_id: str) -> Path:
 
 
 def write_trace_csv(trace: Trace, fp: IO[str]) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(TRACE_CSV_HEADER)
-    for r in trace.records:
-        w.writerow(
-            [r.index, r.actual_submit_us, r.response_time_us, r.lba, r.size, r.mode.value, r.worker]
-        )
+    fp.write(TRACE_CSV_HEADER + "\n" + "".join([_ROW % r for r in trace.records]))
 
 
-def read_trace_csv(fp: IO[str], experiment_id: str = "", run_index: int = 0) -> Trace:
-    rd = csv.reader(fp)
-    header = next(rd)
-    if header != TRACE_CSV_HEADER:
-        raise ValueError(f"unexpected trace header: {header}")
-    trace = Trace(
-        experiment_id=experiment_id,
-        run_index=run_index,
-        seed=0,
-        device_id="",
-        wallclock_start=0.0,
-    )
-    for row in rd:
-        trace.records.append(
-            TraceRecord(
-                index=int(row[0]),
-                actual_submit_us=int(row[1]),
-                response_time_us=int(row[2]),
-                lba=int(row[3]),
-                size=int(row[4]),
-                mode=Mode(row[5]),
-                worker=int(row[6]),
-            )
-        )
-    return trace
+def read_trace_csv(fp: IO[str]) -> Trace:
+    lines = fp.read().splitlines()
+    if not lines or lines[0] != TRACE_CSV_HEADER:
+        raise ValueError(f"unexpected trace header: {lines[:1]}")
+    return Trace([
+        TraceRecord(int(i), int(submit), int(rt), int(lba), int(size), mode, int(w))
+        for i, submit, rt, lba, size, mode, w in (line.split(",") for line in lines[1:])
+    ])
 
 
-def save_trace(trace: Trace, root: Path, exp: ExperimentSpec) -> Path:
-    path = root / trace_relpath(exp, trace.run_index, trace.device_id)
+def save_trace(trace: Trace, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fp:
         write_trace_csv(trace, fp)
-    return path
-

@@ -222,14 +222,12 @@ def test_acceptance_6_startup_bias():
     400/27000us, 512 IOs) the unignored mean sits 20-30% below the
     running-phase mean; ignoring 128 leaves under 2% bias."""
     rts = [400] * 128 + [400 if i % 2 == 0 else 27_000 for i in range(384)]
-    trace = Trace("synthetic", 0, 0, "none", 0.0)
-    for i, rt in enumerate(rts):
-        trace.records.append(TraceRecord(i, 0, rt, 0, 512, Mode.WRITE))
-    biased = summarize(trace, 0).mean_us
-    running = summarize(trace, 128).mean_us
+    trace = Trace([TraceRecord(i, 0, rt, 0, 512, "write", 0) for i, rt in enumerate(rts)])
+    biased = summarize(trace, 0)
+    running = summarize(trace, 128)
     bias = 1.0 - biased / running
     assert 0.20 <= bias <= 0.30, f"bias {bias:.3f} outside 20-30%"
-    corrected = abs(1.0 - summarize(trace, 128).mean_us / running)
+    corrected = abs(1.0 - summarize(trace, 128) / running)
     assert corrected < 0.02
     ok(6, f"io_ignore=0 bias {bias:.1%}; io_ignore=128 bias {corrected:.1%}")
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -120,6 +121,26 @@ class TestPipeline:
         assert manifest["seed"] == 3
         assert len(manifest["config_hash"]) == 64
 
+    def test_raw_format_manifest_records_capabilities(self, tmp_path):
+        disk = tmp_path / "disk"
+        disk.write_bytes(b"\0" * MB)
+        try:
+            os.close(os.open(disk, os.O_RDWR | os.O_DIRECT))
+        except (AttributeError, OSError) as exc:
+            pytest.skip(f"no O_DIRECT open here: {exc}")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(
+            {"device": {"raw_path": str(disk)}, "output_dir": str(tmp_path / "out")}
+        ))
+        r = invoke(["format", "--config", str(p), "--force"])
+        assert r.exit_code == 0, r.output
+        manifest = json.loads((tmp_path / "out" / "manifest-format.json").read_text())
+        caps = manifest["capabilities"]
+        assert caps["path"] == str(disk)
+        assert caps["openable"] is True
+        assert caps["size"] == MB
+        assert caps["clock_resolution_us"] > 0
+
     def test_format_interrupted_after_checkpoint_resumes_identically(
         self, tmp_path, monkeypatch
     ):
@@ -236,6 +257,16 @@ MALFORMED_INPUTS = [
         "io_ignore_by_pattern", id="suite-io-ignore",
     ),
     pytest.param(lambda c, p, raw: p.update(seed=7), "seed", id="profile-seed"),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(io_count_by_pattern={"SR": 16, "SW": 16, "RW": 16}),
+        "io_count_by_pattern", id="suite-count-missing-baseline",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(
+            io_count_by_pattern={"SR": 16, "RR": 0, "SW": 16, "RW": 16}
+        ),
+        "io_count_by_pattern", id="suite-count-zero",
+    ),
 ]
 
 

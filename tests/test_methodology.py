@@ -111,10 +111,10 @@ class TestEnforceRandomState:
         dev = small_sim(free_block_pool=8)
         enforce_random_state(dev, seed=1)
         t1 = execute_run(dev, baseline_pattern(mode=Mode.READ))
-        m1 = summarize(t1, 0).mean_us
+        m1 = summarize(t1, 0)
         enforce_random_state(dev, seed=2)
         t2 = execute_run(dev, baseline_pattern(mode=Mode.READ))
-        m2 = summarize(t2, 0).mean_us
+        m2 = summarize(t2, 0)
         assert abs(m1 - m2) / m1 < 0.10
 
     def test_failure_reports_coverage(self):

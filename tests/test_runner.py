@@ -59,10 +59,7 @@ def make_experiment(pattern, repetitions=3, io_ignore=0):
 
 
 def make_trace(rts):
-    t = Trace(experiment_id="t", run_index=0, seed=0, device_id="sim", wallclock_start=0.0)
-    for i, rt in enumerate(rts):
-        t.records.append(TraceRecord(i, i * 100, rt, i * 512, 512, Mode.READ))
-    return t
+    return Trace([TraceRecord(i, i * 100, rt, i * 512, 512, "read", 0) for i, rt in enumerate(rts)])
 
 
 class StubDevice:
@@ -191,23 +188,17 @@ class TestParallel:
 
 class TestSummarize:
     def test_ignores_prefix(self):
-        stats = summarize(make_trace([1, 1, 1, 9, 9]), io_ignore=3)
-        assert stats.mean_us == 9
-        assert stats.min_us == 9
-        assert stats.max_us == 9
-        assert stats.stddev_us == 0
-        assert stats.count_ignored == 3
-        assert stats.count_kept == 2
+        assert summarize(make_trace([1, 1, 1, 9, 9]), io_ignore=3) == 9
 
     def test_startup_bias_reproduction(self):
         # 128 cheap then alternating cheap/expensive, 512 IOs total
         rts = [400] * 128 + [400 if i % 2 == 0 else 27_000 for i in range(384)]
         trace = make_trace(rts)
-        biased = summarize(trace, io_ignore=0).mean_us
-        running = summarize(trace, io_ignore=128).mean_us
+        biased = summarize(trace, io_ignore=0)
+        running = summarize(trace, io_ignore=128)
         bias = 1 - biased / running
         assert 0.20 <= bias <= 0.30
-        assert abs(1 - summarize(trace, io_ignore=128).mean_us / running) < 0.02
+        assert abs(1 - summarize(trace, io_ignore=128) / running) < 0.02
 
     def test_io_ignore_at_count_is_error(self):
         with pytest.raises(EmptySummaryError):
@@ -232,8 +223,8 @@ def run_means(device, exp):
     """Run an experiment's repetitions back to back; one mean per run."""
     means = []
     for k in range(exp.repetitions):
-        trace = execute_run(device, exp.pattern, exp.experiment_id, run_index=k)
-        means.append(summarize(trace, exp.io_ignore).mean_us)
+        trace = execute_run(device, exp.pattern)
+        means.append(summarize(trace, exp.io_ignore))
     return means
 
 
@@ -275,7 +266,7 @@ class TestTraceFiles:
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         buf.seek(0)
-        again = read_trace_csv(buf, experiment_id="t")
+        again = read_trace_csv(buf)
         assert again.records == trace.records
 
     def test_csv_header_exact(self):
@@ -285,13 +276,32 @@ class TestTraceFiles:
             "index,actual_submit_us,response_time_us,lba,size,mode,worker"
         )
 
+    def test_degree_two_simulator_csv_text(self):
+        # two paced workers queue on the serialized timeline; pins the
+        # header, the column order and the worker column
+        base = make_pattern(
+            timing=Pause(pause_us=1000), location=Random(), mode=Mode.WRITE,
+            target_size=16 * 32 * KB * 2, io_count=6,
+        )
+        par = ParallelSpec(base=base, parallel_degree=2)
+        trace = execute_run(SimulatedDevice(SimProfile()), par)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        assert buf.getvalue() == (
+            "index,actual_submit_us,response_time_us,lba,size,mode,worker\n"
+            "0,0,3300,163840,32768,write,0\n"
+            "0,0,6600,851968,32768,write,1\n"
+            "1,4300,5600,196608,32768,write,0\n"
+            "1,7600,5600,884736,32768,write,1\n"
+            "2,10900,5600,425984,32768,write,0\n"
+            "2,14200,5600,950272,32768,write,1\n"
+        )
+
     def test_trace_path_scheme(self, tmp_path):
         exp = make_experiment(make_pattern())
         rel = trace_relpath(exp, 2, "sim")
         assert str(rel) == "sim/granularity/SR/io_size=32768/run2.csv"
-        trace = make_trace([1])
-        trace.device_id = "sim"
-        trace.run_index = 2
-        out = save_trace(trace, tmp_path, exp)
-        assert out.exists()
-        assert out == tmp_path / rel
+        save_trace(make_trace([1]), tmp_path / rel)
+        assert (tmp_path / rel).read_text() == (
+            "index,actual_submit_us,response_time_us,lba,size,mode,worker\n0,0,1,0,512,read,0\n"
+        )
