@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import threading
 import time
 
 from . import DeviceError, SECTOR, UnsupportedError, check_alignment
@@ -54,9 +53,11 @@ def _device_size(fd: int) -> int:
 class RawDevice:
     """Direct synchronous IO on a device node or regular file.
 
-    All IO is positional (preadv/pwritev) with per-thread page-aligned
-    buffers, so parallel workers can share the device handle without
-    racing on a file offset.
+    All IO is positional (preadv/pwritev), so parallel workers can share
+    the device handle without racing on a file offset.  They also share
+    one pair of page-aligned buffers, allocated here rather than inside a
+    timed IO: read contents are discarded and the write buffer is only
+    read.
     """
 
     virtual_timeline = False
@@ -76,23 +77,28 @@ class RawDevice:
         self.capacity = _device_size(self._fd)
         if self.capacity % SECTOR:
             self.capacity -= self.capacity % SECTOR
-        self._bufsize = 1 * 1024 * 1024
         # payload is pseudo-random so devices that compress or dedupe
         # constant data cannot cheat
-        self._payload = _pseudo_bytes(write_seed or 0x9E3779B97F4A7C15, self._bufsize)
-        self._local = threading.local()
+        self._payload = _pseudo_bytes(write_seed or 0x9E3779B97F4A7C15, 1024 * 1024)
+        self._bufs = self._allocate(len(self._payload))
         self._closed = False
 
+    def _allocate(self, size: int) -> tuple[mmap.mmap, mmap.mmap]:
+        rbuf, wbuf = mmap.mmap(-1, size), mmap.mmap(-1, size)
+        reps = -(size // -len(self._payload))
+        wbuf.write((self._payload * reps)[:size])
+        return rbuf, wbuf
+
     def _buffers(self, size: int) -> tuple[mmap.mmap, mmap.mmap]:
-        loc = self._local
-        if getattr(loc, "size", 0) < size:
-            want = max(size, self._bufsize)
-            loc.rbuf = mmap.mmap(-1, want)
-            loc.wbuf = mmap.mmap(-1, want)
-            reps = -(want // -len(self._payload))
-            loc.wbuf.write((self._payload * reps)[:want])
-            loc.size = want
-        return loc.rbuf, loc.wbuf
+        """The shared pair, replaced by a larger one for an IO above 1 MB.
+
+        Unlocked: a thread uses the pair it read or made, which is large
+        enough for its IO, whatever another thread stores meanwhile.
+        """
+        bufs = self._bufs
+        if len(bufs[0]) < size:
+            bufs = self._bufs = self._allocate(size)
+        return bufs
 
     def read(self, lba: int, size: int) -> int:
         check_alignment(self, lba, size)

@@ -10,14 +10,16 @@ drains it.
 
 Model summary:
 
-* Logical space is mapped to flash pages through a direct map at a
+* Logical space is mapped to flash through a direct map at a
   configurable granularity (``map_granularity``); writing part of a map
-  unit costs a read-modify-write of the whole unit.
-* Writes program pages at a single write frontier.  When the frontier
+  unit costs a read-modify-write of the whole unit.  A unit's pages are
+  always programmed, retired and copied together, so flash is addressed
+  in slots of one map unit; page counts enter only the costs.
+* Writes program units at a single write frontier.  When the frontier
   block fills, a fresh block is taken from the free pool; on an empty
   pool a reclamation event restores ``gc_batch_blocks`` net free blocks
-  by erasing the victims with the fewest valid pages (greedy), copying
-  survivors out first.
+  by erasing the victims with the fewest valid units (greedy), copying
+  survivors out first to a second, reclamation frontier.
 * A write is *absorbed* when it continues a recognized sequential
   stream or falls entirely inside recently written block-aligned
   regions (``write_cache_blocks``).  Absorbed writes cost bare page
@@ -40,6 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,7 +55,7 @@ from . import DeviceError, check_alignment
 KB = 1024
 MB = 1024 * 1024
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 
 
 class SimulationStall(DeviceError):
@@ -182,40 +186,43 @@ class SimulatedDevice:
 
     virtual_timeline = True  # clock is simulated; idling costs no wall time
 
+    # Scalar state, saved and restored by name.  A frontier is
+    # [block, next free slot]; a full one takes a pool block before use.
+    _SCALARS = (
+        "_host", "_gc", "_erases", "_clock_us", "_drain_credit",
+        "_pages_programmed", "_gc_copies",
+    )
+    # Per-unit, per-slot and per-block maps, in snapshot order.
+    _ARRAYS = (("_direct", "q"), ("_inverse", "q"), ("_valid", "i"))
+
     def __init__(self, profile: SimProfile):
         self.profile = profile
         self.capacity = profile.capacity
         self.device_id = profile.name
         p = profile
 
-        self._ppb = p.pages_per_block
         self._page = p.page_size
+        self._g = p.unit_size // p.page_size  # pages per map unit
         self._unit = p.unit_size
-        self._g = self._unit // self._page  # pages per map unit
+        self._ups = p.block_size // p.unit_size  # map-unit slots per block
 
-        logical_blocks = p.capacity // p.block_size
         spare = p.spare_blocks
         if spare is None:
             spare = p.free_block_pool + 2 * p.gc_batch_blocks + 18
         if spare < p.free_block_pool + p.gc_batch_blocks + 2:
             raise ValueError("spare_blocks too small for the pool and reclamation batch")
-        self._n_blocks = logical_blocks + spare
-        self._n_pages = self._n_blocks * self._ppb
-        self._n_units = p.capacity // self._unit
+        self._n_blocks = p.capacity // p.block_size + spare
 
-        # direct map: logical unit -> first physical page; inverse: page -> unit
-        self._direct = np.full(self._n_units, -1, dtype=np.int64)
-        self._inverse = np.full(self._n_pages, -1, dtype=np.int64)
-        self._valid = np.zeros(self._n_blocks, dtype=np.int32)
-        self._erases = np.zeros(self._n_blocks, dtype=np.int64)
-        self._in_pool = np.zeros(self._n_blocks, dtype=bool)
+        # direct map: unit -> slot; inverse: slot -> unit; valid slots per block
+        self._direct = array("q", [-1]) * (p.capacity // self._unit)
+        self._inverse = array("q", [-1]) * (self._n_blocks * self._ups)
+        self._valid = array("i", [0]) * self._n_blocks
+        self._erased_block = array("q", [-1]) * self._ups
 
-        self._pool: list[int] = list(range(p.free_block_pool))
-        self._in_pool[: p.free_block_pool] = True
-        self._active = -1
-        self._fill = self._ppb  # forces a pull on first write
-        self._gc_block = -1
-        self._gc_fill = self._ppb
+        self._pool = deque(range(p.free_block_pool))
+        self._host = [-1, self._ups]
+        self._gc = [-1, self._ups]
+        self._erases = 0
 
         self._streams: list[tuple[int, int]] = []  # (start, end) of last write per stream
         self._cached_regions: dict[int, None] = {}  # LRU via dict order
@@ -256,7 +263,11 @@ class SimulatedDevice:
 
         gc_cost = 0
         for u in range(u0, u1 + 1):
-            gc_cost += self._program_unit(u)
+            old = self._direct[u]
+            if old >= 0:
+                self._inverse[old] = -1
+                self._valid[old // self._ups] -= 1
+            gc_cost += self._place(u, self._host)
         if not (absorbed and p.hide_stream_gc):
             cost += gc_cost
 
@@ -312,35 +323,26 @@ class SimulatedDevice:
                 self._cached_regions.pop(next(iter(self._cached_regions)))
         return hit
 
-    def _program_unit(self, u: int) -> int:
-        """Map unit u to fresh pages at the frontier; returns charged GC cost."""
-        old = self._direct[u]
-        if old >= 0:
-            self._retire_unit_pages(int(old))
+    def _place(self, u: int, frontier: list[int]) -> int:
+        """Program unit u at the next slot of frontier, opening a pool block
+        when it is full; returns the cost of any reclamation that took.
+
+        Only the host frontier can find the pool empty: a victim joins the
+        pool before its survivors, at most one block of them, are copied.
+        """
         gc_cost = 0
-        if self._fill + self._g > self._ppb:
-            gc_cost = self._pull_active()
-        start = self._active * self._ppb + self._fill
-        self._fill += self._g
-        self._direct[u] = start
-        self._inverse[start : start + self._g] = u
-        self._valid[self._active] += self._g
+        if frontier[1] == self._ups:
+            if not self._pool:
+                gc_cost = self._reclaim_until(self.profile.gc_batch_blocks)
+            frontier[0] = self._pool.popleft()
+            frontier[1] = 0
+        block, fill = frontier
+        slot = block * self._ups + fill
+        frontier[1] = fill + 1
+        self._direct[u] = slot
+        self._inverse[slot] = u
+        self._valid[block] += 1
         self._pages_programmed += self._g
-        return gc_cost
-
-    def _retire_unit_pages(self, start: int) -> None:
-        self._inverse[start : start + self._g] = -1
-        b0 = start // self._ppb
-        self._valid[b0] -= self._g  # units never straddle blocks
-
-    def _pull_active(self) -> int:
-        gc_cost = 0
-        if not self._pool:
-            gc_cost = self._reclaim_until(self.profile.gc_batch_blocks)
-        block = self._pool.pop(0)
-        self._in_pool[block] = False
-        self._active = block
-        self._fill = 0
         return gc_cost
 
     # ---------------------------------------------------------- reclamation
@@ -363,8 +365,9 @@ class SimulatedDevice:
     def _reclaim_until(self, pool_target: int) -> int:
         """Erase greedy victims until the pool holds pool_target blocks.
 
-        Victims' surviving units are copied to a dedicated reclamation
-        frontier first.  Returns the elapsed cost of the whole event.
+        Victims' surviving units are copied, in unit order, to the
+        reclamation frontier after the erase.  Returns the elapsed cost of
+        the whole event.
         """
         p = self.profile
         cost = 0
@@ -374,85 +377,59 @@ class SimulatedDevice:
             if rounds > self._n_blocks:
                 raise SimulationStall("reclamation cannot free enough blocks")
             victim = self._choose_victim()
-            survivors = np.flatnonzero(
-                (self._inverse[victim * self._ppb : (victim + 1) * self._ppb] >= 0)
-            )
-            units = []
-            if survivors.size:
-                pages = victim * self._ppb + survivors
-                units = sorted({int(self._inverse[pg]) for pg in pages})
-
-            copies = int(self._valid[victim])
+            first = victim * self._ups
+            survivors = sorted(u for u in self._inverse[first : first + self._ups] if u >= 0)
+            copies = len(survivors) * self._g
             cost += p.erase_block_us + copies * (p.read_page_us + p.program_page_us)
             self._gc_copies += copies
-            self._erases[victim] += 1
-            self._inverse[victim * self._ppb : (victim + 1) * self._ppb] = -1
+            self._erases += 1
+            self._inverse[first : first + self._ups] = self._erased_block
             self._valid[victim] = 0
             self._pool.append(victim)
-            self._in_pool[victim] = True
-            if victim == self._gc_block:
-                self._gc_block = -1
-                self._gc_fill = self._ppb
-
-            for u in units:
-                self._relocate_unit(u)
+            for u in survivors:
+                self._place(u, self._gc)
         return cost
 
     def _choose_victim(self) -> int:
-        mask = self._in_pool.copy()
-        if self._active >= 0:
-            mask[self._active] = True
-        if self._gc_block >= 0:
-            mask[self._gc_block] = True
-        scores = np.where(mask, np.iinfo(np.int32).max, self._valid)
-        victim = int(np.argmin(scores))
-        if scores[victim] == np.iinfo(np.int32).max:
+        """The block with the fewest valid slots, lowest index on ties,
+        among those neither in the pool nor open at a frontier."""
+        scores = np.frombuffer(self._valid, dtype=np.int32).copy()
+        closed = self._ups + 1
+        scores[list(self._pool)] = closed
+        for block, _ in (self._host, self._gc):
+            if block >= 0:
+                scores[block] = closed
+        victim = int(scores.argmin())
+        if scores[victim] == closed:
             raise SimulationStall("no reclamation victim available")
         return victim
-
-    def _relocate_unit(self, u: int) -> None:
-        if self._gc_fill + self._g > self._ppb:
-            if not self._pool:
-                raise SimulationStall("no room to relocate surviving pages")
-            block = self._pool.pop(0)
-            self._in_pool[block] = False
-            self._gc_block = block
-            self._gc_fill = 0
-        start = self._gc_block * self._ppb + self._gc_fill
-        self._gc_fill += self._g
-        self._direct[u] = start
-        self._inverse[start : start + self._g] = u
-        self._valid[self._gc_block] += self._g
-        self._pages_programmed += self._g
 
     # ------------------------------------------------------------ inspection
 
     def wear_stats(self) -> dict:
         return {
-            "erases": int(self._erases.sum()),
+            "erases": self._erases,
             "pages_programmed": self._pages_programmed,
             "gc_copies": self._gc_copies,
-            "initial_free_pages": self.profile.free_block_pool * self._ppb,
+            "initial_free_pages": self.profile.free_block_pool * self.profile.pages_per_block,
             "free_pool": len(self._pool),
         }
 
     def check_consistency(self) -> None:
         """Full-scan structural check of the direct/inverse maps."""
-        mapped = self._direct[self._direct >= 0]
-        if mapped.size != np.unique(mapped).size:
-            raise AssertionError("two logical units map to the same pages")
-        valid = np.zeros(self._n_blocks, dtype=np.int32)
-        for u in np.flatnonzero(self._direct >= 0):
-            start = int(self._direct[u])
-            if np.any(self._inverse[start : start + self._g] != u):
-                raise AssertionError(f"inverse map disagrees for unit {u}")
-            if start // self._ppb != (start + self._g - 1) // self._ppb:
-                raise AssertionError(f"unit {u} straddles a block boundary")
-            valid[start // self._ppb] += self._g
-        if not np.array_equal(valid, self._valid):
+        direct = np.frombuffer(self._direct, dtype=np.int64)
+        inverse = np.frombuffer(self._inverse, dtype=np.int64)
+        units = np.flatnonzero(direct >= 0)
+        slots = direct[units]
+        if slots.size != np.unique(slots).size:
+            raise AssertionError("two logical units map to the same slot")
+        if np.any(inverse[slots] != units):
+            raise AssertionError("inverse map disagrees with the direct map")
+        if np.count_nonzero(inverse >= 0) != units.size:
+            raise AssertionError("inverse map holds a retired slot")
+        valid = np.bincount(slots // self._ups, minlength=self._n_blocks)
+        if not np.array_equal(valid, np.frombuffer(self._valid, dtype=np.int32)):
             raise AssertionError("per-block valid counts inconsistent")
-        if self._n_units != self.capacity // self._unit:
-            raise AssertionError("logical capacity changed")
 
     # -------------------------------------------------------------- snapshot
 
@@ -460,30 +437,14 @@ class SimulatedDevice:
         header = {
             "version": _SNAPSHOT_VERSION,
             "profile": self.profile.fingerprint(),
-            "scalars": {
-                "active": self._active,
-                "fill": self._fill,
-                "gc_block": self._gc_block,
-                "gc_fill": self._gc_fill,
-                "clock_us": self._clock_us,
-                "drain_credit": self._drain_credit,
-                "pages_programmed": self._pages_programmed,
-                "gc_copies": self._gc_copies,
-            },
-            "pool": self._pool,
+            "scalars": {name: getattr(self, name) for name in self._SCALARS},
+            "pool": list(self._pool),
             "streams": self._streams,
             "cached_regions": list(self._cached_regions),
         }
         head = json.dumps(header, sort_keys=True).encode()
-        parts = [
-            len(head).to_bytes(8, "little"),
-            head,
-            self._direct.tobytes(),
-            self._inverse.tobytes(),
-            self._valid.tobytes(),
-            self._erases.tobytes(),
-        ]
-        return b"".join(parts)
+        arrays = [getattr(self, name).tobytes() for name, _ in self._ARRAYS]
+        return b"".join([len(head).to_bytes(8, "little"), head, *arrays])
 
     def restore_state(self, blob: bytes) -> None:
         n = int.from_bytes(blob[:8], "little")
@@ -492,32 +453,19 @@ class SimulatedDevice:
             raise DeviceError(f"snapshot version mismatch: {header.get('version')}")
         if header["profile"] != self.profile.fingerprint():
             raise DeviceError("snapshot was taken with a different profile")
-        s = header["scalars"]
-        self._active = s["active"]
-        self._fill = s["fill"]
-        self._gc_block = s["gc_block"]
-        self._gc_fill = s["gc_fill"]
-        self._clock_us = s["clock_us"]
-        self._drain_credit = s["drain_credit"]
-        self._pages_programmed = s["pages_programmed"]
-        self._gc_copies = s["gc_copies"]
-        self._pool = list(header["pool"])
+        for name in self._SCALARS:
+            setattr(self, name, header["scalars"][name])
+        self._pool = deque(header["pool"])
         self._streams = [tuple(t) for t in header["streams"]]
         self._cached_regions = {r: None for r in header["cached_regions"]}
-        self._in_pool[:] = False
-        self._in_pool[self._pool] = True
 
         off = 8 + n
-        for name, dtype, count in (
-            ("_direct", np.int64, self._n_units),
-            ("_inverse", np.int64, self._n_pages),
-            ("_valid", np.int32, self._n_blocks),
-            ("_erases", np.int64, self._n_blocks),
-        ):
-            nbytes = np.dtype(dtype).itemsize * count
-            arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).copy()
-            if arr.size != count:
+        for name, code in self._ARRAYS:
+            nbytes = len(getattr(self, name)) * array(code).itemsize
+            if len(blob) < off + nbytes:
                 raise DeviceError("snapshot truncated or from another geometry")
+            arr = array(code)
+            arr.frombytes(blob[off : off + nbytes])
             setattr(self, name, arr)
             off += nbytes
 

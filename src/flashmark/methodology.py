@@ -33,6 +33,7 @@ from .microbench import (
     RunStep,
     StateReset,
     assign_target_offsets,
+    check_at_least,
 )
 from .patterns import (
     Consecutive,
@@ -65,6 +66,15 @@ class CalibrationConfig:
     probe_reads: int = 512
     disturb_writes: int = 1024
     observe_reads: int = 8192
+
+    def __post_init__(self):
+        check_at_least([("settle_pause_us", self.settle_pause_us)], 0)
+        check_at_least([
+            ("long_io_count", self.long_io_count),
+            ("probe_reads", self.probe_reads),
+            ("disturb_writes", self.disturb_writes),
+            ("observe_reads", self.observe_reads),
+        ], 1)
 
 
 class EnforcementError(DeviceError):

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Union
 
 from .patterns import (
+    SECTOR,
     Burst,
     Consecutive,
     MixSpec,
@@ -59,6 +60,15 @@ class ExpansionError(ValueError):
     """Suite configuration cannot be expanded as requested."""
 
 
+def check_at_least(values: list[tuple[str, int]], floor: int, multiple: int = 1) -> None:
+    """Raise ValueError naming the first (key, value) below floor or not a
+    multiple of multiple."""
+    for key, value in values:
+        if value < floor or value % multiple:
+            step = f" and a multiple of {multiple}" if multiple > 1 else ""
+            raise ValueError(f"{key}: must be at least {floor}{step}, got {value}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Shared baseline values for a benchmark suite.
@@ -88,9 +98,17 @@ class SuiteConfig:
             raise ValueError(
                 f"io_count_by_pattern: keys must be exactly {list(BASELINES)}, got {sorted(counts)}"
             )
-        low = {b: n for b, n in counts.items() if n < 1}
-        if low:
-            raise ValueError(f"io_count_by_pattern: counts must be at least 1, got {low}")
+        io_sizes = [("extra_io_sizes", n) for n in self.extra_io_sizes]
+        check_at_least([("base_io_size", self.base_io_size), *io_sizes], SECTOR, SECTOR)
+        check_at_least([("base_target_offset", self.base_target_offset)], 0, SECTOR)
+        check_at_least([("burst_fixed_pause_us", self.burst_fixed_pause_us)], 0)
+        check_at_least(
+            [(f"io_count_by_pattern.{b}", n) for b, n in sorted(counts.items())]
+            + [("base_target_size", self.base_target_size), ("repetitions", self.repetitions)],
+            1,
+        )
+        if self.max_target_size is not None:
+            check_at_least([("max_target_size", self.max_target_size)], 1)
 
     @classmethod
     def for_device(cls, capacity: int, **overrides) -> "SuiteConfig":

@@ -170,8 +170,7 @@ def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: T
                 req.index, submit - run_start, rt, req.lba, req.size, req.mode.value, w
             ))
 
-    # the calling thread is worker 0: a one-worker run starts no thread and
-    # keeps the device's per-thread IO buffers from run to run
+    # the calling thread is worker 0: a one-worker run starts no thread
     threads = [threading.Thread(target=work, args=ws) for ws in enumerate(schedules) if ws[0]]
     for t in threads:
         t.start()

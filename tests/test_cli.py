@@ -267,6 +267,38 @@ MALFORMED_INPUTS = [
         ),
         "io_count_by_pattern", id="suite-count-zero",
     ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(base_io_size=1000), "base_io_size",
+        id="suite-io-size-unaligned",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(extra_io_sizes=[700]), "extra_io_sizes",
+        id="suite-extra-size-unaligned",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(base_target_offset=100), "base_target_offset",
+        id="suite-offset-unaligned",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(repetitions=0), "repetitions",
+        id="suite-repetitions-zero",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(burst_fixed_pause_us=-1), "burst_fixed_pause_us",
+        id="suite-pause-negative",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["calibration"].update(observe_reads=0), "observe_reads",
+        id="calibration-observe-zero",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["calibration"].update(long_io_count=0), "long_io_count",
+        id="calibration-long-zero",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["calibration"].update(settle_pause_us=-5), "settle_pause_us",
+        id="calibration-settle-negative",
+    ),
 ]
 
 
