@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .microbench import ExperimentSpec
+from .patterns import BASELINES
 
 
 STARTUP_MIN_SERIES = 64  # shorter series report no start-up, inconclusively
@@ -252,9 +253,7 @@ class SummaryReport:
     def to_text(self) -> str:
         ms = {
             b: (f"{v / 1000:.2f}" if v is not None else "-")
-            for b, v in (
-                (b, self.baseline_cost_us.get(b)) for b in ("SR", "RR", "SW", "RW")
-            )
+            for b, v in ((b, self.baseline_cost_us.get(b)) for b in BASELINES)
         }
         loc = "No" if self.locality_area is None else (
             f"{self.locality_area[0] // (1024 * 1024)}MB (x{self.locality_area[1]:.1f})"
@@ -296,7 +295,7 @@ def build_summary(
     report = SummaryReport(device=device, io_size=io_size, thresholds=th)
     outcomes = list(outcomes)
 
-    for b in ("SR", "RR", "SW", "RW"):
+    for b in BASELINES:
         pts = dict(_sweep(outcomes, "granularity", b))
         if io_size in pts:
             report.baseline_cost_us[b] = pts[io_size]
@@ -328,7 +327,7 @@ def build_summary(
         report.order = order_ratios(order, sw, rw, io_size, th.large_stride_bytes)
 
     penalties = []
-    for b in ("SR", "RR", "SW", "RW"):
+    for b in BASELINES:
         align = dict(_sweep(outcomes, "alignment", b))
         if 0 in align and len(align) > 1:
             aligned = align[0]
@@ -351,7 +350,7 @@ def build_summary(
         if worst is not None:
             report.mix_deviation[pair] = worst
 
-    for b in ("SR", "RR", "SW", "RW"):
+    for b in BASELINES:
         sweep = dict(_sweep(outcomes, "parallelism", b))
         if 1 in sweep and len(sweep) > 1:
             report.parallel_degradation[b] = {

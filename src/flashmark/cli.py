@@ -48,7 +48,7 @@ from .methodology import (
     verify_plan,
 )
 from .microbench import ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, expand_suite
-from .patterns import PatternError, derive_seed
+from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
 from .serialization import SchemaError, from_data, load, load_plan, save, save_plan
 
@@ -243,6 +243,8 @@ def cmd_format(config_path: str, force: bool) -> None:
         click.echo(f"resuming format at IO {start_io}")
 
     dev = cfg.open_device()
+    # a suite that cannot be planned on this device stops here, before any IO
+    expand_suite(cfg.suite_config(dev.capacity, None), cfg.micros())
     t_wall = time.time()
 
     def progress(fraction: float, ios: int) -> None:
@@ -283,6 +285,7 @@ def cmd_calibrate(config_path: str) -> None:
     """Measure start-up, period and the inter-run pause; write the device profile."""
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
+    expand_suite(cfg.suite_config(dev.capacity, None), cfg.micros())  # as format does
 
     c = cfg.calibration
     profile = calibrate_phases(
@@ -299,7 +302,7 @@ def cmd_calibrate(config_path: str) -> None:
         "calibrate", affected_reads=pause.affected_reads, lingering_us=pause.lingering_us
     )
     click.echo(f"device profile written to {out}")
-    for b in ("SR", "RR", "SW", "RW"):
+    for b in BASELINES:
         click.echo(
             f"  {b}: startup={profile.startup[b]} period={profile.period[b]} "
             f"recommended io_count={profile.io_count_recommendation[b]}"

@@ -17,7 +17,7 @@ deferred reclamation cannot bleed into the next.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import detect_startup, estimate_period
 from .device import BlockDevice, DeviceError
 from .microbench import (
+    BASELINE_IO_COUNT,
     MIN_INTER_RUN_PAUSE_US,
     BenchmarkPlan,
     ExperimentSpec,
@@ -36,13 +37,10 @@ from .microbench import (
     check_at_least,
 )
 from .patterns import (
-    Consecutive,
+    BASELINES,
     MixSpec,
-    Mode,
-    ParallelSpec,
     PatternSpec,
-    Random,
-    Sequential,
+    baseline_pattern,
     derive_seed,
     uniform_index,
 )
@@ -51,7 +49,6 @@ from .runner import execute_run
 KB = 1024
 MB = 1024 * 1024
 
-BASELINE_FLOOR_IO_COUNT = {"SR": 1024, "RR": 1024, "SW": 1024, "RW": 5120}
 PAUSE_K_SIGMA = 3.0  # a read this many stddevs over the pre-batch mean is affected
 
 
@@ -60,7 +57,7 @@ class CalibrationConfig:
     """Probe lengths of calibrate_phases and calibrate_pause, and their
     defaults; a campaign config's `calibration` decodes into it."""
 
-    long_io_count: int = 10 * max(BASELINE_FLOOR_IO_COUNT.values())
+    long_io_count: int = 10 * max(BASELINE_IO_COUNT.values())
     settle_pause_us: int = 60_000_000  # generous: lets any deferred backlog drain
     # pause calibration: reads before and after a batch of random writes
     probe_reads: int = 512
@@ -187,27 +184,15 @@ def enforce_random_state(
     )
 
 
-_BASELINE_TAG = {"SR": 1, "RR": 2, "SW": 3, "RW": 4}
+CALIBRATION_IO_SIZE = 32 * KB
 
 
 def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed: int) -> PatternSpec:
-    """A consecutive 32 KB baseline pattern from offset 0 with the given stream
-    seed: a random one roams the device, a sequential one spans its IOs."""
-    io_size = 32 * KB
-    target = device.capacity - device.capacity % io_size
-    if baseline[0] == "S":
-        target = min(io_count * io_size, target)
-    return PatternSpec(
-        timing=Consecutive(),
-        location=Sequential() if baseline[0] == "S" else Random(),
-        mode=Mode.READ if baseline[1] == "R" else Mode.WRITE,
-        io_size=io_size,
-        io_shift=0,
-        target_offset=0,
-        target_size=target,
-        io_count=io_count,
-        seed=seed,
-    )
+    """A 32 KB baseline pattern over the device: a random one roams all of
+    it, a sequential one spans its IOs, wrapping at the device end."""
+    device_span = device.capacity - device.capacity % CALIBRATION_IO_SIZE
+    spec = baseline_pattern(baseline, CALIBRATION_IO_SIZE, io_count, device_span, seed)
+    return replace(spec, target_size=min(spec.target_size, device_span))
 
 
 def calibrate_phases(
@@ -227,11 +212,9 @@ def calibrate_phases(
     period: dict[str, int] = {}
     flags: list[str] = []
     recommendation: dict[str, int] = {}
-    for baseline in ("SR", "RR", "SW", "RW"):
+    for tag, baseline in enumerate(BASELINES, 1):
         device.idle(settle_pause_us)
-        spec = _calibration_pattern(
-            baseline, device, long_io_count, derive_seed(seed, _BASELINE_TAG[baseline])
-        )
+        spec = _calibration_pattern(baseline, device, long_io_count, derive_seed(seed, tag))
         trace = execute_run(device, spec)
         if trace.error:
             raise DeviceError(f"calibration run {baseline} aborted: {trace.error}")
@@ -245,7 +228,7 @@ def calibrate_phases(
             flags.append(f"period:{baseline}:low-confidence")
         period[baseline] = per.period
         recommendation[baseline] = startup[baseline] + max(
-            20 * period[baseline], BASELINE_FLOOR_IO_COUNT[baseline]
+            20 * period[baseline], BASELINE_IO_COUNT[baseline]
         )
     return DeviceProfile(
         startup=startup,
@@ -314,18 +297,13 @@ def scaled_io_ignore(exp: ExperimentSpec, profile: DeviceProfile) -> int:
     IOs scales its start-up by (ratio+1).  Parallel runs share the
     device-level start-up across the merged timeline.
     """
-    p = exp.pattern
-    if isinstance(p, PatternSpec):
+    if not isinstance(exp.pattern, MixSpec):
         return profile.startup_for(exp.baseline)
-    if isinstance(p, MixSpec):
-        b1, _, b2 = exp.baseline.partition("+")
-        r = p.ratio
-        need1 = math.ceil(profile.startup_for(b1) * (r + 1) / r)
-        need2 = profile.startup_for(b2) * (r + 1)
-        return max(need1, need2)
-    if isinstance(p, ParallelSpec):
-        return profile.startup_for(exp.baseline)
-    raise TypeError(f"unknown pattern type: {type(p)!r}")
+    b1, _, b2 = exp.baseline.partition("+")
+    r = exp.pattern.ratio
+    need1 = math.ceil(profile.startup_for(b1) * (r + 1) / r)
+    need2 = profile.startup_for(b2) * (r + 1)
+    return max(need1, need2)
 
 
 def build_plan(
@@ -383,8 +361,8 @@ def verify_plan(plan: BenchmarkPlan) -> None:
             exp = step.experiment
             if exp.sequential_write_bearing and exp.experiment_id not in seen_first_rep:
                 seen_first_rep.add(exp.experiment_id)
-                for spec in exp.component_specs():
-                    if spec.mode is not Mode.WRITE or isinstance(spec.location, Random):
+                for spec in exp.pattern.components:
+                    if not spec.writes_sequentially:
                         continue
                     size = spec.target_size + spec.io_shift
                     rng = (spec.target_offset, spec.target_offset + size)

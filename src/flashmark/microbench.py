@@ -13,21 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Union
+from itertools import combinations
+from typing import Callable, Union
 
 from .patterns import (
+    BASELINES,
     SECTOR,
     Burst,
-    Consecutive,
     MixSpec,
-    Mode,
     Ordered,
     ParallelSpec,
     Partitioned,
     PatternSpec,
     Pause,
-    Random,
-    Sequential,
+    baseline_pattern,
     derive_seed,
     interleave_mix,
 )
@@ -48,10 +47,15 @@ class Micro(str, Enum):
     BURSTS = "bursts"
 
 
-BASELINES = ("SR", "RR", "SW", "RW")
+# a micro-benchmark's seed tag, the first of every pattern seed it derives:
+# its position in Micro, from 1
+_SEED_TAG = {micro: tag for tag, micro in enumerate(Micro, 1)}
 
-# six unordered pairs of distinct baselines, in conventional order
-MIX_PAIRS = (("SR", "RR"), ("SR", "SW"), ("SR", "RW"), ("RR", "SW"), ("RR", "RW"), ("SW", "RW"))
+# the six unordered pairs of distinct baselines, in BASELINES order
+MIX_PAIRS = tuple(combinations(BASELINES, 2))
+
+# IOs per run of each baseline when no calibration recommends more
+BASELINE_IO_COUNT = dict(zip(BASELINES, (1024, 1024, 1024, 5120)))
 
 AnyPattern = Union[PatternSpec, MixSpec, ParallelSpec]
 
@@ -83,9 +87,7 @@ class SuiteConfig:
     base_io_size: int = 32 * KB
     base_target_size: int = 32 * MB
     base_target_offset: int = 0
-    io_count_by_pattern: dict[str, int] = field(
-        default_factory=lambda: {"SR": 1024, "RR": 1024, "SW": 1024, "RW": 5120}
-    )
+    io_count_by_pattern: dict[str, int] = field(default_factory=lambda: dict(BASELINE_IO_COUNT))
     seed: int = 0
     extra_io_sizes: tuple[int, ...] = (1536, 3072, 5120, 48 * KB)
     burst_fixed_pause_us: int = 100_000
@@ -112,16 +114,18 @@ class SuiteConfig:
 
     @classmethod
     def for_device(cls, capacity: int, **overrides) -> "SuiteConfig":
-        """Suite defaults scaled to a device: random patterns roam half
-        the device, and no sweep point may exceed the capacity."""
-        base_target = overrides.pop("base_target_size", None)
-        if base_target is None:
-            base_target = min(capacity // 2, 1024 * MB)
-        return cls(
-            base_target_size=base_target,
-            max_target_size=overrides.pop("max_target_size", capacity),
-            **overrides,
-        )
+        """Suite defaults scaled to the device space past the target
+        offset: random patterns roam half of it, up to 1 GiB, and no
+        sweep point may exceed it."""
+        offset = overrides.get("base_target_offset", 0)
+        space = capacity - offset
+        if space < overrides.get("base_io_size", cls.base_io_size):
+            raise ValueError(
+                f"base_target_offset: {offset} leaves less than one IO of the {capacity}-byte device"
+            )
+        overrides.setdefault("base_target_size", min(space // 2, 1024 * MB))
+        overrides.setdefault("max_target_size", space)
+        return cls(**overrides)
 
     def io_count(self, baseline: str) -> int:
         return self.io_count_by_pattern[baseline]
@@ -146,54 +150,25 @@ class ExperimentSpec:
     @property
     def io_count(self) -> int:
         p = self.pattern
-        if isinstance(p, PatternSpec):
-            return p.io_count
-        if isinstance(p, MixSpec):
-            return len(interleave_mix(p))
-        return (p.base.io_count // p.parallel_degree) * p.parallel_degree
+        # a mix's merged stream ends at the first turn whose component is exhausted
+        return len(interleave_mix(p)) if isinstance(p, MixSpec) else p.io_count
 
     @property
     def target_ranges(self) -> list[tuple[int, int]]:
         """(offset, size) ranges this experiment touches; size includes
         the io_shift overhang past the nominal target end."""
-        return [
-            (s.target_offset, s.target_size + s.io_shift) for s in self.component_specs()
-        ]
+        return [(s.target_offset, s.target_size + s.io_shift) for s in self.pattern.components]
 
     @property
     def sequential_write_bearing(self) -> bool:
-        """True when any component writes through a non-random location
-        function; those runs disturb the enforced device state."""
-        return any(_seq_write(s) for s in self.component_specs())
-
-    def component_specs(self) -> list[PatternSpec]:
-        p = self.pattern
-        if isinstance(p, PatternSpec):
-            return [p]
-        if isinstance(p, MixSpec):
-            return [p.first, p.second]
-        return [p.base]
+        """True when any component writes sequentially; those runs
+        disturb the enforced device state."""
+        return any(s.writes_sequentially for s in self.pattern.components)
 
     def rebase(self, new_offset: int) -> "ExperimentSpec":
         """Shift all target ranges so the lowest one starts at new_offset."""
-        p = self.pattern
-        if isinstance(p, PatternSpec):
-            return replace(self, pattern=replace(p, target_offset=new_offset))
-        if isinstance(p, MixSpec):
-            lo = min(p.first.target_offset, p.second.target_offset)
-            delta = new_offset - lo
-            return replace(
-                self,
-                pattern=MixSpec(
-                    first=replace(p.first, target_offset=p.first.target_offset + delta),
-                    second=replace(p.second, target_offset=p.second.target_offset + delta),
-                    ratio=p.ratio,
-                ),
-            )
-        return replace(self, pattern=ParallelSpec(
-            base=replace(p.base, target_offset=new_offset),
-            parallel_degree=p.parallel_degree,
-        ))
+        lowest = min(s.target_offset for s in self.pattern.components)
+        return replace(self, pattern=self.pattern.shifted(new_offset - lowest))
 
     def with_io_ignore(self, io_ignore: int) -> "ExperimentSpec":
         """Set the per-run warm-up count (clamped below the run length)."""
@@ -208,32 +183,16 @@ class ExperimentSpec:
         )
 
 
-def _seq_write(spec: PatternSpec) -> bool:
-    return spec.mode is Mode.WRITE and not isinstance(spec.location, Random)
-
-
-def _baseline_pattern(cfg: SuiteConfig, baseline: str, seed_tags: tuple, **overrides) -> PatternSpec:
-    location = Sequential() if baseline[0] == "S" else Random()
-    mode = Mode.READ if baseline[1] == "R" else Mode.WRITE
-    io_size = overrides.pop("io_size", cfg.base_io_size)
-    io_count = overrides.pop("io_count", cfg.io_count(baseline))
-    if isinstance(location, Random):
-        target_size = cfg.base_target_size
-    else:
-        target_size = io_count * io_size
-    target_size = overrides.pop("target_size", target_size)
-    return PatternSpec(
-        timing=overrides.pop("timing", Consecutive()),
-        location=overrides.pop("location", location),
-        mode=mode,
-        io_size=io_size,
-        io_shift=overrides.pop("io_shift", 0),
-        target_offset=overrides.pop("target_offset", cfg.base_target_offset),
-        target_size=target_size,
-        io_count=io_count,
-        seed=derive_seed(cfg.seed, *seed_tags),
-        **overrides,
+def _baseline_pattern(cfg: SuiteConfig, baseline: str, seed: int, **varied) -> PatternSpec:
+    """The suite's baseline pattern; `varied` replaces any keyword of
+    patterns.baseline_pattern."""
+    values = dict(
+        io_size=cfg.base_io_size,
+        io_count=cfg.io_count(baseline),
+        roam_size=cfg.base_target_size,
+        target_offset=cfg.base_target_offset,
     )
+    return baseline_pattern(baseline, seed=seed, **{**values, **varied})
 
 
 def _pow2(lo: int, hi: int) -> list[int]:
@@ -250,185 +209,135 @@ def expand(micro: Micro, cfg: SuiteConfig) -> list[ExperimentSpec]:
 
 
 def expand_suite(cfg: SuiteConfig, micros: list[Micro] | None = None) -> list[ExperimentSpec]:
-    out = []
-    for m in micros or list(Micro):
-        out.extend(expand(m, cfg))
-    return out
+    return [e for m in micros or list(Micro) for e in expand(m, cfg)]
 
 
 def _fits(cfg: SuiteConfig, needed: int) -> bool:
     return cfg.max_target_size is None or needed <= cfg.max_target_size
 
 
-def _mk(cfg, micro, baseline, name, value, pattern) -> ExperimentSpec:
-    return ExperimentSpec(
-        micro=micro,
-        baseline=baseline,
-        varying_name=name,
-        varying_value=value,
-        pattern=pattern,
-        repetitions=cfg.repetitions,
-    )
+def _sweep(
+    cfg: SuiteConfig, micro: Micro, name: str, values: list[int],
+    point: Callable[[str, int, int], AnyPattern | None],
+    baselines: tuple[str, ...] = BASELINES, first_index: int = 0,
+) -> list[ExperimentSpec]:
+    """One experiment per value and baseline, value-major.
+
+    point(baseline, value, seed) builds the pattern of one point, or
+    returns None to drop it.  The seed derives from the value's index,
+    counted from first_index, and the baseline's position in BASELINES.
+    """
+    out = []
+    for index, value in enumerate(values, first_index):
+        for baseline in baselines:
+            seed = derive_seed(cfg.seed, _SEED_TAG[micro], index, BASELINES.index(baseline))
+            pattern = point(baseline, value, seed)
+            if pattern is not None:
+                out.append(ExperimentSpec(micro, baseline, name, value, pattern, cfg.repetitions))
+    return out
 
 
 def _expand_granularity(cfg: SuiteConfig) -> list[ExperimentSpec]:
     sizes = [s * 512 for s in _pow2(0, 9)] + sorted(cfg.extra_io_sizes)
-    out = []
-    for value_idx, size in enumerate(sizes):
-        for baseline in BASELINES:
-            pat = _baseline_pattern(cfg, baseline, (1, value_idx, BASELINES.index(baseline)), io_size=size)
-            out.append(_mk(cfg, Micro.GRANULARITY, baseline, "io_size", size, pat))
-    return out
+    return _sweep(cfg, Micro.GRANULARITY, "io_size", sizes,
+                  lambda b, size, seed: _baseline_pattern(cfg, b, seed, io_size=size))
 
 
 def _expand_alignment(cfg: SuiteConfig) -> list[ExperimentSpec]:
     io = cfg.base_io_size
     shifts = sorted({(s * 512) % io for s in _pow2(0, (io // 512).bit_length() - 1)} | {0})
-    out = []
-    for value_idx, shift in enumerate(shifts):
-        for baseline in BASELINES:
-            pat = _baseline_pattern(cfg, baseline, (2, value_idx, BASELINES.index(baseline)), io_shift=shift)
-            out.append(_mk(cfg, Micro.ALIGNMENT, baseline, "io_shift", shift, pat))
-    return out
+    return _sweep(cfg, Micro.ALIGNMENT, "io_shift", shifts,
+                  lambda b, shift, seed: _baseline_pattern(cfg, b, seed, io_shift=shift))
 
 
 def _expand_locality(cfg: SuiteConfig) -> list[ExperimentSpec]:
+    def point(baseline, target, seed):
+        return _baseline_pattern(cfg, baseline, seed, target_size=target) if _fits(cfg, target) else None
+
     io = cfg.base_io_size
-    out = []
-    for value_idx, mult in enumerate(_pow2(0, 16)):
-        target = mult * io
-        if not _fits(cfg, target):
-            continue
-        for baseline in ("RR", "RW"):
-            pat = _baseline_pattern(
-                cfg, baseline, (3, value_idx, BASELINES.index(baseline)), target_size=target
-            )
-            out.append(_mk(cfg, Micro.LOCALITY, baseline, "target_size", target, pat))
-    for value_idx, mult in enumerate(_pow2(0, 8)):
-        target = mult * io
-        if not _fits(cfg, target):
-            continue
-        for baseline in ("SR", "SW"):
-            pat = _baseline_pattern(
-                cfg, baseline, (3, 100 + value_idx, BASELINES.index(baseline)), target_size=target
-            )
-            out.append(_mk(cfg, Micro.LOCALITY, baseline, "target_size", target, pat))
-    return out
+    random = [m * io for m in _pow2(0, 16)]
+    sequential = [m * io for m in _pow2(0, 8)]
+    return (
+        _sweep(cfg, Micro.LOCALITY, "target_size", random, point, ("RR", "RW"))
+        + _sweep(cfg, Micro.LOCALITY, "target_size", sequential, point, ("SR", "SW"), first_index=100)
+    )
 
 
 def _expand_partitioning(cfg: SuiteConfig) -> list[ExperimentSpec]:
-    io = cfg.base_io_size
     max_partitions = 256
-    out = []
-    for value_idx, partitions in enumerate(_pow2(0, 8)):
-        for baseline in ("SR", "SW"):
-            count = cfg.io_count(baseline)
-            # one fixed target, divisible by every swept partition count and
-            # holding several IO slots per partition even at the largest
-            # count (a one-slot partition walk degenerates to sequential)
-            slots = max(count, 4 * max_partitions)
-            slots = ((slots + max_partitions - 1) // max_partitions) * max_partitions
-            pat = _baseline_pattern(
-                cfg,
-                baseline,
-                (4, value_idx, BASELINES.index(baseline)),
-                location=Partitioned(partitions=partitions),
-                target_size=slots * io,
-            )
-            out.append(_mk(cfg, Micro.PARTITIONING, baseline, "partitions", partitions, pat))
-    return out
+
+    def point(baseline, partitions, seed):
+        # one fixed target, divisible by every swept partition count and
+        # holding several IO slots per partition even at the largest
+        # count (a one-slot partition walk degenerates to sequential)
+        slots = max(cfg.io_count(baseline), 4 * max_partitions)
+        slots = ((slots + max_partitions - 1) // max_partitions) * max_partitions
+        return _baseline_pattern(
+            cfg, baseline, seed,
+            location=Partitioned(partitions=partitions), target_size=slots * cfg.base_io_size,
+        )
+
+    return _sweep(cfg, Micro.PARTITIONING, "partitions", _pow2(0, 8), point, ("SR", "SW"))
 
 
 def _expand_order(cfg: SuiteConfig) -> list[ExperimentSpec]:
-    incrs = [-1, 0] + _pow2(0, 8)
-    out = []
-    for value_idx, incr in enumerate(incrs):
-        for baseline in ("SR", "SW"):
-            count = cfg.io_count(baseline)
-            stride = max(abs(incr), 1)
-            span = stride * (count - 1) * cfg.base_io_size + cfg.base_io_size
-            if not _fits(cfg, span):
-                continue
-            pat = _baseline_pattern(
-                cfg,
-                baseline,
-                (5, value_idx, BASELINES.index(baseline)),
-                location=Ordered(incr=incr),
-                target_size=span,
-            )
-            out.append(_mk(cfg, Micro.ORDER, baseline, "incr", incr, pat))
-    return out
+    def point(baseline, incr, seed):
+        stride = max(abs(incr), 1)
+        span = stride * (cfg.io_count(baseline) - 1) * cfg.base_io_size + cfg.base_io_size
+        if not _fits(cfg, span):
+            return None
+        return _baseline_pattern(cfg, baseline, seed, location=Ordered(incr=incr), target_size=span)
+
+    return _sweep(cfg, Micro.ORDER, "incr", [-1, 0] + _pow2(0, 8), point, ("SR", "SW"))
 
 
 def _expand_parallelism(cfg: SuiteConfig) -> list[ExperimentSpec]:
-    out = []
     max_degree = 16
-    for value_idx, degree in enumerate(_pow2(0, 4)):
-        for baseline in BASELINES:
-            count = ((cfg.io_count(baseline) + max_degree - 1) // max_degree) * max_degree
-            base = _baseline_pattern(
-                cfg, baseline, (6, value_idx, BASELINES.index(baseline)), io_count=count
-            )
-            if base.target_size % max_degree:
-                rounded = ((base.target_size // cfg.base_io_size + max_degree - 1)
-                           // max_degree) * max_degree * cfg.base_io_size
-                base = replace(base, target_size=rounded)
-            out.append(
-                _mk(cfg, Micro.PARALLELISM, baseline, "parallel_degree", degree,
-                    ParallelSpec(base=base, parallel_degree=degree))
-            )
-    return out
+
+    def point(baseline, degree, seed):
+        count = ((cfg.io_count(baseline) + max_degree - 1) // max_degree) * max_degree
+        base = _baseline_pattern(cfg, baseline, seed, io_count=count)
+        if base.target_size % max_degree:
+            rounded = ((base.target_size // cfg.base_io_size + max_degree - 1)
+                       // max_degree) * max_degree * cfg.base_io_size
+            base = replace(base, target_size=rounded)
+        return ParallelSpec(base=base, parallel_degree=degree)
+
+    return _sweep(cfg, Micro.PARALLELISM, "parallel_degree", _pow2(0, 4), point)
 
 
 def _expand_mix(cfg: SuiteConfig) -> list[ExperimentSpec]:
     out = []
+    half = cfg.base_target_size // 2
     for pair_idx, (b1, b2) in enumerate(MIX_PAIRS):
         for value_idx, ratio in enumerate(_pow2(0, 6)):
-            total = max(cfg.io_count(b1), cfg.io_count(b2))
-            n2 = max(1, total // (ratio + 1))
-            n1 = ratio * n2
-            half = cfg.base_target_size // 2
+            n2 = max(1, max(cfg.io_count(b1), cfg.io_count(b2)) // (ratio + 1))
             first = _baseline_pattern(
-                cfg, b1, (7, pair_idx, value_idx, 0), io_count=n1,
-                target_size=half if b1[0] == "R" else n1 * cfg.base_io_size,
+                cfg, b1, derive_seed(cfg.seed, _SEED_TAG[Micro.MIX], pair_idx, value_idx, 0),
+                io_count=ratio * n2, roam_size=half,
             )
-            second_offset = first.target_offset + first.target_size
             second = _baseline_pattern(
-                cfg, b2, (7, pair_idx, value_idx, 1), io_count=n2,
-                target_offset=second_offset,
-                target_size=half if b2[0] == "R" else n2 * cfg.base_io_size,
+                cfg, b2, derive_seed(cfg.seed, _SEED_TAG[Micro.MIX], pair_idx, value_idx, 1),
+                io_count=n2, roam_size=half,
             )
-            out.append(
-                _mk(cfg, Micro.MIX, f"{b1}+{b2}", "ratio", ratio,
-                    MixSpec(first=first, second=second, ratio=ratio))
-            )
+            mix = MixSpec(first=first, second=second.shifted(first.target_size), ratio=ratio)
+            out.append(ExperimentSpec(Micro.MIX, f"{b1}+{b2}", "ratio", ratio, mix, cfg.repetitions))
     return out
 
 
 def _expand_pause(cfg: SuiteConfig) -> list[ExperimentSpec]:
-    out = []
-    for value_idx, mult in enumerate(_pow2(0, 8)):
-        pause_us = mult * 100
-        for baseline in BASELINES:
-            pat = _baseline_pattern(
-                cfg, baseline, (8, value_idx, BASELINES.index(baseline)),
-                timing=Pause(pause_us=pause_us),
-            )
-            out.append(_mk(cfg, Micro.PAUSE, baseline, "pause_us", pause_us, pat))
-    return out
+    def point(baseline, pause_us, seed):
+        return _baseline_pattern(cfg, baseline, seed, timing=Pause(pause_us=pause_us))
+
+    return _sweep(cfg, Micro.PAUSE, "pause_us", [m * 100 for m in _pow2(0, 8)], point)
 
 
 def _expand_bursts(cfg: SuiteConfig) -> list[ExperimentSpec]:
-    out = []
-    for value_idx, mult in enumerate(_pow2(0, 6)):
-        burst = mult * 10
-        for baseline in BASELINES:
-            pat = _baseline_pattern(
-                cfg, baseline, (9, value_idx, BASELINES.index(baseline)),
-                timing=Burst(pause_us=cfg.burst_fixed_pause_us, burst_count=burst),
-            )
-            out.append(_mk(cfg, Micro.BURSTS, baseline, "burst_count", burst, pat))
-    return out
+    def point(baseline, burst, seed):
+        timing = Burst(pause_us=cfg.burst_fixed_pause_us, burst_count=burst)
+        return _baseline_pattern(cfg, baseline, seed, timing=timing)
+
+    return _sweep(cfg, Micro.BURSTS, "burst_count", [m * 10 for m in _pow2(0, 6)], point)
 
 
 _EXPANDERS = {

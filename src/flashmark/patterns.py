@@ -23,6 +23,8 @@ from typing import Union
 
 SECTOR = 512
 
+BASELINES = ("SR", "RR", "SW", "RW")
+
 _M64 = (1 << 64) - 1
 
 
@@ -192,6 +194,46 @@ class PatternSpec:
         """Number of whole-io_size slots in the target space."""
         return self.target_size // self.io_size
 
+    @property
+    def writes_sequentially(self) -> bool:
+        """True for writes through a non-random location function: they
+        disturb an enforced random device state."""
+        return self.mode is Mode.WRITE and not isinstance(self.location, Random)
+
+    @property
+    def components(self) -> tuple[PatternSpec, ...]:
+        """The patterns this one is made of; each composite lists its own."""
+        return (self,)
+
+    def shifted(self, delta: int) -> PatternSpec:
+        """The same pattern with its target space moved by delta bytes."""
+        return replace(self, target_offset=self.target_offset + delta)
+
+
+def baseline_pattern(
+    name: str, io_size: int, io_count: int, roam_size: int, seed: int, **fields
+) -> PatternSpec:
+    """The baseline pattern `name`, one of BASELINES.
+
+    The first letter picks a sequential or random location, the second a
+    read or write mode.  Timing is consecutive, with no shift, from offset
+    0; a random pattern roams roam_size bytes, a sequential one spans
+    exactly its IOs.  `fields` replace any of these PatternSpec fields.
+    """
+    sequential = name[0] == "S"
+    spec = dict(
+        timing=Consecutive(),
+        location=Sequential() if sequential else Random(),
+        mode=Mode.READ if name[1] == "R" else Mode.WRITE,
+        io_size=io_size,
+        io_shift=0,
+        target_offset=0,
+        target_size=io_count * io_size if sequential else roam_size,
+        io_count=io_count,
+        seed=seed,
+    )
+    return PatternSpec(**{**spec, **fields})
+
 
 @dataclass(frozen=True)
 class MixSpec:
@@ -220,6 +262,13 @@ class MixSpec:
         ):
             raise PatternError("mix component target spaces overlap")
 
+    @property
+    def components(self) -> tuple[PatternSpec, ...]:
+        return (self.first, self.second)
+
+    def shifted(self, delta: int) -> MixSpec:
+        return replace(self, first=self.first.shifted(delta), second=self.second.shifted(delta))
+
 
 @dataclass(frozen=True)
 class ParallelSpec:
@@ -236,6 +285,18 @@ class ParallelSpec:
             raise PatternError("target_size must be divisible by parallel_degree")
         if self.base.target_size // self.parallel_degree < self.base.io_size:
             raise PatternError("per-worker slice smaller than io_size")
+
+    @property
+    def io_count(self) -> int:
+        """IOs of all workers together: the base count rounded down to the degree."""
+        return (self.base.io_count // self.parallel_degree) * self.parallel_degree
+
+    @property
+    def components(self) -> tuple[PatternSpec, ...]:
+        return (self.base,)
+
+    def shifted(self, delta: int) -> ParallelSpec:
+        return replace(self, base=self.base.shifted(delta))
 
 
 def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -1,15 +1,21 @@
 import json
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from flashmark.cli import main
+from flashmark.analysis import SummaryThresholds
+from flashmark.cli import CampaignConfig, DeviceConfig, main
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice
+from flashmark.methodology import CalibrationConfig
+from flashmark.microbench import SuiteConfig
 
 MB = 1024 * 1024
+GB = 1024 * MB
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -299,6 +305,15 @@ MALFORMED_INPUTS = [
         lambda c, p, raw: c["calibration"].update(settle_pause_us=-5), "settle_pause_us",
         id="calibration-settle-negative",
     ),
+    # valid alone, but no plan can be built from them on this device
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(base_target_size=1024), "target_size",
+        id="suite-target-below-io-size",
+    ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(base_target_offset=1 * GB), "base_target_offset",
+        id="suite-offset-past-capacity",
+    ),
 ]
 
 
@@ -395,3 +410,22 @@ class TestValidation:
         p.write_text(json.dumps(config))
         r = invoke(["plan", "--config", str(p)])
         assert r.exit_code == 2
+
+
+class TestDocs:
+    def test_readme_config_table_lists_every_decoded_key(self):
+        text = README.read_text()
+        table = text[text.index("### Config keys"):].split("\n### ")[0]
+        documented = set(re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE))
+
+        def section(prefix, cls, leave_out=()):
+            return {f"{prefix}{f.name}" for f in fields(cls) if f.name not in leave_out}
+
+        decoded = (
+            section("", CampaignConfig)
+            | section("device.", DeviceConfig)
+            | section("suite.", SuiteConfig, leave_out={"seed"}) | {"suite.micros"}
+            | section("calibration.", CalibrationConfig)
+            | section("thresholds.", SummaryThresholds) | {"thresholds.dispersion"}
+        )
+        assert documented == decoded

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -29,11 +30,12 @@ from flashmark.patterns import (
     Sequential,
 )
 from flashmark.runner import execute_run, summarize
-from flashmark.serialization import dumps, from_data, plan_from_dict, plan_to_dict
+from flashmark.serialization import dumps, from_data, plan_from_dict, plan_to_dict, save_plan
 
 KB = 1024
 MB = 1024 * 1024
 GB = 1024 * MB
+REDUCED_COUNTS = {"SR": 192, "RR": 192, "SW": 256, "RW": 384}  # the benchmark's suite
 
 
 def small_sim(**overrides):
@@ -290,6 +292,20 @@ class TestBuildPlan:
         assert not any(isinstance(s, StateReset) for s in plan.steps)
         verify_plan(plan)
 
+    def test_offset_suite_plans_inside_the_space_past_it(self):
+        capacity = 128 * MB
+        suite = SuiteConfig.for_device(
+            capacity, base_target_offset=1 * MB, io_count_by_pattern=REDUCED_COUNTS
+        )
+        assert suite.max_target_size == capacity - 1 * MB
+        assert suite.base_target_size == (capacity - 1 * MB) // 2
+        plan = build_plan(
+            expand_suite(suite), profile_with(), capacity, base_offset=suite.base_target_offset
+        )
+        for step in plan.run_steps():
+            for offset, size in step.experiment.target_ranges:
+                assert 1 * MB <= offset and offset + size <= capacity, step.step_id
+
     def test_verify_catches_overlap(self):
         sw = baseline_pattern(mode=Mode.WRITE, location=Sequential(), io_count=64, seed=5)
         exp = ExperimentSpec(
@@ -365,6 +381,52 @@ class TestBuildPlan:
         ours = [s.experiment for s in plan.run_steps()]
         theirs = [s.experiment for s in again.run_steps()]
         assert ours == theirs
+
+
+# Suites whose plan.json bytes are pinned: (capacity, seed, SuiteConfig
+# overrides).  The benchmark's suite at 128 MB, acceptance 8's at 256 MB,
+# the default suite at 32 GB with and without an offset, and a 16 KB IO
+# suite with its own extra sizes and repetitions.
+PINNED_SUITES = {
+    "perfbench-128m": (128 * MB, 41, {"io_count_by_pattern": REDUCED_COUNTS}),
+    "acceptance8-256m": (256 * MB, 41, {"io_count_by_pattern": REDUCED_COUNTS}),
+    "default-32g": (32 * GB, 0, {}),
+    "default-32g-offset-1g": (32 * GB, 0, {"base_target_offset": 1 * GB}),
+    "io16k-512m": (512 * MB, 7, {
+        "base_io_size": 16 * KB,
+        "extra_io_sizes": (1024, 2560, 24 * KB),
+        "repetitions": 2,
+        "io_count_by_pattern": {"SR": 256, "RR": 320, "SW": 384, "RW": 768},
+    }),
+}
+# SHA-256 of each suite's plan.json text.  A change to expansion, target
+# offsets, io_ignore scaling or the plan encoding shows here.
+PINNED_PLAN_DIGESTS = {
+    "perfbench-128m": "23acab29878368e4e28525906430f2745ae9b482993b7c5904d0dcca54053d35",
+    "acceptance8-256m": "d0f14bbc0cab161a5ce97be75a828d2ac0d2d88c17d489b5deb85c941599ae9d",
+    "default-32g": "d2060e59ce27710c0b5c035559cbfff40e8aa2502ec3876b5299f9f9c30256ed",
+    "default-32g-offset-1g": "8a554972c7dba012131e646ae0a91ada8a171af6ed50b694ded2bf48e2a4334c",
+    "io16k-512m": "0a5f6420386db45b27a74264dcd2007ffd06e620539be71179fcd95055c0fd4c",
+}
+
+
+class TestPlanBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_SUITES))
+    def test_plan_json_digest_pinned(self, name, tmp_path):
+        capacity, seed, overrides = PINNED_SUITES[name]
+        suite = SuiteConfig.for_device(capacity, seed=seed, **overrides)
+        # nonzero start-ups on every baseline pin the mix io_ignore scaling
+        profile = DeviceProfile(
+            startup={"SR": 3, "RR": 5, "SW": 7, "RW": 128},
+            period={"SR": 1, "RR": 1, "SW": 64, "RW": 16},
+            inter_run_pause_us=2_000_000,
+        )
+        plan = build_plan(
+            expand_suite(suite), profile, capacity, base_offset=suite.base_target_offset
+        )
+        save_plan(plan, tmp_path / "plan.json")
+        text = (tmp_path / "plan.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == PINNED_PLAN_DIGESTS[name]
 
 
 class TestDeviceProfileSerialization:
