@@ -21,6 +21,7 @@ import numpy as np
 
 from .microbench import ExperimentSpec
 from .patterns import BASELINES
+from .serialization import write_atomic
 
 
 STARTUP_MIN_SERIES = 64  # shorter series report no start-up, inconclusively
@@ -381,9 +382,9 @@ def emit_xy_series(
     for label in sorted(series):
         for x, y in series[label]:
             lines.append(f"{label}\t{x}\t{y}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     meta = {"x_axis": x_axis, "y_axis": y_axis, "series": sorted(series)}
-    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2))
+    write_atomic(path.with_suffix(path.suffix + ".meta.json"), json.dumps(meta, indent=2))
 
 
 def emit_phase_trace(path: str | Path, rts: Sequence[float], io_ignore: int) -> None:
@@ -399,14 +400,14 @@ def emit_phase_trace(path: str | Path, rts: Sequence[float], io_ignore: int) -> 
     for i in range(x.size):
         tail = "" if np.isnan(without[i]) else f"{without[i]:.3f}"
         lines.append(f"{i}\t{x[i]:.3f}\t{with_startup[i]:.3f}\t{tail}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     meta = {
         "x_axis": "io_index",
         "y_axis": "response_time_us",
         "io_ignore": io_ignore,
         "columns": ["index", "rt", "avg_all", "avg_after_ignore"],
     }
-    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2))
+    write_atomic(path.with_suffix(path.suffix + ".meta.json"), json.dumps(meta, indent=2))
 
 
 def emit_plot_data(

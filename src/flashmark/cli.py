@@ -2,8 +2,8 @@
 
 The stages are separate commands with file handoffs so multi-day
 campaigns survive interruption: each writes its artifacts and a manifest
-into the campaign output directory, and `run` journals every completed
-step so a restarted invocation resumes where it stopped.
+into the campaign output directory, and `format` and `run` journal every
+finished unit of work so a restarted invocation resumes where it stopped.
 
 Exit codes: 0 success, 2 validation error, 3 device IO error.
 """
@@ -47,13 +47,19 @@ from .methodology import (
     enforce_random_state,
     verify_plan,
 )
-from .microbench import ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, expand_suite
+from .microbench import (
+    ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, assign_target_offsets, expand_suite,
+)
 from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
-from .serialization import SchemaError, from_data, load, load_plan, save, save_plan
+from .serialization import SchemaError, from_data, load, load_plan, save, save_plan, write_atomic
 
 EXIT_VALIDATION = 2
 EXIT_DEVICE = 3
+
+# Device IOs between two simulator snapshots (about 3 s of highend work); IOs,
+# not wall time, so every campaign of one seed writes the same snapshots.
+COMMIT_IOS = 65536
 
 _VALIDATION_ERRORS = (ValueError, KeyError, PatternError, SchemaError, FileNotFoundError)
 
@@ -77,7 +83,6 @@ class CampaignConfig:
     suite: dict = field(default_factory=dict)  # micros plus SuiteConfig overrides
     thresholds: dict = field(default_factory=dict)  # SummaryThresholds plus dispersion
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-    resume: bool = True  # False ignores the journal and redoes every step
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignConfig":
@@ -135,6 +140,37 @@ class CampaignConfig:
 
     def journal(self) -> Journal:
         return Journal(self.output_dir / "journal.jsonl")
+
+    def resume(self, dev: BlockDevice):
+        """The journal of a stage that resumes on dev, cut back on a simulator
+        to the entries its snapshot reflects, and the stage's commit routine.
+        commit(step, n_ios, end=False, **entry) journals a finished unit of
+        n_ios device IOs, then snapshots a simulator at a stage end or once
+        COMMIT_IOS IOs have passed since the last snapshot.  A failed unit
+        (n_ios None) is never snapshotted, so a resume redoes it."""
+        journal = self.journal()
+        if self.is_simulator:
+            journal.cut(dev.journaled)
+        pending = 0
+
+        def commit(step: str, n_ios: int | None, end: bool = False, **entry) -> None:
+            nonlocal pending
+            journal.record(step, **entry)
+            if n_ios is None:
+                return
+            pending += n_ios
+            if self.is_simulator and (end or pending >= COMMIT_IOS):
+                dev.journaled = len(journal.entries)
+                self.persist_device(dev)
+                pending = 0
+
+        return journal, commit
+
+    def check_plannable(self, capacity: int, profile: DeviceProfile | None) -> None:
+        """Place the suite's targets as `plan` will: a suite that cannot be
+        planned on the device raises a validation error here."""
+        suite = self.suite_config(capacity, profile)
+        assign_target_offsets(expand_suite(suite, self.micros()), capacity, suite.base_target_offset)
 
     def write_manifest(self, command: str, **extra) -> None:
         manifest = {
@@ -232,27 +268,22 @@ def cmd_format(config_path: str, force: bool) -> None:
                 EXIT_VALIDATION,
                 "formatting a raw device destroys its contents; pass --force to proceed",
             )
-    journal = cfg.journal()
-    start_io = 0
-    checkpoint = journal.last("format") if cfg.resume else None
-    if checkpoint and checkpoint.get("status") == "done":
-        click.echo("format already complete (journal); nothing to do")
-        return
-    if checkpoint:
-        start_io = int(checkpoint.get("ios", 0))
-        click.echo(f"resuming format at IO {start_io}")
-
     dev = cfg.open_device()
     # a suite that cannot be planned on this device stops here, before any IO
-    expand_suite(cfg.suite_config(dev.capacity, None), cfg.micros())
+    cfg.check_plannable(dev.capacity, None)
+    journal, commit = cfg.resume(dev)
+    checkpoint = journal.last("format") or {}
+    if checkpoint.get("status") == "done":
+        click.echo("format already complete (journal); nothing to do")
+        return
+    start_io = checkpoint.get("ios", 0)
+    if start_io:
+        click.echo(f"resuming format at IO {start_io}")
     t_wall = time.time()
 
     def progress(fraction: float, ios: int) -> None:
         if ios % 2048 == 0:
-            # a resume replays the journaled IOs without issuing them, so
-            # the device they were issued to must be persisted first
-            cfg.persist_device(dev)
-            journal.record("format", status="progress", ios=ios, coverage=fraction)
+            commit("format", 2048, status="progress", ios=ios, coverage=fraction)
         elapsed = time.time() - t_wall
         eta = elapsed * (1 - fraction) / fraction if fraction > 0 else 0.0
         click.echo(
@@ -263,8 +294,8 @@ def cmd_format(config_path: str, force: bool) -> None:
         dev, seed=derive_seed(cfg.seed, 0xF0), progress=progress, start_io=start_io
     )
     click.echo("", err=True)
-    cfg.persist_device(dev)
-    journal.record("format", status="done", ios=result.ios_issued, coverage=result.coverage)
+    commit("format", result.ios_issued % 2048, end=True,
+           status="done", ios=result.ios_issued, coverage=result.coverage)
     cfg.write_manifest(
         "format",
         ios=result.ios_issued,
@@ -285,7 +316,7 @@ def cmd_calibrate(config_path: str) -> None:
     """Measure start-up, period and the inter-run pause; write the device profile."""
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
-    expand_suite(cfg.suite_config(dev.capacity, None), cfg.micros())  # as format does
+    cfg.check_plannable(dev.capacity, None)  # as format does
 
     c = cfg.calibration
     profile = calibrate_phases(
@@ -295,6 +326,7 @@ def cmd_calibrate(config_path: str) -> None:
         dev, cfg.seed, c.probe_reads, c.disturb_writes, c.observe_reads, c.settle_pause_us
     )
     profile = replace(profile, inter_run_pause_us=pause.pause_us)
+    cfg.check_plannable(dev.capacity, profile)  # with the counts `plan` will use
     out = cfg.output_dir / "device_profile.json"
     save(profile, out)
     cfg.persist_device(dev)
@@ -350,11 +382,18 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
 def cmd_run(config_path: str) -> None:
     """Execute the plan, journaling each completed step."""
     cfg = CampaignConfig.load(config_path)
-    plan = load_plan(cfg.output_dir / "plan.json")
+    plan_path = cfg.output_dir / "plan.json"
+    plan = load_plan(plan_path)
     verify_plan(plan)
-    journal = cfg.journal()
-    done = journal.done_steps() if cfg.resume else set()
+    plan_hash = hashlib.sha256(plan_path.read_bytes()).hexdigest()
     dev = cfg.open_device()
+    journal, commit = cfg.resume(dev)
+    begun = journal.last("run")
+    if begun is None:
+        journal.record("run", plan=plan_hash)
+    elif begun["plan"] != plan_hash:
+        raise ValueError(f"plan.json is {plan_hash}, but run began on plan {begun['plan']}")
+    done = journal.done_steps()
     traces_root = cfg.output_dir / "traces"
     device = cfg.device_label()
     executed = 0
@@ -369,9 +408,8 @@ def cmd_run(config_path: str) -> None:
             if step_id in done:
                 continue
             click.echo("state reset: re-enforcing random state")
-            enforce_random_state(dev, seed=derive_seed(cfg.seed, 0xF0, i))
-            cfg.persist_device(dev)
-            journal.record(step_id, status="done")
+            reset = enforce_random_state(dev, seed=derive_seed(cfg.seed, 0xF0, i))
+            commit(step_id, reset.ios_issued, status="done")
             continue
         step_id = step.step_id
         if step_id in done:
@@ -385,11 +423,9 @@ def cmd_run(config_path: str) -> None:
         path = traces_root / trace_relpath(step.experiment, step.run_index, device)
         save_trace(trace, path)
         if trace.error:
-            cfg.persist_device(dev)
-            journal.record(step_id, status="failed", error=trace.error)
+            commit(step_id, None, status="failed", error=trace.error)
             _fail(EXIT_DEVICE, f"{step_id}: {trace.error} (partial trace at {path})")
-        cfg.persist_device(dev)
-        journal.record(step_id, status="done")
+        commit(step_id, len(trace.records), end=i == len(plan.steps) - 1, status="done")
         executed += 1
     cfg.write_manifest("run", executed=executed, skipped=skipped)
     click.echo(f"runs executed: {executed}, resumed past: {skipped}")
@@ -438,7 +474,7 @@ def cmd_report(config_path: str) -> None:
             f"{unfinished} of {len(plan.run_steps())} planned runs left out: not journaled done"
         )
     save(report, report_dir / "summary.json")
-    (report_dir / "summary.txt").write_text(report.to_text() + "\n")
+    write_atomic(report_dir / "summary.txt", report.to_text() + "\n")
     plots = report_dir / "plots"
     for micro in sorted({o.micro for o in outcomes}):
         emit_plot_data(outcomes, micro, plots)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
@@ -49,13 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..serialization import dumps, to_data
+from ..serialization import dumps, to_data, write_atomic
 from . import DeviceError, check_alignment
 
 KB = 1024
 MB = 1024 * 1024
 
-_SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION = 3
 
 
 class SimulationStall(DeviceError):
@@ -231,6 +230,8 @@ class SimulatedDevice:
         self._drain_credit = 0.0
         self._pages_programmed = 0
         self._gc_copies = 0
+        # campaign journal entries this state reflects, kept in the snapshot
+        self.journaled = 0
 
     # ------------------------------------------------------------------ IO
 
@@ -437,6 +438,7 @@ class SimulatedDevice:
         header = {
             "version": _SNAPSHOT_VERSION,
             "profile": self.profile.fingerprint(),
+            "journaled": self.journaled,
             "scalars": {name: getattr(self, name) for name in self._SCALARS},
             "pool": list(self._pool),
             "streams": self._streams,
@@ -455,6 +457,7 @@ class SimulatedDevice:
             raise DeviceError("snapshot was taken with a different profile")
         for name in self._SCALARS:
             setattr(self, name, header["scalars"][name])
+        self.journaled = header["journaled"]
         self._pool = deque(header["pool"])
         self._streams = [tuple(t) for t in header["streams"]]
         self._cached_regions = {r: None for r in header["cached_regions"]}
@@ -470,16 +473,7 @@ class SimulatedDevice:
             off += nbytes
 
     def save_state(self, path: str | Path) -> None:
-        """Replace the snapshot at path atomically, through a temporary
-        file and os.replace: a save that fails part-way leaves the
-        previous snapshot in place.  There is no fsync: a campaign saves
-        after every run step, and a sync per save would add to the time
-        of every step.  Without it a power loss, unlike a crash of the
-        process, can still lose the snapshot."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(self.snapshot_state())
-        os.replace(tmp, path)
+        write_atomic(path, self.snapshot_state())
 
     def load_state(self, path: str | Path) -> None:
         self.restore_state(Path(path).read_bytes())

@@ -2,8 +2,8 @@
 
 Multi-hour campaigns must survive interruption: every completed step is
 recorded as one JSON line, and a restarted command replays the journal
-to skip finished work.  Corrupt trailing lines (a crash mid-write) are
-ignored rather than fatal.
+to skip finished work.  A torn last line (a crash mid-append) is dropped
+on load by an atomic rewrite, so the next entry starts a line of its own.
 """
 
 from __future__ import annotations
@@ -11,34 +11,40 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .serialization import write_atomic
+
 
 class Journal:
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: list[dict] = []
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    self._entries.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break
+        self.entries: list[dict] = []
+        lines = (self.path.read_text() if self.path.exists() else "").split("\n")
+        for line in lines[:-1]:
+            try:
+                self.entries.append(json.loads(line))
+            except json.JSONDecodeError:
+                break
+        if lines[-1] or len(self.entries) < len(lines) - 1:  # a torn line
+            self.cut(len(self.entries))
 
     def record(self, step: str, **payload) -> None:
         entry = {"step": step, **payload}
-        self._entries.append(entry)
+        self.entries.append(entry)
         with self.path.open("a") as fp:
             fp.write(json.dumps(entry, sort_keys=True) + "\n")
 
+    def cut(self, n: int) -> None:
+        """Keep the first n entries, rewriting the file atomically."""
+        if n > len(self.entries):
+            raise ValueError(f"journal holds {len(self.entries)} entries, "
+                             f"but the device snapshot reflects {n}")
+        del self.entries[n:]
+        write_atomic(self.path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries))
+
     def done_steps(self) -> set[str]:
         """Steps whose latest entry is done."""
-        latest = {e["step"]: e.get("status") for e in self._entries}
+        latest = {e["step"]: e.get("status") for e in self.entries}
         return {step for step, status in latest.items() if status == "done"}
 
     def last(self, step: str) -> dict | None:
-        for e in reversed(self._entries):
-            if e.get("step") == step:
-                return e
-        return None
+        return next((e for e in reversed(self.entries) if e["step"] == step), None)

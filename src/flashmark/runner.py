@@ -18,6 +18,7 @@ CSV's columns in order.
 from __future__ import annotations
 
 import heapq
+import io
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ from .patterns import (
     interleave_mix,
     split_parallel,
 )
+from .serialization import write_atomic
 
 
 class TraceRecord(NamedTuple):
@@ -214,5 +216,6 @@ def read_trace_csv(fp: IO[str]) -> Trace:
 
 def save_trace(trace: Trace, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fp:
-        write_trace_csv(trace, fp)
+    text = io.StringIO()
+    write_trace_csv(trace, text)
+    write_atomic(path, text.getvalue())

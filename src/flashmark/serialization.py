@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import types
 import typing
 from enum import Enum
@@ -154,8 +155,17 @@ def dumps(obj) -> str:
     return json.dumps(to_data(obj), indent=2, sort_keys=True)
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace the file at path through a temporary file, so a failed write
+    leaves the previous bytes.  No fsync: a power loss can still lose it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
 def save(obj, path: str | Path) -> None:
-    Path(path).write_text(dumps(obj))
+    write_atomic(path, dumps(obj))
 
 
 def load(cls, path: str | Path):
@@ -178,7 +188,7 @@ def plan_from_dict(d: dict) -> BenchmarkPlan:
 
 def save_plan(plan: BenchmarkPlan, path: str | Path) -> None:
     # plan_to_dict already holds JSON values; dumps would copy them again
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(plan_to_dict(plan), indent=2, sort_keys=True))
 
 
 def load_plan(path: str | Path) -> BenchmarkPlan:

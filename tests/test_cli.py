@@ -8,10 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 from flashmark.analysis import SummaryThresholds
+from flashmark import cli
 from flashmark.cli import CampaignConfig, DeviceConfig, main
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice
 from flashmark.methodology import CalibrationConfig
 from flashmark.microbench import SuiteConfig
+from flashmark.patterns import BASELINES
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -135,8 +137,10 @@ class TestPipeline:
         except (AttributeError, OSError) as exc:
             pytest.skip(f"no O_DIRECT open here: {exc}")
         p = tmp_path / "c.json"
+        # the default suite cannot be planned on 1 MB, and format checks that
+        suite = {"micros": ["pause"], "io_count_by_pattern": dict.fromkeys(BASELINES, 16)}
         p.write_text(json.dumps(
-            {"device": {"raw_path": str(disk)}, "output_dir": str(tmp_path / "out")}
+            {"device": {"raw_path": str(disk)}, "output_dir": str(tmp_path / "out"), "suite": suite}
         ))
         r = invoke(["format", "--config", str(p), "--force"])
         assert r.exit_code == 0, r.output
@@ -161,9 +165,11 @@ class TestPipeline:
                 "device": {"simulator_profile": str(profile_path)},
                 "output_dir": str(tmp_path / tag),
                 "seed": 3,
+                "suite": {"micros": ["pause"]},  # the default suite needs 256 MB
             }))
         assert invoke(["format", "--config", str(configs["whole"])]).exit_code == 0
 
+        monkeypatch.setattr(cli, "COMMIT_IOS", 2048)
         with monkeypatch.context() as m:
             fail_simulator_write(m, at=2500)
             r = invoke(["format", "--config", str(configs["interrupted"])])
@@ -182,6 +188,7 @@ class TestPipeline:
         plan = json.loads((out / "plan.json").read_text())
         runs = [s for s in plan["steps"] if s["kind"] == "run"]
 
+        monkeypatch.setattr(cli, "COMMIT_IOS", 1)
         with monkeypatch.context() as m:
             fail_simulator_write(m, at=20)
             r = invoke(["run", "--config", str(config_path)])
@@ -314,6 +321,10 @@ MALFORMED_INPUTS = [
         lambda c, p, raw: c["suite"].update(base_target_offset=1 * GB), "base_target_offset",
         id="suite-offset-past-capacity",
     ),
+    pytest.param(
+        lambda c, p, raw: c["suite"].update(micros=["locality"], max_target_size=None),
+        "locality/RR/target_size=67108864", id="suite-target-past-capacity",
+    ),
 ]
 
 
@@ -336,6 +347,23 @@ class TestValidation:
         assert key in r.output
         assert not (out / "device_state.bin").exists()
         assert raw.read_bytes() == blob
+
+    def test_calibrated_counts_that_cannot_be_planned_exit_two(self, tmp_path):
+        # the default IO counts fit a 256 MB lowend-usb, the calibrated
+        # ones (SW 2560) do not: calibrate stops before saving the profile
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "device": {"simulator_profile": "lowend-usb"},
+            "output_dir": str(tmp_path / "out"),
+            "suite": {"micros": ["granularity"]},
+            "calibration": {"long_io_count": 4096, "settle_pause_us": 1_000_000,
+                            "observe_reads": 256, "disturb_writes": 64, "probe_reads": 64},
+        }))
+        assert invoke(["format", "--config", str(config_path)]).exit_code == 0
+        r = invoke(["calibrate", "--config", str(config_path)])
+        assert r.exit_code == 2
+        assert "granularity/SW/io_size=131072: target of 335544320 bytes exceeds capacity" in r.output
+        assert not (tmp_path / "out" / "device_profile.json").exists()
 
     def test_raw_device_requires_force(self, tmp_path):
         blob = tmp_path / "disk"
@@ -374,17 +402,6 @@ class TestValidation:
         p.write_text(json.dumps(config))
         r = invoke(["format", "--config", str(p), "--force"])
         assert r.exit_code == 3
-
-    def test_resume_false_repeats_runs(self, campaign):
-        config_path, out = campaign
-        for cmd in (["format"], ["calibrate"], ["plan"], ["run"]):
-            assert invoke(cmd + ["--config", str(config_path)]).exit_code == 0
-        cfg = json.loads(config_path.read_text())
-        cfg["resume"] = False
-        config_path.write_text(json.dumps(cfg))
-        r = invoke(["run", "--config", str(config_path)])
-        assert r.exit_code == 0
-        assert "runs executed: 0" not in r.output
 
     def test_misspelt_simulator_profile_key_rejected(self, tmp_path):
         profile = json.loads(SimProfile(capacity=32 * MB, name="tinysim").to_json())

@@ -1,0 +1,183 @@
+"""Interrupted campaigns: the journal, the simulator snapshot it is cut
+back to, and the property that a resumed campaign's artifacts equal an
+uninterrupted one's."""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flashmark import cli
+from flashmark.device import DeviceError, SimulatedDevice, builtin_profile
+from flashmark.journal import Journal
+
+MB = 1024 * 1024
+STAGES = ("format", "calibrate", "plan", "run", "report")
+
+
+def invoke(stage, config_path):
+    return CliRunner().invoke(cli.main, [stage, "--config", str(config_path)],
+                              catch_exceptions=False)
+
+
+def write_campaign(root: Path, profile: str) -> Path:
+    """A 4 MB campaign whose plan holds state resets and 56 runs."""
+    root.mkdir(parents=True, exist_ok=True)
+    profile_path = root / "profile.json"
+    profile_path.write_text(builtin_profile(profile, capacity=4 * MB).to_json())
+    config = {
+        "device": {"simulator_profile": str(profile_path)},
+        "output_dir": str(root / "out"),
+        "seed": 5,
+        "suite": {
+            "micros": ["granularity"],
+            "io_count_by_pattern": {"SR": 16, "RR": 16, "SW": 16, "RW": 16},
+            "repetitions": 1,
+            "base_target_size": 2 * MB,
+        },
+        "calibration": {"long_io_count": 256, "settle_pause_us": 1_000_000,
+                        "observe_reads": 256, "disturb_writes": 64, "probe_reads": 64},
+    }
+    config_path = root / "campaign.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def run_campaign(config_path: Path, fail_at=frozenset()) -> int:
+    """Every stage, each re-run until it exits 0; the simulator writes
+    whose 1-based index (over the whole campaign) is in fail_at raise.
+    Returns the number of writes issued."""
+    real_write = SimulatedDevice.write
+    count = [0]
+
+    def write(self, lba, size):
+        count[0] += 1
+        if count[0] in fail_at:
+            raise DeviceError("injected write failure")
+        return real_write(self, lba, size)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SimulatedDevice, "write", write)
+        for stage in STAGES:
+            for _ in range(len(fail_at) + 1):
+                r = invoke(stage, config_path)
+                if r.exit_code == 0:
+                    break
+                assert r.exit_code == 3, r.output
+            assert r.exit_code == 0, r.output
+    return count[0]
+
+
+def artifacts(out: Path) -> dict[str, bytes]:
+    files = [*out.glob("traces/**/*.csv"), *out.glob("report/**/*.*"),
+             out / "device_state.bin", out / "journal.jsonl"]
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in files}
+
+
+class Campaigns(dict):
+    def __repr__(self):  # hypothesis prints it with each falsifying example
+        return f"<uninterrupted campaigns on {sorted(self)}>"
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """Per built-in profile: the artifacts and write count of a campaign."""
+    out = Campaigns()
+    for profile in ("highend-ssd", "lowend-usb"):
+        config_path = write_campaign(tmp_path_factory.mktemp(profile), profile)
+        writes = run_campaign(config_path)
+        out[profile] = (artifacts(config_path.parent / "out"), writes)
+    return out
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    profile=st.sampled_from(["highend-ssd", "lowend-usb"]),
+    commit_ios=st.sampled_from([1, 300, cli.COMMIT_IOS]),
+    data=st.data(),
+)
+def test_interrupted_campaign_equals_uninterrupted(uninterrupted, profile, commit_ios, data):
+    # the failures land in format, calibrate, state resets and runs alike
+    expected, writes = uninterrupted[profile]
+    fail_at = data.draw(st.sets(st.integers(1, writes), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "COMMIT_IOS", commit_ios)
+        config_path = write_campaign(Path(tmp), profile)
+        run_campaign(config_path, frozenset(fail_at))
+        got = artifacts(config_path.parent / "out")
+    assert sorted(k for k in expected.keys() | got.keys() if got.get(k) != expected.get(k)) == []
+
+
+class TestJournal:
+    def test_torn_last_line_is_dropped_before_the_next_entry(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path)
+        journal.record("a", status="done")
+        journal.record("b", status="done")
+        with path.open("a") as fp:
+            fp.write('{"status": "do')  # a crash mid-append
+        journal = Journal(path)
+        journal.record("c", status="done")
+        journal.record("d", status="done")
+        assert [e["step"] for e in Journal(path).entries] == ["a", "b", "c", "d"]
+
+    def test_cut_keeps_a_prefix_and_rewrites_the_file(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path)
+        for step in "abc":
+            journal.record(step)
+        journal.cut(1)
+        assert [e["step"] for e in Journal(path).entries] == ["a"]
+        with pytest.raises(ValueError, match="journal holds 1 entries, but the device snapshot reflects 2"):
+            journal.cut(2)
+
+
+class TestResume:
+    def test_journal_shorter_than_snapshot_exits_two(self, tmp_path):
+        config_path = write_campaign(tmp_path, "lowend-usb")
+        out = tmp_path / "out"
+        for stage in ("format", "calibrate", "plan"):
+            assert invoke(stage, config_path).exit_code == 0
+        (out / "journal.jsonl").write_text("")
+        r = invoke("run", config_path)
+        assert r.exit_code == 2
+        assert "journal holds 0 entries, but the device snapshot reflects 1" in r.output
+
+    def test_format_two_snapshot_exits_three_and_keeps_the_journal(self, tmp_path):
+        config_path = write_campaign(tmp_path, "lowend-usb")
+        out = tmp_path / "out"
+        assert invoke("format", config_path).exit_code == 0
+        blob = (out / "device_state.bin").read_bytes()
+        n = int.from_bytes(blob[:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        header["version"] = 2
+        del header["journaled"]
+        head = json.dumps(header, sort_keys=True).encode()
+        (out / "device_state.bin").write_bytes(len(head).to_bytes(8, "little") + head + blob[8 + n :])
+        journal = (out / "journal.jsonl").read_bytes()
+        r = invoke("format", config_path)
+        assert r.exit_code == 3
+        assert "snapshot version mismatch: 2" in r.output
+        assert (out / "journal.jsonl").read_bytes() == journal
+
+    def test_run_against_a_replanned_suite_exits_two(self, tmp_path):
+        config_path = write_campaign(tmp_path, "lowend-usb")
+        out = tmp_path / "out"
+        for stage in ("format", "calibrate", "plan", "run"):
+            assert invoke(stage, config_path).exit_code == 0
+        old = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
+        config = json.loads(config_path.read_text())
+        config["suite"]["repetitions"] = 2
+        config_path.write_text(json.dumps(config))
+        assert invoke("plan", config_path).exit_code == 0
+        new = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
+        state = (out / "device_state.bin").read_bytes()
+        r = invoke("run", config_path)
+        assert r.exit_code == 2
+        assert old in r.output and new in r.output
+        assert (out / "device_state.bin").read_bytes() == state

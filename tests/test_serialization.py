@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,14 @@ from flashmark.microbench import (
     StateReset,
 )
 from flashmark.patterns import Burst, Consecutive, MixSpec, Mode, PatternSpec, Random, Sequential
+from flashmark.runner import Trace, TraceRecord, save_trace
 from flashmark.serialization import (
     PLAN_FORMAT_VERSION,
     SchemaError,
     from_data,
     plan_from_dict,
     plan_to_dict,
+    save_plan,
     to_data,
 )
 
@@ -148,3 +152,30 @@ class TestScalarTypes:
         d["steps"][2]["experiment"]["pattern"]["io_count"] = "16"
         with pytest.raises(SchemaError, match=r"PatternSpec\.io_count: expected int, got '16'"):
             plan_from_dict(d)
+
+
+class TestAtomicWrites:
+    """An artifact a later stage reads is replaced whole or not at all."""
+
+    @pytest.mark.parametrize("artifact", ["plan", "trace"])
+    def test_failed_write_keeps_the_previous_bytes(self, tmp_path, monkeypatch, artifact):
+        path = tmp_path / f"{artifact}.out"
+        if artifact == "plan":
+            old, new = small_plan(), replace(small_plan(), capacity=128 * MB)
+            save = save_plan
+        else:
+            old, new = (Trace([TraceRecord(i, 0, rt, 0, 512, "write", 0) for i in range(4)])
+                        for rt in (10, 20))
+            save = save_trace
+        save(old, path)
+        before = path.read_bytes()
+        real_write_bytes = Path.write_bytes
+
+        def torn_write(self, data):
+            real_write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError):
+            save(new, path)
+        assert path.read_bytes() == before
