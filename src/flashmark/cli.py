@@ -41,6 +41,7 @@ from .journal import Journal
 from .methodology import (
     CalibrationConfig,
     DeviceProfile,
+    EnforceResult,
     build_plan,
     calibrate_pause,
     calibrate_phases,
@@ -48,7 +49,7 @@ from .methodology import (
     verify_plan,
 )
 from .microbench import (
-    ExperimentSpec, Micro, PauseStep, StateReset, SuiteConfig, assign_target_offsets, expand_suite,
+    ExperimentSpec, Micro, StateReset, SuiteConfig, assign_target_offsets, expand_suite,
 )
 from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
@@ -60,6 +61,9 @@ EXIT_DEVICE = 3
 # Device IOs between two simulator snapshots (about 3 s of highend work); IOs,
 # not wall time, so every campaign of one seed writes the same snapshots.
 COMMIT_IOS = 65536
+# Device IOs between two journaled checkpoints of a state enforcement: an
+# interrupted `format` or state reset resumes at its last one.
+CHECKPOINT_IOS = 2048
 
 _VALIDATION_ERRORS = (ValueError, KeyError, PatternError, SchemaError, FileNotFoundError)
 
@@ -219,6 +223,40 @@ def _decode(tp, data, key: str):
         raise SchemaError(f"{key}: {exc}") from None
 
 
+def _enforce_state(dev: BlockDevice, journal: Journal, commit, step: str, seed: int,
+                   end: bool = False) -> EnforceResult | None:
+    """Enforce the random state on dev as the journal step `step`, `format`
+    or `reset/<i>`.  Does nothing if the step's latest entry is done, and
+    otherwise resumes at its last checkpoint.  Every CHECKPOINT_IOS IOs it
+    commits a checkpoint and prints coverage, IOs and an ETA; at the end it
+    commits done, as a stage end if end is set.  None if nothing was done."""
+    last = journal.last(step) or {}
+    if last.get("status") == "done":
+        return None
+    start_io = last.get("ios", 0)
+    if start_io:
+        click.echo(f"resuming {step} at IO {start_io}")
+    t_wall = time.time()
+
+    def show(coverage: float, ios: int) -> None:
+        eta = (time.time() - t_wall) * (1 - coverage) / coverage
+        click.echo(f"\r{step}: coverage {coverage:6.1%}  ios {ios}  eta {eta:8.0f}s",
+                   nl=False, err=True)
+
+    def checkpoint(coverage: float, ios: int) -> None:
+        commit(step, CHECKPOINT_IOS, status="progress", ios=ios, coverage=coverage)
+        show(coverage, ios)
+
+    result = enforce_random_state(
+        dev, seed, progress=checkpoint, every=CHECKPOINT_IOS, start_io=start_io
+    )
+    show(result.coverage, result.ios_issued)
+    click.echo("", err=True)
+    commit(step, result.ios_issued % CHECKPOINT_IOS, end=end,
+           status="done", ios=result.ios_issued, coverage=result.coverage)
+    return result
+
+
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -272,30 +310,10 @@ def cmd_format(config_path: str, force: bool) -> None:
     # a suite that cannot be planned on this device stops here, before any IO
     cfg.check_plannable(dev.capacity, None)
     journal, commit = cfg.resume(dev)
-    checkpoint = journal.last("format") or {}
-    if checkpoint.get("status") == "done":
+    result = _enforce_state(dev, journal, commit, "format", derive_seed(cfg.seed, 0xF0), end=True)
+    if result is None:
         click.echo("format already complete (journal); nothing to do")
         return
-    start_io = checkpoint.get("ios", 0)
-    if start_io:
-        click.echo(f"resuming format at IO {start_io}")
-    t_wall = time.time()
-
-    def progress(fraction: float, ios: int) -> None:
-        if ios % 2048 == 0:
-            commit("format", 2048, status="progress", ios=ios, coverage=fraction)
-        elapsed = time.time() - t_wall
-        eta = elapsed * (1 - fraction) / fraction if fraction > 0 else 0.0
-        click.echo(
-            f"\rcoverage {fraction:6.1%}  ios {ios}  eta {eta:8.0f}s", nl=False, err=True
-        )
-
-    result = enforce_random_state(
-        dev, seed=derive_seed(cfg.seed, 0xF0), progress=progress, start_io=start_io
-    )
-    click.echo("", err=True)
-    commit("format", result.ios_issued % 2048, end=True,
-           status="done", ios=result.ios_issued, coverage=result.coverage)
     cfg.write_manifest(
         "format",
         ios=result.ios_issued,
@@ -316,6 +334,9 @@ def cmd_calibrate(config_path: str) -> None:
     """Measure start-up, period and the inter-run pause; write the device profile."""
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
+    journal, _ = cfg.resume(dev)
+    if (journal.last("format") or {}).get("status") != "done":
+        raise ValueError("format has not finished (journal); run format first")
     cfg.check_plannable(dev.capacity, None)  # as format does
 
     c = cfg.calibration
@@ -398,29 +419,20 @@ def cmd_run(config_path: str) -> None:
     device = cfg.device_label()
     executed = 0
     skipped = 0
-    pending_pause = 0
     for i, step in enumerate(plan.steps):
-        if isinstance(step, PauseStep):
-            pending_pause = step.duration_us
-            continue
         if isinstance(step, StateReset):
-            step_id = f"reset/{i}"
-            if step_id in done:
-                continue
-            click.echo("state reset: re-enforcing random state")
-            reset = enforce_random_state(dev, seed=derive_seed(cfg.seed, 0xF0, i))
-            commit(step_id, reset.ios_issued, status="done")
+            # seeded by i plus the runs before it, the reset's index when a
+            # pause step preceded every run: the device history is unchanged
+            seed = derive_seed(cfg.seed, 0xF0, i + executed + skipped)
+            _enforce_state(dev, journal, commit, f"reset/{i}", seed)
             continue
         step_id = step.step_id
         if step_id in done:
             skipped += 1
-            pending_pause = 0
             continue
-        if pending_pause:
-            dev.idle(pending_pause)
-            pending_pause = 0
+        dev.idle(plan.inter_run_pause_us)
         trace = execute_run(dev, step.experiment.pattern)
-        path = traces_root / trace_relpath(step.experiment, step.run_index, device)
+        path = traces_root / trace_relpath(step, device)
         save_trace(trace, path)
         if trace.error:
             commit(step_id, None, status="failed", error=trace.error)
@@ -457,7 +469,7 @@ def cmd_report(config_path: str) -> None:
             unfinished += 1
             continue
         exp = step.experiment
-        path = traces_root / trace_relpath(exp, step.run_index, device)
+        path = traces_root / trace_relpath(step, device)
         with path.open() as fp:
             trace = read_trace_csv(fp)
         mean = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))

@@ -29,7 +29,6 @@ from .microbench import (
     MIN_INTER_RUN_PAUSE_US,
     BenchmarkPlan,
     ExperimentSpec,
-    PauseStep,
     PlanStep,
     RunStep,
     StateReset,
@@ -112,6 +111,7 @@ def enforce_random_state(
     device: BlockDevice,
     seed: int,
     progress: Callable[[float, int], None] | None = None,
+    every: int = 1,
     start_io: int = 0,
 ) -> EnforceResult:
     """Drive the device into the well-defined random-write state.
@@ -124,7 +124,8 @@ def enforce_random_state(
 
     The write sequence is a pure function of the seed, which makes the
     process resumable: the first start_io writes are replayed into the
-    bitmap without touching the device.
+    bitmap without touching the device.  progress(coverage, ios) is called
+    after each written IO whose count is a multiple of every.
     """
     cap = device.capacity
     sectors = cap // 512
@@ -148,7 +149,7 @@ def enforce_random_state(
         covered[lba // 512 : (lba + size) // 512] = True
         written += size
         ios += 1
-        if live and progress and ios % 512 == 0:
+        if live and progress and ios % every == 0:
             progress(float(covered.mean()), ios)
 
     while written < target_bytes:
@@ -172,8 +173,6 @@ def enforce_random_state(
         one_write(start * 512, (end - start + 1) * 512)
         i += 1
 
-    if progress:
-        progress(1.0, ios)
     if not covered.all():
         raise EnforcementError("coverage incomplete after targeted pass", float(covered.mean()))
     return EnforceResult(
@@ -317,8 +316,9 @@ def build_plan(
     Sequential-write-bearing experiments are grouped last within each
     state epoch with pairwise disjoint target ranges; a state reset is
     inserted only when their accumulated space would exceed the device.
-    Every run is preceded by the calibrated inter-run pause, and every
-    run's warm-up count is set from the per-baseline start-up.
+    The plan carries the calibrated inter-run pause that `run` idles
+    before every run, and every run's warm-up count is set from the
+    per-baseline start-up.
     """
     ordered, resets = assign_target_offsets(list(experiments), capacity, base_offset)
     pause = max(profile.inter_run_pause_us, MIN_INTER_RUN_PAUSE_US)
@@ -327,9 +327,7 @@ def build_plan(
         if pos in resets:
             steps.append(StateReset())
         exp = exp.with_io_ignore(scaled_io_ignore(exp, profile))
-        for k in range(exp.repetitions):
-            steps.append(PauseStep(pause))
-            steps.append(RunStep(exp, k))
+        steps.extend(RunStep(exp, k) for k in range(exp.repetitions))
     plan = BenchmarkPlan(steps=steps, capacity=capacity, inter_run_pause_us=pause)
     verify_plan(plan)
     return plan
@@ -338,45 +336,44 @@ def build_plan(
 def verify_plan(plan: BenchmarkPlan) -> None:
     """Replay the plan against a capacity ledger.
 
-    Checks, per state epoch, that sequential-write ranges never overlap
-    and never accumulate beyond the capacity, and that a sufficient
-    pause precedes every run.  A range includes the io_shift overhang
-    past the nominal target end, as assign_target_offsets allocates it.
+    Checks that the inter-run pause is at least the minimum, and, per
+    state epoch, that sequential-write ranges never overlap and never
+    accumulate beyond the capacity.  A range includes the io_shift
+    overhang past the nominal target end, as assign_target_offsets
+    allocates it.
     """
+    if plan.inter_run_pause_us < MIN_INTER_RUN_PAUSE_US:
+        raise PlanError(
+            f"inter-run pause {plan.inter_run_pause_us} us is below the minimum "
+            f"{MIN_INTER_RUN_PAUSE_US} us"
+        )
     epoch_ranges: list[tuple[int, int]] = []
     epoch_total = 0
-    pause_ready = False
     seen_first_rep: set[str] = set()
     for step in plan.steps:
         if isinstance(step, StateReset):
             epoch_ranges = []
             epoch_total = 0
-        elif isinstance(step, PauseStep):
-            if step.duration_us >= plan.inter_run_pause_us:
-                pause_ready = True
-        elif isinstance(step, RunStep):
-            if not pause_ready:
-                raise PlanError(f"run {step.step_id} not preceded by an inter-run pause")
-            pause_ready = False
-            exp = step.experiment
-            if exp.sequential_write_bearing and exp.experiment_id not in seen_first_rep:
-                seen_first_rep.add(exp.experiment_id)
-                for spec in exp.pattern.components:
-                    if not spec.writes_sequentially:
-                        continue
-                    size = spec.target_size + spec.io_shift
-                    rng = (spec.target_offset, spec.target_offset + size)
-                    for lo, hi in epoch_ranges:
-                        if rng[0] < hi and lo < rng[1]:
-                            raise PlanError(
-                                f"{exp.experiment_id}: sequential-write range overlaps an "
-                                f"earlier one in the same epoch"
-                            )
-                    epoch_ranges.append(rng)
-                    epoch_total += size
-                    if epoch_total > plan.capacity:
-                        raise PlanError(
-                            f"{exp.experiment_id}: accumulated sequential-write space "
-                            f"exceeds capacity within one epoch"
-                        )
-    return None
+            continue
+        exp = step.experiment
+        if not exp.sequential_write_bearing or exp.experiment_id in seen_first_rep:
+            continue
+        seen_first_rep.add(exp.experiment_id)
+        for spec in exp.pattern.components:
+            if not spec.writes_sequentially:
+                continue
+            size = spec.target_size + spec.io_shift
+            rng = (spec.target_offset, spec.target_offset + size)
+            for lo, hi in epoch_ranges:
+                if rng[0] < hi and lo < rng[1]:
+                    raise PlanError(
+                        f"{exp.experiment_id}: sequential-write range overlaps an "
+                        f"earlier one in the same epoch"
+                    )
+            epoch_ranges.append(rng)
+            epoch_total += size
+            if epoch_total > plan.capacity:
+                raise PlanError(
+                    f"{exp.experiment_id}: accumulated sequential-write space "
+                    f"exceeds capacity within one epoch"
+                )

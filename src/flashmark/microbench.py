@@ -409,12 +409,6 @@ class StateReset:
 
 
 @dataclass(frozen=True)
-class PauseStep:
-    duration_us: int
-    kind = "pause"
-
-
-@dataclass(frozen=True)
 class RunStep:
     experiment: ExperimentSpec
     run_index: int
@@ -425,7 +419,7 @@ class RunStep:
         return f"{self.experiment.experiment_id}/run{self.run_index}"
 
 
-PlanStep = StateReset | PauseStep | RunStep
+PlanStep = StateReset | RunStep
 
 
 @dataclass

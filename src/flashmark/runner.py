@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
 from .device import BlockDevice, DeviceError
-from .microbench import ExperimentSpec
+from .microbench import RunStep
 from .patterns import (
     IORequest,
     MixSpec,
@@ -190,14 +190,8 @@ def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: T
 # ----------------------------------------------------------------- files
 
 
-def trace_relpath(exp: ExperimentSpec, run_index: int, device_id: str) -> Path:
-    return (
-        Path(device_id)
-        / exp.micro.value
-        / exp.baseline
-        / f"{exp.varying_name}={exp.varying_value}"
-        / f"run{run_index}.csv"
-    )
+def trace_relpath(step: RunStep, device_id: str) -> Path:
+    return Path(device_id) / f"{step.step_id}.csv"
 
 
 def write_trace_csv(trace: Trace, fp: IO[str]) -> None:

@@ -88,7 +88,7 @@ class TestPipeline:
         r = invoke(["plan", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["format_version"] == 3
+        assert plan["format_version"] == 4
 
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
@@ -180,6 +180,66 @@ class TestPipeline:
 
         whole = (tmp_path / "whole" / "device_state.bin").read_bytes()
         assert (tmp_path / "interrupted" / "device_state.bin").read_bytes() == whole
+
+    def test_calibrate_after_unfinished_format_exits_two(self, tmp_path, monkeypatch):
+        # format fails at write 2500, after the checkpoint and snapshot at IO 2048
+        profile_path = tmp_path / "midsim.json"
+        profile_path.write_text(SimProfile(capacity=128 * MB, name="midsim").to_json())
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "device": {"simulator_profile": str(profile_path)},
+            "output_dir": str(tmp_path / "out"),
+            "suite": {"micros": ["pause"]},
+        }))
+        monkeypatch.setattr(cli, "COMMIT_IOS", 2048)
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=2500)
+            assert invoke(["format", "--config", str(config_path)]).exit_code == 3
+        out = tmp_path / "out"
+        state = (out / "device_state.bin").read_bytes()
+        journal = (out / "journal.jsonl").read_bytes()
+        r = invoke(["calibrate", "--config", str(config_path)])
+        assert r.exit_code == 2
+        assert "format has not finished" in r.output
+        assert not (out / "device_profile.json").exists()
+        assert (out / "device_state.bin").read_bytes() == state
+        assert (out / "journal.jsonl").read_bytes() == journal
+
+    def test_inter_run_pause_precedes_every_run(self, campaign, monkeypatch):
+        # the device idles the plan's pause right before each run's first IO,
+        # also before the first run of a resumed `run`
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        plan = json.loads((out / "plan.json").read_text())
+        runs = [s for s in plan["steps"] if s["kind"] == "run"]
+        events = []
+        for name in ("read", "write", "idle"):
+            def record(self, *args, _name=name, _real=getattr(SimulatedDevice, name)):
+                events.append((_name, *args))
+                return _real(self, *args)
+            monkeypatch.setattr(SimulatedDevice, name, record)
+        real_execute_run = cli.execute_run
+
+        def execute_run(dev, pattern):
+            events.append(("run",))
+            return real_execute_run(dev, pattern)
+
+        monkeypatch.setattr(cli, "execute_run", execute_run)
+        monkeypatch.setattr(cli, "COMMIT_IOS", 1)  # only the failed run is redone
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=20)
+            assert invoke(["run", "--config", str(config_path)]).exit_code == 3
+        resumed_at = len(events)
+        r = invoke(["run", "--config", str(config_path)])
+        assert r.exit_code == 0, r.output
+
+        starts = [i for i, e in enumerate(events) if e == ("run",)]
+        assert len(starts) == len(runs) + 1  # the failed run ran twice
+        assert any(i > resumed_at for i in starts)
+        for i in starts:
+            assert events[i - 1] == ("idle", plan["inter_run_pause_us"])
+            assert events[i + 1][0] in ("read", "write")
 
     def test_run_failure_keeps_partial_trace_and_resumes(self, campaign, monkeypatch):
         config_path, out = campaign

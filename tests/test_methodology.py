@@ -9,7 +9,7 @@ from flashmark.methodology import (
     BenchmarkPlan,
     DeviceProfile,
     EnforcementError,
-    PauseStep,
+    MIN_INTER_RUN_PAUSE_US,
     PlanError,
     RunStep,
     StateReset,
@@ -138,8 +138,12 @@ class TestEnforceRandomState:
 
     def test_progress_reported(self):
         marks = []
-        enforce_random_state(small_sim(), seed=3, progress=lambda f, n: marks.append(f))
-        assert marks and marks[-1] == 1.0
+        result = enforce_random_state(
+            small_sim(), seed=3, progress=lambda f, n: marks.append((n, f)), every=64
+        )
+        assert [n for n, _ in marks] == list(range(64, result.ios_issued + 1, 64))
+        coverage = [f for _, f in marks]
+        assert coverage == sorted(coverage) and 0.0 < coverage[0] and coverage[-1] <= 1.0
 
 
 class TestCalibratePhases:
@@ -232,16 +236,6 @@ class TestBuildPlan:
         assert plan.steps == []
         verify_plan(plan)
 
-    def test_pause_before_every_run(self):
-        cfg = SuiteConfig(io_count_by_pattern={"SR": 64, "RR": 64, "SW": 64, "RW": 64})
-        exps = expand(Micro.PAUSE, cfg)
-        plan = build_plan(exps, profile_with(), capacity=32 * GB)
-        steps = plan.steps
-        for i, step in enumerate(steps):
-            if isinstance(step, RunStep):
-                assert isinstance(steps[i - 1], PauseStep)
-                assert steps[i - 1].duration_us >= plan.inter_run_pause_us
-
     def test_io_ignore_set_from_startup(self):
         cfg = SuiteConfig(io_count_by_pattern={"SR": 512, "RR": 512, "SW": 512, "RW": 512})
         exps = expand(Micro.GRANULARITY, cfg)
@@ -318,8 +312,8 @@ class TestBuildPlan:
         )
         plan = BenchmarkPlan(
             steps=[
-                PauseStep(1_000_000), RunStep(exp, 0),
-                PauseStep(1_000_000), RunStep(exp2, 0),
+                RunStep(exp, 0),
+                RunStep(exp2, 0),
             ],
             capacity=1 * GB,
         )
@@ -342,8 +336,8 @@ class TestBuildPlan:
         assert exps[0].target_ranges == [(0, 2 * MB + 512)]
         plan = BenchmarkPlan(
             steps=[
-                PauseStep(1_000_000), RunStep(exps[0], 0),
-                PauseStep(1_000_000), RunStep(exps[1], 0),
+                RunStep(exps[0], 0),
+                RunStep(exps[1], 0),
             ],
             capacity=1 * GB,
         )
@@ -356,7 +350,7 @@ class TestBuildPlan:
             micro=Micro.ALIGNMENT, baseline="SW", varying_name="io_shift",
             varying_value=512, pattern=replace(sw, target_size=2 * MB, io_shift=512),
         )
-        plan = BenchmarkPlan(steps=[PauseStep(1_000_000), RunStep(exp, 0)], capacity=2 * MB)
+        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=2 * MB)
         with pytest.raises(PlanError, match="exceeds capacity"):
             verify_plan(plan)
 
@@ -366,9 +360,13 @@ class TestBuildPlan:
             micro=Micro.PAUSE, baseline="SR", varying_name="pause_us",
             varying_value=100, pattern=sw,
         )
-        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=1 * GB)
-        with pytest.raises(PlanError):
+        plan = BenchmarkPlan(
+            steps=[RunStep(exp, 0)], capacity=1 * GB,
+            inter_run_pause_us=MIN_INTER_RUN_PAUSE_US - 1,
+        )
+        with pytest.raises(PlanError, match="inter-run pause 999999 us is below the minimum"):
             verify_plan(plan)
+        verify_plan(replace(plan, inter_run_pause_us=MIN_INTER_RUN_PAUSE_US))
 
     def test_plan_json_round_trip(self):
         cfg = SuiteConfig(io_count_by_pattern={"SR": 64, "RR": 64, "SW": 64, "RW": 64})
@@ -402,11 +400,11 @@ PINNED_SUITES = {
 # SHA-256 of each suite's plan.json text.  A change to expansion, target
 # offsets, io_ignore scaling or the plan encoding shows here.
 PINNED_PLAN_DIGESTS = {
-    "perfbench-128m": "23acab29878368e4e28525906430f2745ae9b482993b7c5904d0dcca54053d35",
-    "acceptance8-256m": "d0f14bbc0cab161a5ce97be75a828d2ac0d2d88c17d489b5deb85c941599ae9d",
-    "default-32g": "d2060e59ce27710c0b5c035559cbfff40e8aa2502ec3876b5299f9f9c30256ed",
-    "default-32g-offset-1g": "8a554972c7dba012131e646ae0a91ada8a171af6ed50b694ded2bf48e2a4334c",
-    "io16k-512m": "0a5f6420386db45b27a74264dcd2007ffd06e620539be71179fcd95055c0fd4c",
+    "perfbench-128m": "e2cc1c4c902ee49a7a48fe92a7ac3887c73165b601593f59096baa91672f45c0",
+    "acceptance8-256m": "55dd88ced80bfc22eaa0f7f0719d1d44e004c0e4f33523e1978d036bd01b472d",
+    "default-32g": "71535f47658d09042c3a555178c5d36b4c9b61049a37d83839678f866272d141",
+    "default-32g-offset-1g": "00c5c7af40d35c1766514a13100f4d726d6b86426cb7cb66491a458b1030f404",
+    "io16k-512m": "0b3dc141b15fcd5456ec4e6c39c87acfa3217121d570c7f870335bf94bb4a21c",
 }
 
 

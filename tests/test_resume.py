@@ -2,6 +2,7 @@
 back to, and the property that a resumed campaign's artifacts equal an
 uninterrupted one's."""
 
+import contextlib
 import hashlib
 import json
 import tempfile
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 from flashmark import cli
 from flashmark.device import DeviceError, SimulatedDevice, builtin_profile
 from flashmark.journal import Journal
+from flashmark.microbench import StateReset
+from flashmark.runner import trace_relpath
+from flashmark.serialization import load_plan
 
 MB = 1024 * 1024
 STAGES = ("format", "calibrate", "plan", "run", "report")
@@ -48,10 +52,10 @@ def write_campaign(root: Path, profile: str) -> Path:
     return config_path
 
 
-def run_campaign(config_path: Path, fail_at=frozenset()) -> int:
-    """Every stage, each re-run until it exits 0; the simulator writes
-    whose 1-based index (over the whole campaign) is in fail_at raise.
-    Returns the number of writes issued."""
+@contextlib.contextmanager
+def simulator_writes(fail_at=frozenset()):
+    """Counts the simulator writes issued in the block, in a one-item list;
+    those whose 1-based index is in fail_at raise."""
     real_write = SimulatedDevice.write
     count = [0]
 
@@ -63,6 +67,14 @@ def run_campaign(config_path: Path, fail_at=frozenset()) -> int:
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(SimulatedDevice, "write", write)
+        yield count
+
+
+def run_campaign(config_path: Path, fail_at=frozenset()) -> int:
+    """Every stage, each re-run until it exits 0; the simulator writes
+    whose 1-based index (over the whole campaign) is in fail_at raise.
+    Returns the number of writes issued."""
+    with simulator_writes(fail_at) as count:
         for stage in STAGES:
             for _ in range(len(fail_at) + 1):
                 r = invoke(stage, config_path)
@@ -84,14 +96,24 @@ class Campaigns(dict):
         return f"<uninterrupted campaigns on {sorted(self)}>"
 
 
+# formats and state resets of the 4 MB campaign are about 70 IOs: at 16 IOs
+# a checkpoint they resume at lands inside them
+CHECKPOINT_IOS = (16, cli.CHECKPOINT_IOS)
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
-    """Per built-in profile: the artifacts and write count of a campaign."""
+    """Per built-in profile and checkpoint interval: the artifacts and
+    write count of a campaign."""
     out = Campaigns()
     for profile in ("highend-ssd", "lowend-usb"):
-        config_path = write_campaign(tmp_path_factory.mktemp(profile), profile)
-        writes = run_campaign(config_path)
-        out[profile] = (artifacts(config_path.parent / "out"), writes)
+        for checkpoint_ios in CHECKPOINT_IOS:
+            root = tmp_path_factory.mktemp(profile)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(cli, "CHECKPOINT_IOS", checkpoint_ios)
+                config_path = write_campaign(root, profile)
+                writes = run_campaign(config_path)
+            out[profile, checkpoint_ios] = (artifacts(root / "out"), writes)
     return out
 
 
@@ -99,18 +121,56 @@ def uninterrupted(tmp_path_factory):
 @given(
     profile=st.sampled_from(["highend-ssd", "lowend-usb"]),
     commit_ios=st.sampled_from([1, 300, cli.COMMIT_IOS]),
+    checkpoint_ios=st.sampled_from(CHECKPOINT_IOS),
     data=st.data(),
 )
-def test_interrupted_campaign_equals_uninterrupted(uninterrupted, profile, commit_ios, data):
+def test_interrupted_campaign_equals_uninterrupted(
+    uninterrupted, profile, commit_ios, checkpoint_ios, data
+):
     # the failures land in format, calibrate, state resets and runs alike
-    expected, writes = uninterrupted[profile]
+    expected, writes = uninterrupted[profile, checkpoint_ios]
     fail_at = data.draw(st.sets(st.integers(1, writes), min_size=1, max_size=4))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "COMMIT_IOS", commit_ios)
+        m.setattr(cli, "CHECKPOINT_IOS", checkpoint_ios)
         config_path = write_campaign(Path(tmp), profile)
         run_campaign(config_path, frozenset(fail_at))
         got = artifacts(config_path.parent / "out")
     assert sorted(k for k in expected.keys() | got.keys() if got.get(k) != expected.get(k)) == []
+
+
+def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
+    # a write of the first state reset fails after its first checkpoint; the
+    # re-run resumes the reset there and issues only the writes left
+    monkeypatch.setattr(cli, "COMMIT_IOS", 1)
+    monkeypatch.setattr(cli, "CHECKPOINT_IOS", 16)
+    configs = {tag: write_campaign(tmp_path / tag, "lowend-usb") for tag in ("whole", "killed")}
+    for config_path in configs.values():
+        for stage in ("format", "calibrate", "plan"):
+            assert invoke(stage, config_path).exit_code == 0
+    with simulator_writes() as run_writes:
+        assert invoke("run", configs["whole"]).exit_code == 0
+
+    whole = tmp_path / "whole" / "out"
+    plan = load_plan(whole / "plan.json")
+    reset = next(i for i, s in enumerate(plan.steps) if isinstance(s, StateReset))
+    writes_before = sum(
+        row.split(",")[5] == "write"
+        for step in plan.steps[:reset]
+        for row in (whole / "traces" / trace_relpath(step, "lowend-usb")).read_text().splitlines()
+    )
+    # the reset's 20th write fails: the checkpoint at 16 IOs is journaled
+    with simulator_writes({writes_before + 20}):
+        assert invoke("run", configs["killed"]).exit_code == 3
+    with simulator_writes() as resumed_writes:
+        r = invoke("run", configs["killed"])
+    assert r.exit_code == 0, r.output
+    assert f"resuming reset/{reset} at IO 16" in r.output
+    assert resumed_writes[0] == run_writes[0] - writes_before - 16
+
+    for config_path in configs.values():
+        assert invoke("report", config_path).exit_code == 0
+    assert artifacts(tmp_path / "killed" / "out") == artifacts(whole)
 
 
 class TestJournal:

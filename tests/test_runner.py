@@ -4,7 +4,7 @@ import pytest
 
 from flashmark.analysis import aggregate
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice
-from flashmark.microbench import ExperimentSpec, Micro
+from flashmark.microbench import ExperimentSpec, Micro, RunStep
 from flashmark.patterns import (
     Consecutive,
     MixSpec,
@@ -299,7 +299,7 @@ class TestTraceFiles:
 
     def test_trace_path_scheme(self, tmp_path):
         exp = make_experiment(make_pattern())
-        rel = trace_relpath(exp, 2, "sim")
+        rel = trace_relpath(RunStep(exp, 2), "sim")
         assert str(rel) == "sim/granularity/SR/io_size=32768/run2.csv"
         save_trace(make_trace([1]), tmp_path / rel)
         assert (tmp_path / rel).read_text() == (

@@ -10,7 +10,6 @@ from flashmark.microbench import (
     BenchmarkPlan,
     ExperimentSpec,
     Micro,
-    PauseStep,
     RunStep,
     StateReset,
 )
@@ -46,7 +45,7 @@ def small_plan() -> BenchmarkPlan:
         pattern=make_spec(timing=Burst(pause_us=1000, burst_count=4)),
     )
     return BenchmarkPlan(
-        steps=[StateReset(), PauseStep(1_000_000), RunStep(exp, 0)], capacity=64 * MB
+        steps=[StateReset(), RunStep(exp, 0)], capacity=64 * MB
     )
 
 
@@ -58,8 +57,8 @@ class TestTags:
     def test_union_positions_carry_kind(self):
         d = plan_data()
         assert d["format_version"] == PLAN_FORMAT_VERSION
-        assert [s["kind"] for s in d["steps"]] == ["state_reset", "pause", "run"]
-        pattern = d["steps"][2]["experiment"]["pattern"]
+        assert [s["kind"] for s in d["steps"]] == ["state_reset", "run"]
+        pattern = d["steps"][1]["experiment"]["pattern"]
         assert pattern["kind"] == "pattern"
         assert pattern["timing"] == {"kind": "burst", "pause_us": 1000, "burst_count": 4}
         assert pattern["location"] == {"kind": "sequential"}
@@ -82,7 +81,7 @@ class TestTags:
 class TestStrictness:
     def test_unknown_kind_rejected(self):
         d = plan_data()
-        d["steps"][2]["experiment"]["pattern"]["timing"]["kind"] = "jitter"
+        d["steps"][1]["experiment"]["pattern"]["timing"]["kind"] = "jitter"
         with pytest.raises(SchemaError, match="jitter"):
             plan_from_dict(d)
 
@@ -94,14 +93,14 @@ class TestStrictness:
 
     def test_unknown_key_rejected(self):
         d = plan_data()
-        d["steps"][2]["experiment"]["pattern"]["io_sise"] = 4096
+        d["steps"][1]["experiment"]["pattern"]["io_sise"] = 4096
         with pytest.raises(SchemaError, match="io_sise"):
             plan_from_dict(d)
 
     def test_missing_key_rejected(self):
         d = plan_data()
-        del d["steps"][1]["duration_us"]
-        with pytest.raises(SchemaError, match="duration_us"):
+        del d["steps"][1]["run_index"]
+        with pytest.raises(SchemaError, match="run_index"):
             plan_from_dict(d)
 
     def test_format_version_1_plan_rejected(self):
@@ -126,11 +125,19 @@ class TestStrictness:
         with pytest.raises(SchemaError, match="plan format 2"):
             plan_from_dict(d)
 
+    def test_format_version_3_plan_rejected(self):
+        # format 3 held a pause step before every run
+        d = plan_data()
+        d["format_version"] = 3
+        d["steps"].insert(1, {"kind": "pause", "duration_us": 1_000_000})
+        with pytest.raises(SchemaError, match="plan format 3 not supported"):
+            plan_from_dict(d)
+
 
 class TestScalarTypes:
     def test_bool_for_int_field_rejected(self):
-        with pytest.raises(SchemaError, match=r"PauseStep\.duration_us"):
-            from_data(PauseStep, {"duration_us": True})
+        with pytest.raises(SchemaError, match=r"BenchmarkPlan\.capacity"):
+            from_data(BenchmarkPlan, {"steps": [], "capacity": True})
 
     def test_string_for_bool_field_rejected(self):
         with pytest.raises(SchemaError, match=r"SimProfile\.hide_stream_gc"):
@@ -149,7 +156,7 @@ class TestScalarTypes:
 
     def test_nested_mismatch_names_the_path(self):
         d = plan_data()
-        d["steps"][2]["experiment"]["pattern"]["io_count"] = "16"
+        d["steps"][1]["experiment"]["pattern"]["io_count"] = "16"
         with pytest.raises(SchemaError, match=r"PatternSpec\.io_count: expected int, got '16'"):
             plan_from_dict(d)
 
