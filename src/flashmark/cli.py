@@ -2,8 +2,9 @@
 
 The stages are separate commands with file handoffs so multi-day
 campaigns survive interruption: each writes its artifacts and a manifest
-into the campaign output directory, and `format` and `run` journal every
-finished unit of work so a restarted invocation resumes where it stopped.
+into the campaign output directory, and `format`, `calibrate` and `run`
+journal every finished unit of work so a restarted invocation resumes
+where it stopped, or does nothing once its stage is done.
 
 Exit codes: 0 success, 2 validation error, 3 device IO error.
 """
@@ -236,10 +237,14 @@ def _enforce_state(dev: BlockDevice, journal: Journal, commit, step: str, seed: 
     start_io = last.get("ios", 0)
     if start_io:
         click.echo(f"resuming {step} at IO {start_io}")
+    # the ETA extrapolates the coverage gained since this (re)start; a
+    # resume past the last write gains none
+    start_coverage = last.get("coverage", 0.0)
     t_wall = time.time()
 
     def show(coverage: float, ios: int) -> None:
-        eta = (time.time() - t_wall) * (1 - coverage) / coverage
+        gained = coverage - start_coverage
+        eta = (time.time() - t_wall) * (1 - coverage) / gained if gained > 0 else 0.0
         click.echo(f"\r{step}: coverage {coverage:6.1%}  ios {ios}  eta {eta:8.0f}s",
                    nl=False, err=True)
 
@@ -255,6 +260,12 @@ def _enforce_state(dev: BlockDevice, journal: Journal, commit, step: str, seed: 
     commit(step, result.ios_issued % CHECKPOINT_IOS, end=end,
            status="done", ios=result.ios_issued, coverage=result.coverage)
     return result
+
+
+def _require(journal: Journal, step: str) -> None:
+    """A validation error unless the journal records `step` done."""
+    if step not in journal.done_steps():
+        raise ValueError(f"{step} has not finished (journal); run {step} first")
 
 
 def _fail(code: int, message: str) -> None:
@@ -334,9 +345,11 @@ def cmd_calibrate(config_path: str) -> None:
     """Measure start-up, period and the inter-run pause; write the device profile."""
     cfg = CampaignConfig.load(config_path)
     dev = cfg.open_device()
-    journal, _ = cfg.resume(dev)
-    if (journal.last("format") or {}).get("status") != "done":
-        raise ValueError("format has not finished (journal); run format first")
+    journal, commit = cfg.resume(dev)
+    if "calibrate" in journal.done_steps():
+        click.echo("calibrate already complete (journal); nothing to do")
+        return
+    _require(journal, "format")
     cfg.check_plannable(dev.capacity, None)  # as format does
 
     c = cfg.calibration
@@ -350,7 +363,7 @@ def cmd_calibrate(config_path: str) -> None:
     cfg.check_plannable(dev.capacity, profile)  # with the counts `plan` will use
     out = cfg.output_dir / "device_profile.json"
     save(profile, out)
-    cfg.persist_device(dev)
+    commit("calibrate", 0, end=True, status="done")  # snapshots the calibrated device
     cfg.write_manifest(
         "calibrate", affected_reads=pause.affected_reads, lingering_us=pause.lingering_us
     )
@@ -364,6 +377,8 @@ def cmd_calibrate(config_path: str) -> None:
         f"  inter-run pause: {profile.inter_run_pause_us / 1e6:.1f}s "
         f"({pause.affected_reads} affected reads)"
     )
+    for flag in profile.flags:
+        click.echo(f"  flag: {flag}")
 
 
 @main.command("plan")
@@ -409,6 +424,7 @@ def cmd_run(config_path: str) -> None:
     plan_hash = hashlib.sha256(plan_path.read_bytes()).hexdigest()
     dev = cfg.open_device()
     journal, commit = cfg.resume(dev)
+    _require(journal, "calibrate")
     begun = journal.last("run")
     if begun is None:
         journal.record("run", plan=plan_hash)

@@ -10,16 +10,18 @@ writes RW) use consecutive timing and a sequential or random location
 function.
 
 Generation is pure: a fully parameterized spec plus its seed determines
-the schedule byte for byte.  Submission times in generated schedules are
-lower bounds; for completion-driven (consecutive) timing the actual gap
-depends on measured response times, which only the runner knows.
+the schedule byte for byte.  A schedule is its rows: each IO carries the
+gap the runner inserts between the previous IO's completion and its own
+submission, so submission times follow from measured response times,
+which only the runner knows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from itertools import count
+from typing import NamedTuple, Union
 
 SECTOR = 512
 
@@ -134,16 +136,11 @@ class Partitioned:
 Location = Union[Sequential, Random, Ordered, Partitioned]
 
 
-@dataclass(frozen=True)
-class IORequest:
-    """One scheduled IO.
+class IORequest(NamedTuple):
+    """One scheduled IO: gap_us is the pause between the completion of the
+    previous IO and this IO's submission."""
 
-    earliest_submit_us is an offset from run start and a lower bound:
-    completion-driven timing adds measured response times at execution.
-    """
-
-    index: int
-    earliest_submit_us: int
+    gap_us: int
     lba: int
     size: int
     mode: Mode
@@ -285,6 +282,8 @@ class ParallelSpec:
             raise PatternError("target_size must be divisible by parallel_degree")
         if self.base.target_size // self.parallel_degree < self.base.io_size:
             raise PatternError("per-worker slice smaller than io_size")
+        if self.base.io_count < self.parallel_degree:
+            raise PatternError("io_count smaller than parallel_degree: a worker would issue no IO")
 
     @property
     def io_count(self) -> int:
@@ -349,30 +348,21 @@ def lba_at(spec: PatternSpec, i: int) -> int:
 def scheduled_gap_before(spec: PatternSpec, i: int) -> int:
     """Pause the runner must insert between completion of IO i-1 and submission of IO i."""
     t = spec.timing
+    if i == 0:
+        return 0
     if isinstance(t, Pause):
         return t.pause_us
-    if isinstance(t, Burst) and i >= 1 and i % t.burst_count == 0:
+    if isinstance(t, Burst) and i % t.burst_count == 0:
         return t.pause_us
     return 0
 
 
 def generate_schedule(spec: PatternSpec) -> list[IORequest]:
     """Expand a pattern spec into its full, deterministic IO schedule."""
-    out = []
-    submit = 0
-    for i in range(spec.io_count):
-        if i >= 1:
-            submit += scheduled_gap_before(spec, i)
-        out.append(
-            IORequest(
-                index=i,
-                earliest_submit_us=submit,
-                lba=lba_at(spec, i),
-                size=spec.io_size,
-                mode=spec.mode,
-            )
-        )
-    return out
+    return [
+        IORequest(scheduled_gap_before(spec, i), lba_at(spec, i), spec.io_size, spec.mode)
+        for i in range(spec.io_count)
+    ]
 
 
 def interleave_mix(mix: MixSpec) -> list[IORequest]:
@@ -380,34 +370,19 @@ def interleave_mix(mix: MixSpec) -> list[IORequest]:
 
     ratio IOs from `first`, then one from `second`, repeating; each
     component advances its own index.  The merged sequence stops as soon
-    as the component whose turn it is has been exhausted.
+    as the component whose turn it is has been exhausted.  Both components
+    are consecutive, so every gap is 0.
     """
     out = []
-    i_first = 0
-    i_second = 0
-    index = 0
-
-    def emit(sub: PatternSpec, sub_i: int) -> IORequest:
-        return IORequest(
-            index=index,
-            earliest_submit_us=0,
-            lba=lba_at(sub, sub_i),
-            size=sub.io_size,
-            mode=sub.mode,
-        )
-
-    while True:
-        for _ in range(mix.ratio):
-            if i_first >= mix.first.io_count:
-                return out
-            out.append(emit(mix.first, i_first))
-            i_first += 1
-            index += 1
-        if i_second >= mix.second.io_count:
+    for k in count():
+        group, turn = divmod(k, mix.ratio + 1)
+        if turn < mix.ratio:
+            sub, i = mix.first, group * mix.ratio + turn
+        else:
+            sub, i = mix.second, group
+        if i >= sub.io_count:
             return out
-        out.append(emit(mix.second, i_second))
-        i_second += 1
-        index += 1
+        out.append(IORequest(0, lba_at(sub, i), sub.io_size, sub.mode))
 
 
 def split_parallel(par: ParallelSpec) -> list[PatternSpec]:
@@ -419,17 +394,13 @@ def split_parallel(par: ParallelSpec) -> list[PatternSpec]:
     base = par.base
     degree = par.parallel_degree
     slice_size = base.target_size // degree
-    io_count = max(1, base.io_count // degree)
-    out = []
-    for p in range(degree):
-        out.append(
-            replace(
-                base,
-                target_offset=base.target_offset + p * slice_size,
-                target_size=slice_size,
-                io_count=io_count,
-                seed=derive_seed(base.seed, p + 1),
-            )
+    return [
+        replace(
+            base,
+            target_offset=base.target_offset + p * slice_size,
+            target_size=slice_size,
+            io_count=par.io_count // degree,
+            seed=derive_seed(base.seed, p + 1),
         )
-    return out
-
+        for p in range(degree)
+    ]

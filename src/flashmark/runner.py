@@ -1,15 +1,15 @@
 """Run execution: submit schedules to a device and record per-IO traces.
 
-Timing semantics: an IO's successor is submitted as soon as the IO
-completes, plus whatever gap the schedule encodes (pause and burst
-schedules carry cumulative lower-bound offsets, so the gap between two
-IOs is the difference of their earliest_submit times).  Every pattern
-runs as one or more workers, one per schedule: a plain or mixed pattern
-is one worker, a parallel pattern one per degree.  On the simulator the
-workers are interleaved on its serialized virtual timeline (ties broken
-by worker id), on a raw device they are real threads released together
-by a barrier.  Response time is completion minus submission, which for
-queued simulator workers includes time spent waiting for the device.
+Timing semantics: an IO is submitted as soon as its predecessor
+completes, plus the gap its schedule row carries (0 for consecutive
+timing); its trace index is its position in its worker's schedule.
+Every pattern runs as one or more workers, one per schedule: a plain or
+mixed pattern is one worker, a parallel pattern one per degree.  On the
+simulator the workers are interleaved on its serialized virtual timeline
+(ties broken by worker id), on a raw device they are real threads
+released together by a barrier.  Response time is completion minus
+submission, which for queued simulator workers includes time spent
+waiting for the device.
 
 A trace is its rows: one TraceRecord per IO, whose fields are the trace
 CSV's columns in order.
@@ -102,8 +102,8 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
     return trace
 
 
-def _failure(worker: int, req: IORequest, exc: DeviceError) -> str:
-    return f"worker {worker} IO {req.index} failed: {exc}"
+def _failure(worker: int, i: int, exc: DeviceError) -> str:
+    return f"worker {worker} IO {i} failed: {exc}"
 
 
 def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
@@ -123,24 +123,20 @@ def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: T
     while ready:
         submit, w, i = ready[0]
         schedule = schedules[w]
-        req = schedule[i]
+        _, lba, size, mode = schedule[i]
         now = now_us()
         if now < submit:
             idle(submit - now)
         try:
-            (read if req.mode is Mode.READ else write)(req.lba, req.size)
+            (read if mode is Mode.READ else write)(lba, size)
         except DeviceError as exc:
-            trace.error = _failure(w, req, exc)
+            trace.error = _failure(w, i, exc)
             return
         completion = now_us()
-        append(TraceRecord(
-            req.index, submit - run_start, completion - submit, req.lba, req.size,
-            req.mode.value, w,
-        ))
+        append(TraceRecord(i, submit - run_start, completion - submit, lba, size, mode.value, w))
         i += 1
         if i < len(schedule):
-            gap = schedule[i].earliest_submit_us - req.earliest_submit_us
-            heapq.heapreplace(ready, (completion + gap, w, i))
+            heapq.heapreplace(ready, (completion + schedule[i].gap_us, w, i))
         else:
             heapq.heappop(ready)
 
@@ -153,24 +149,19 @@ def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: T
     def work(w: int, schedule: Sequence[IORequest]) -> None:
         barrier.wait()
         run_start = device.now_us()
-        prev_submit_floor = 0
-        for req in schedule:
-            gap = req.earliest_submit_us - prev_submit_floor
-            prev_submit_floor = req.earliest_submit_us
+        for i, (gap, lba, size, mode) in enumerate(schedule):
             if gap > 0:
                 device.idle(gap)
             submit = device.now_us()
             try:
-                if req.mode is Mode.READ:
-                    rt = device.read(req.lba, req.size)
+                if mode is Mode.READ:
+                    rt = device.read(lba, size)
                 else:
-                    rt = device.write(req.lba, req.size)
+                    rt = device.write(lba, size)
             except DeviceError as exc:
-                trace.error = _failure(w, req, exc)
+                trace.error = _failure(w, i, exc)
                 return
-            rows[w].append(TraceRecord(
-                req.index, submit - run_start, rt, req.lba, req.size, req.mode.value, w
-            ))
+            rows[w].append(TraceRecord(i, submit - run_start, rt, lba, size, mode.value, w))
 
     # the calling thread is worker 0: a one-worker run starts no thread
     threads = [threading.Thread(target=work, args=ws) for ws in enumerate(schedules) if ws[0]]

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +53,17 @@ def campaign(tmp_path):
 
 def invoke(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def record_device_ios(monkeypatch) -> list:
+    """The simulator reads, writes and idles issued from now on, in order."""
+    ios = []
+    for name in ("read", "write", "idle"):
+        def record(self, *args, _name=name, _real=getattr(SimulatedDevice, name)):
+            ios.append((_name, *args))
+            return _real(self, *args)
+        monkeypatch.setattr(SimulatedDevice, name, record)
+    return ios
 
 
 def fail_simulator_write(monkeypatch, at):
@@ -205,6 +218,59 @@ class TestPipeline:
         assert (out / "device_state.bin").read_bytes() == state
         assert (out / "journal.jsonl").read_bytes() == journal
 
+    def test_run_before_calibrate_exits_two(self, campaign, monkeypatch):
+        config_path, out = campaign
+        for cmd in ("format", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        state = (out / "device_state.bin").read_bytes()
+        journal = (out / "journal.jsonl").read_bytes()
+        ios = record_device_ios(monkeypatch)
+        r = invoke(["run", "--config", str(config_path)])
+        assert r.exit_code == 2
+        assert "calibrate has not finished (journal); run calibrate first" in r.output
+        assert ios == []
+        assert not (out / "traces").exists()
+        assert (out / "device_state.bin").read_bytes() == state
+        assert (out / "journal.jsonl").read_bytes() == journal
+
+    def test_calibrate_prints_its_flags(self, campaign):
+        # 256-IO calibration series are too short for a confident period
+        config_path, out = campaign
+        assert invoke(["format", "--config", str(config_path)]).exit_code == 0
+        r = invoke(["calibrate", "--config", str(config_path)])
+        assert r.exit_code == 0, r.output
+        flags = json.loads((out / "device_profile.json").read_text())["flags"]
+        assert "period:SR:low-confidence" in flags
+        printed = [line for line in r.output.splitlines() if line.startswith("  flag: ")]
+        assert printed == [f"  flag: {flag}" for flag in flags]
+
+    def test_resumed_format_eta_counts_coverage_since_the_restart(self, campaign, monkeypatch):
+        # a fake clock that advances 100 s per reading: the resumed format's
+        # ETA extrapolates the coverage gained since its restart, not the
+        # coverage replayed from its checkpoint
+        config_path, out = campaign
+        monkeypatch.setattr(cli, "CHECKPOINT_IOS", 64)
+        monkeypatch.setattr(cli, "COMMIT_IOS", 1)
+        with monkeypatch.context() as m:
+            fail_simulator_write(m, at=700)  # of 777: resumes at IO 640
+            assert invoke(["format", "--config", str(config_path)]).exit_code == 3
+        clock = iter(range(0, 10**6, 100))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(
+            time=lambda: float(next(clock)), strftime=time.strftime
+        ))
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 0, r.output
+        assert "resuming format at IO 640" in r.output
+
+        coverage = {e["ios"]: e["coverage"] for e in cli.Journal(out / "journal.jsonl").entries}
+        shown = re.findall(r"format: coverage +[\d.]+%  ios (\d+)  eta +(\d+)s", r.output)
+        assert [int(ios) for ios, _ in shown] == [704, 768, 777]
+        start = coverage[640]
+        for k, (ios, eta) in enumerate(shown, start=1):
+            c = coverage[int(ios)]
+            assert eta == f"{100 * k * (1 - c) / (c - start):.0f}"
+        assert int(shown[0][1]) > 100 * (1 - coverage[704]) / coverage[704] + 1
+
     def test_inter_run_pause_precedes_every_run(self, campaign, monkeypatch):
         # the device idles the plan's pause right before each run's first IO,
         # also before the first run of a resumed `run`
@@ -213,12 +279,7 @@ class TestPipeline:
             assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
         plan = json.loads((out / "plan.json").read_text())
         runs = [s for s in plan["steps"] if s["kind"] == "run"]
-        events = []
-        for name in ("read", "write", "idle"):
-            def record(self, *args, _name=name, _real=getattr(SimulatedDevice, name)):
-                events.append((_name, *args))
-                return _real(self, *args)
-            monkeypatch.setattr(SimulatedDevice, name, record)
+        events = record_device_ios(monkeypatch)
         real_execute_run = cli.execute_run
 
         def execute_run(dev, pattern):

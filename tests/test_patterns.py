@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flashmark.patterns import (
     Burst,
     Consecutive,
+    IORequest,
     MixSpec,
     Mode,
     Ordered,
@@ -142,9 +143,15 @@ class TestGenerateSchedule:
     def test_sequential_write_schedule(self):
         spec = make_spec(io_count=4, io_size=32768)
         sched = generate_schedule(spec)
-        assert [r.lba for r in sched] == [0, 32768, 65536, 98304]
-        assert all(r.mode is Mode.WRITE for r in sched)
-        assert [r.index for r in sched] == [0, 1, 2, 3]
+        assert sched == [
+            IORequest(gap_us=0, lba=lba, size=32768, mode=Mode.WRITE)
+            for lba in (0, 32768, 65536, 98304)
+        ]
+        assert IORequest._fields == ("gap_us", "lba", "size", "mode")
+
+    def test_pause_gap_precedes_every_io_but_the_first(self):
+        sched = generate_schedule(make_spec(timing=Pause(pause_us=250), io_count=4))
+        assert [r.gap_us for r in sched] == [0, 250, 250, 250]
 
     def test_partitioned_is_permutation_of_sequential(self):
         part = make_spec(
@@ -168,27 +175,28 @@ class TestGenerateSchedule:
         p = 5000
         burst1 = generate_schedule(make_spec(timing=Burst(pause_us=p, burst_count=1), io_count=32))
         pause = generate_schedule(make_spec(timing=Pause(pause_us=p), io_count=32))
-        assert [r.earliest_submit_us for r in burst1] == [r.earliest_submit_us for r in pause]
+        assert [r.gap_us for r in burst1] == [r.gap_us for r in pause]
 
         burst0 = generate_schedule(make_spec(timing=Burst(pause_us=0, burst_count=9), io_count=32))
         cons = generate_schedule(make_spec(io_count=32))
-        assert [r.earliest_submit_us for r in burst0] == [r.earliest_submit_us for r in cons]
+        assert [r.gap_us for r in burst0] == [r.gap_us for r in cons]
 
     def test_burst_submit_lower_bounds(self):
         sched = generate_schedule(
             make_spec(timing=Burst(pause_us=100, burst_count=4), io_count=12)
         )
-        # one pause accumulated per full group of 4
-        assert [r.earliest_submit_us for r in sched] == [
-            0, 0, 0, 0, 100, 100, 100, 100, 200, 200, 200, 200,
+        # one pause before each group of 4 but the first
+        assert [r.gap_us for r in sched] == [
+            0, 0, 0, 0, 100, 0, 0, 0, 100, 0, 0, 0,
         ]
 
     @given(pattern_specs())
     @settings(max_examples=50, deadline=None)
     def test_submit_times_non_decreasing(self, spec):
+        # a gap is never negative, and the first IO waits for nothing
         sched = generate_schedule(spec)
-        submits = [r.earliest_submit_us for r in sched]
-        assert submits == sorted(submits)
+        assert sched[0].gap_us == 0
+        assert all(r.gap_us >= 0 for r in sched)
 
 
 class TestMix:
@@ -231,11 +239,6 @@ class TestMix:
         second = make_spec(location=Random(), mode=Mode.WRITE, target_offset=KB * KB)
         with pytest.raises(PatternError):
             MixSpec(first=first, second=second, ratio=2)
-
-    def test_global_index_is_ordinal(self):
-        mix = self._mk_mix(3, first_count=9, second_count=3)
-        seq = interleave_mix(mix)
-        assert [r.index for r in seq] == list(range(len(seq)))
 
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
@@ -288,6 +291,16 @@ class TestSplitParallel:
         base = make_spec(target_size=4 * KB * KB, io_count=64)
         subs = split_parallel(ParallelSpec(base=base, parallel_degree=4))
         assert len({s.seed for s in subs}) == 4
+
+    def test_fewer_ios_than_workers_rejected(self):
+        with pytest.raises(PatternError, match="io_count smaller than parallel_degree"):
+            ParallelSpec(base=make_spec(io_count=3), parallel_degree=4)
+
+    @pytest.mark.parametrize("io_count", [4, 7, 16, 33])
+    def test_worker_ios_sum_to_io_count(self, io_count):
+        par = ParallelSpec(base=make_spec(io_count=io_count), parallel_degree=4)
+        assert sum(s.io_count for s in split_parallel(par)) == par.io_count
+        assert par.io_count == io_count // 4 * 4
 
 
 class TestSerialization:

@@ -19,6 +19,7 @@ from flashmark.journal import Journal
 from flashmark.microbench import StateReset
 from flashmark.runner import trace_relpath
 from flashmark.serialization import load_plan
+from test_cli import record_device_ios
 
 MB = 1024 * 1024
 STAGES = ("format", "calibrate", "plan", "run", "report")
@@ -173,6 +174,27 @@ def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
     assert artifacts(tmp_path / "killed" / "out") == artifacts(whole)
 
 
+def test_rerun_of_a_finished_campaign_is_a_no_op(tmp_path, monkeypatch):
+    # each stage finds its work journaled done: no device IO, and the
+    # snapshot and journal keep their bytes
+    config_path = write_campaign(tmp_path, "highend-ssd")
+    run_campaign(config_path)
+    out = tmp_path / "out"
+    state = (out / "device_state.bin").read_bytes()
+    journal = (out / "journal.jsonl").read_bytes()
+    ios = record_device_ios(monkeypatch)
+    outputs = {}
+    for stage in ("format", "calibrate", "plan", "run"):
+        r = invoke(stage, config_path)
+        assert r.exit_code == 0, r.output
+        outputs[stage] = r.output
+    assert ios == []
+    assert (out / "device_state.bin").read_bytes() == state
+    assert (out / "journal.jsonl").read_bytes() == journal
+    assert "calibrate already complete" in outputs["calibrate"]
+    assert "runs executed: 0" in outputs["run"]
+
+
 class TestJournal:
     def test_torn_last_line_is_dropped_before_the_next_entry(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -206,7 +228,8 @@ class TestResume:
         (out / "journal.jsonl").write_text("")
         r = invoke("run", config_path)
         assert r.exit_code == 2
-        assert "journal holds 0 entries, but the device snapshot reflects 1" in r.output
+        # calibrate's snapshot reflects format done and calibrate done
+        assert "journal holds 0 entries, but the device snapshot reflects 2" in r.output
 
     def test_format_two_snapshot_exits_three_and_keeps_the_journal(self, tmp_path):
         config_path = write_campaign(tmp_path, "lowend-usb")

@@ -138,6 +138,23 @@ class TestExecuteRun:
         modes = [r.mode for r in trace.records]
         assert modes == [Mode.READ] * 4 + [Mode.WRITE] + [Mode.READ] * 4 + [Mode.WRITE]
 
+    @pytest.mark.parametrize("virtual", [True, False])
+    def test_index_counts_each_workers_ios_from_zero(self, virtual):
+        # a mix is one worker over the merged sequence, a parallel run one
+        # worker per degree; on either timeline
+        first = make_pattern(location=Random(), io_count=9)
+        second = make_pattern(
+            location=Random(), mode=Mode.WRITE, io_count=3, target_offset=8 * KB * KB
+        )
+        par = ParallelSpec(base=make_pattern(mode=Mode.WRITE, io_count=14), parallel_degree=4)
+        for pattern, per_worker in ((MixSpec(first, second, ratio=3), [12]), (par, [3] * 4)):
+            dev = StubDevice([100, 300, 200])
+            dev.virtual_timeline = virtual
+            trace = execute_run(dev, pattern)
+            assert trace.error is None
+            for w, n in enumerate(per_worker):
+                assert [r.index for r in trace.records if r.worker == w] == list(range(n))
+
     def test_error_truncates_trace(self):
         dev = StubDevice([100, 100, DeviceError("boom"), 100])
         trace = execute_run(dev, make_pattern(io_count=8))
