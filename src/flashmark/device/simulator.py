@@ -232,6 +232,7 @@ class SimulatedDevice:
         self._gc_copies = 0
         # campaign journal entries this state reflects, kept in the snapshot
         self.journaled = 0
+        self._index_blocks()
 
     # ------------------------------------------------------------------ IO
 
@@ -335,6 +336,9 @@ class SimulatedDevice:
         if frontier[1] == self._ups:
             if not self._pool:
                 gc_cost = self._reclaim_until(self.profile.gc_batch_blocks)
+            if frontier[0] >= 0:
+                self._held[frontier[0]] = 0
+            # a pool block stays held while it is open
             frontier[0] = self._pool.popleft()
             frontier[1] = 0
         block, fill = frontier
@@ -387,23 +391,40 @@ class SimulatedDevice:
             self._inverse[first : first + self._ups] = self._erased_block
             self._valid[victim] = 0
             self._pool.append(victim)
+            self._held[victim] = self._ups + 1
             for u in survivors:
                 self._place(u, self._gc)
         return cost
 
     def _choose_victim(self) -> int:
         """The block with the fewest valid slots, lowest index on ties,
-        among those neither in the pool nor open at a frontier."""
-        scores = np.frombuffer(self._valid, dtype=np.int32).copy()
-        closed = self._ups + 1
-        scores[list(self._pool)] = closed
-        for block, _ in (self._host, self._gc):
-            if block >= 0:
-                scores[block] = closed
+        among those neither in the pool nor open at a frontier.
+
+        A held block scores at least ups + 1, above any other block.
+        """
+        scores = np.add(self._valid_view, self._held, out=self._scores)
         victim = int(scores.argmin())
-        if scores[victim] == closed:
+        if scores[victim] > self._ups:
             raise SimulationStall("no reclamation victim available")
         return victim
+
+    def _held_blocks(self) -> np.ndarray:
+        """Per block, ups + 1 for a pool block or one open at a frontier,
+        else 0: victim selection's penalty, derived from the pool and the
+        frontiers."""
+        held = np.zeros(self._n_blocks, dtype=np.int32)
+        held[list(self._pool)] = self._ups + 1
+        for block, _ in (self._host, self._gc):
+            if block >= 0:
+                held[block] = self._ups + 1
+        return held
+
+    def _index_blocks(self) -> None:
+        """Derive victim selection's arrays; _place and _reclaim_until keep
+        the penalty current after that."""
+        self._valid_view = np.frombuffer(self._valid, dtype=np.int32)
+        self._held = self._held_blocks()
+        self._scores = np.empty(self._n_blocks, dtype=np.int32)
 
     # ------------------------------------------------------------ inspection
 
@@ -431,6 +452,8 @@ class SimulatedDevice:
         valid = np.bincount(slots // self._ups, minlength=self._n_blocks)
         if not np.array_equal(valid, np.frombuffer(self._valid, dtype=np.int32)):
             raise AssertionError("per-block valid counts inconsistent")
+        if not np.array_equal(self._held, self._held_blocks()):
+            raise AssertionError("held-block penalty disagrees with the pool and frontiers")
 
     # -------------------------------------------------------------- snapshot
 
@@ -471,6 +494,7 @@ class SimulatedDevice:
             arr.frombytes(blob[off : off + nbytes])
             setattr(self, name, arr)
             off += nbytes
+        self._index_blocks()
 
     def save_state(self, path: str | Path) -> None:
         write_atomic(path, self.snapshot_state())

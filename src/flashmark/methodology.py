@@ -41,7 +41,7 @@ from .patterns import (
     PatternSpec,
     baseline_pattern,
     derive_seed,
-    uniform_index,
+    uniform_indices,
 )
 from .runner import execute_run
 
@@ -105,6 +105,52 @@ class EnforceResult:
 
 MAX_FORMAT_IO = 128 * KB  # writes range from one sector to the flash block size
 OVERWRITE_FACTOR = 1.1  # random writes cover this many capacities before the hole fill
+HOLE_FILL_SECTORS = MAX_FORMAT_IO // 512 - 1  # longest targeted write, in sectors
+
+
+def _random_writes(seed: int, cap: int) -> tuple[list[int], list[int]]:
+    """(lbas, sizes) of the random phase: write i's size is draw 2i of the
+    seed stream and its sector offset draw 2i + 1, until the sizes sum to
+    OVERWRITE_FACTOR times the capacity.
+
+    Sizes are drawn in blocks of the expected remaining count, and the
+    stopping point is the first prefix sum to reach the target.
+    """
+    target = int(cap * OVERWRITE_FACTOR)
+    max_sectors = MAX_FORMAT_IO // 512
+    mean_size = (max_sectors + 1) * 256
+    blocks = []
+    drawn = total = 0
+    while total < target:
+        k = (target - total) // mean_size + 64
+        idx = np.arange(drawn, drawn + k, dtype=np.int64)
+        blocks.append((uniform_indices(seed, 2 * idx, max_sectors) + 1) * 512)
+        drawn += k
+        total += int(blocks[-1].sum())
+    sizes = np.concatenate(blocks)
+    sizes = sizes[: int(np.searchsorted(np.cumsum(sizes), target)) + 1]
+    idx = np.arange(sizes.size, dtype=np.int64)
+    lbas = uniform_indices(seed, 2 * idx + 1, (cap - sizes) // 512 + 1) * 512
+    return lbas.tolist(), sizes.tolist()
+
+
+def _hole_fill(covered: np.ndarray) -> tuple[list[int], list[int]]:
+    """(lbas, sizes) of the targeted writes that cover every unwritten
+    sector: each run of holes, in address order, cut from its start into
+    chunks of at most HOLE_FILL_SECTORS sectors."""
+    hole = np.flatnonzero(~covered)
+    if not hole.size:
+        return [], []
+    breaks = np.flatnonzero(np.diff(hole) != 1) + 1
+    run_start = hole[np.r_[0, breaks]]
+    run_len = np.diff(np.r_[0, breaks, hole.size])
+    pieces = -(-run_len // HOLE_FILL_SECTORS)
+    # k: the chunk's place within its run
+    k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    skip = k * HOLE_FILL_SECTORS
+    starts = np.repeat(run_start, pieces) + skip
+    lengths = np.minimum(np.repeat(run_len, pieces) - skip, HOLE_FILL_SECTORS)
+    return (starts * 512).tolist(), (lengths * 512).tolist()
 
 
 def enforce_random_state(
@@ -128,50 +174,31 @@ def enforce_random_state(
     after each written IO whose count is a multiple of every.
     """
     cap = device.capacity
-    sectors = cap // 512
-    covered = np.zeros(sectors, dtype=bool)
+    covered = np.zeros(cap // 512, dtype=bool)
     t0 = device.now_us()
-    target_bytes = int(cap * OVERWRITE_FACTOR)
 
     written = 0
     ios = 0
 
-    def one_write(lba: int, size: int) -> None:
+    def write_all(lbas: list[int], sizes: list[int]) -> None:
         nonlocal written, ios
-        live = ios >= start_io
-        if live:
-            try:
-                device.write(lba, size)
-            except DeviceError as exc:
-                raise EnforcementError(
-                    f"format write {ios} failed: {exc}", coverage=float(covered.mean())
-                ) from exc
-        covered[lba // 512 : (lba + size) // 512] = True
-        written += size
-        ios += 1
-        if live and progress and ios % every == 0:
-            progress(float(covered.mean()), ios)
+        for lba, size in zip(lbas, sizes):
+            live = ios >= start_io
+            if live:
+                try:
+                    device.write(lba, size)
+                except DeviceError as exc:
+                    raise EnforcementError(
+                        f"format write {ios} failed: {exc}", coverage=float(covered.mean())
+                    ) from exc
+            covered[lba // 512 : (lba + size) // 512] = True
+            written += size
+            ios += 1
+            if live and progress and ios % every == 0:
+                progress(float(covered.mean()), ios)
 
-    while written < target_bytes:
-        size = (uniform_index(seed, 2 * ios, MAX_FORMAT_IO // 512) + 1) * 512
-        lba = uniform_index(seed, 2 * ios + 1, (cap - size) // 512 + 1) * 512
-        one_write(lba, size)
-
-    # fill remaining holes with targeted writes, largest-chunk first
-    hole = np.flatnonzero(~covered)
-    i = 0
-    while i < hole.size:
-        start = int(hole[i])
-        end = start
-        while (
-            i + 1 < hole.size
-            and hole[i + 1] == end + 1
-            and (end + 1 - start) < MAX_FORMAT_IO // 512 - 1
-        ):
-            i += 1
-            end = int(hole[i])
-        one_write(start * 512, (end - start + 1) * 512)
-        i += 1
+    write_all(*_random_writes(seed, cap))
+    write_all(*_hole_fill(covered))
 
     if not covered.all():
         raise EnforcementError("coverage incomplete after targeted pass", float(covered.mean()))

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import count
+from itertools import repeat
 from typing import NamedTuple, Union
+
+import numpy as np
 
 SECTOR = 512
 
@@ -52,6 +54,21 @@ def uniform_index(seed: int, i: int, n: int) -> int:
     Modulo bias is below n / 2**64, negligible for slot counts here.
     """
     return mix64(mix64(seed) ^ i) % n
+
+
+def uniform_indices(seed: int, i: np.ndarray | int, n: np.ndarray | int) -> np.ndarray:
+    """uniform_index elementwise over index and slot-count arrays (or
+    scalars, broadcast), as int64.  uint64 arithmetic wraps modulo 2**64
+    exactly as mix64 masks, so every draw is the same."""
+    x = np.array(i, dtype=np.int64).astype(np.uint64)
+    x ^= np.uint64(mix64(seed))
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x % np.asarray(n, dtype=np.uint64)).astype(np.int64)
 
 
 class PatternError(ValueError):
@@ -303,66 +320,68 @@ def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return ao < bo + bsz and bo < ao + asz
 
 
-def lba_at(spec: PatternSpec, i: int) -> int:
-    """Address of the i-th IO of a pattern.
+def _lbas(spec: PatternSpec, i: np.ndarray) -> np.ndarray:
+    """Addresses of the IOs numbered i (an int64 array) of a pattern.
 
     Slot offsets are computed relative to target_offset and quantized to
     io_size; io_shift is added last.  Sequential wraps modulo the target
     space.  Ordered with a positive increment does not wrap (walking out
-    of the target space is an error naming the offending index); with a
-    negative increment it counts downward from the top of the space.
+    of the target space is an error naming the first offending index in
+    i); with a negative increment it counts downward from the top of the
+    space.
     """
     loc = spec.location
     if isinstance(loc, Sequential):
-        off = (i % spec.slots) * spec.io_size
+        off = i % spec.slots * spec.io_size
     elif isinstance(loc, Random):
-        off = uniform_index(spec.seed, i, spec.slots) * spec.io_size
+        off = uniform_indices(spec.seed, i, spec.slots) * spec.io_size
     elif isinstance(loc, Ordered):
-        if loc.incr >= 0:
-            off = loc.incr * i * spec.io_size
-            if off + spec.io_size > spec.target_size:
-                raise ScheduleError(
-                    f"ordered pattern leaves target space at IO {i} "
-                    f"(incr={loc.incr}, offset {off})",
-                    index=i,
-                )
-        else:
-            off = (spec.target_size - spec.io_size) + loc.incr * i * spec.io_size
-            if off < 0:
-                raise ScheduleError(
-                    f"ordered pattern leaves target space at IO {i} "
-                    f"(incr={loc.incr}, offset {off})",
-                    index=i,
-                )
+        top = spec.target_size - spec.io_size
+        start = 0 if loc.incr >= 0 else top
+        step = loc.incr * spec.io_size
+        # IOs past `last` leave the target space; checked before any
+        # offset is computed, so no int64 product can overflow
+        last = top // abs(step) if step else None
+        if last is not None and i.size and i.max() > last:
+            j = int(i[np.argmax(i > last)])
+            raise ScheduleError(
+                f"ordered pattern leaves target space at IO {j} "
+                f"(incr={loc.incr}, offset {start + step * j})",
+                index=j,
+            )
+        off = start + step * i
     elif isinstance(loc, Partitioned):
         ps = spec.target_size // loc.partitions
         slots_per_partition = ps // spec.io_size
-        p = i % loc.partitions
-        o = ((i // loc.partitions) % slots_per_partition) * spec.io_size
-        off = p * ps + o
+        off = i % loc.partitions * ps + i // loc.partitions % slots_per_partition * spec.io_size
     else:  # pragma: no cover - exhaustive over Location
         raise PatternError(f"unknown location function: {loc!r}")
-    return spec.target_offset + off + spec.io_shift
+    return spec.target_offset + spec.io_shift + off
 
 
-def scheduled_gap_before(spec: PatternSpec, i: int) -> int:
-    """Pause the runner must insert between completion of IO i-1 and submission of IO i."""
+def lba_at(spec: PatternSpec, i: int) -> int:
+    """Address of the i-th IO of a pattern (see _lbas)."""
+    return int(_lbas(spec, np.array([i], dtype=np.int64))[0])
+
+
+def _gaps(spec: PatternSpec) -> list[int]:
+    """Per IO, the pause the runner inserts between the completion of the
+    previous IO and its submission: none before IO 0, the pause before
+    every other IO, or before every burst_count-th one."""
     t = spec.timing
-    if i == 0:
-        return 0
+    gaps = np.zeros(spec.io_count, dtype=np.int64)
     if isinstance(t, Pause):
-        return t.pause_us
-    if isinstance(t, Burst) and i % t.burst_count == 0:
-        return t.pause_us
-    return 0
+        gaps[1:] = t.pause_us
+    elif isinstance(t, Burst):
+        gaps[t.burst_count :: t.burst_count] = t.pause_us
+    return gaps.tolist()
 
 
 def generate_schedule(spec: PatternSpec) -> list[IORequest]:
     """Expand a pattern spec into its full, deterministic IO schedule."""
-    return [
-        IORequest(scheduled_gap_before(spec, i), lba_at(spec, i), spec.io_size, spec.mode)
-        for i in range(spec.io_count)
-    ]
+    n = spec.io_count
+    lbas = _lbas(spec, np.arange(n, dtype=np.int64)).tolist()
+    return list(map(IORequest, _gaps(spec), lbas, repeat(spec.io_size, n), repeat(spec.mode, n)))
 
 
 def interleave_mix(mix: MixSpec) -> list[IORequest]:
@@ -373,16 +392,22 @@ def interleave_mix(mix: MixSpec) -> list[IORequest]:
     as the component whose turn it is has been exhausted.  Both components
     are consecutive, so every gap is 0.
     """
-    out = []
-    for k in count():
-        group, turn = divmod(k, mix.ratio + 1)
-        if turn < mix.ratio:
-            sub, i = mix.first, group * mix.ratio + turn
-        else:
-            sub, i = mix.second, group
-        if i >= sub.io_count:
-            return out
-        out.append(IORequest(0, lba_at(sub, i), sub.io_size, sub.mode))
+    first, second, r = mix.first, mix.second, mix.ratio
+    # position of each component's first missing IO; the shorter ends it
+    n = min(
+        first.io_count // r * (r + 1) + first.io_count % r,
+        second.io_count * (r + 1) + r,
+    )
+    from_first = np.arange(n) % (r + 1) < r
+    n_first = int(np.count_nonzero(from_first))
+    lbas = np.empty(n, dtype=np.int64)
+    lbas[from_first] = _lbas(first, np.arange(n_first, dtype=np.int64))
+    lbas[~from_first] = _lbas(second, np.arange(n - n_first, dtype=np.int64))
+    sub = (second, first)
+    return [
+        IORequest(0, lba, sub[f].io_size, sub[f].mode)
+        for lba, f in zip(lbas.tolist(), from_first.tolist())
+    ]
 
 
 def split_parallel(par: ParallelSpec) -> list[PatternSpec]:

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from flashmark.device import (
     builtin_profile,
     probe_raw_capabilities,
 )
+from flashmark.device.simulator import SimulationStall
 from flashmark.patterns import uniform_index
 from flashmark.serialization import from_data
 
@@ -286,6 +289,116 @@ class TestInvariants:
         assert dev.now_us() == t0 + c
         dev.idle(5000)
         assert dev.now_us() == t0 + c + 5000
+
+
+def oracle_victim(dev):
+    """Victim selection recomputed from scratch: copy the per-block valid
+    counts, close every pool block and open frontier block, take the
+    lowest-index minimum; None when every block is closed."""
+    scores = np.frombuffer(dev._valid, dtype=np.int32).copy()
+    closed = dev._ups + 1
+    scores[list(dev._pool)] = closed
+    for block, _ in (dev._host, dev._gc):
+        if block >= 0:
+            scores[block] = closed
+    victim = int(scores.argmin())
+    return None if scores[victim] == closed else victim
+
+
+def check_victims(dev):
+    """Make dev compare every victim it chooses with oracle_victim."""
+    choose = dev._choose_victim
+
+    def checked():
+        want = oracle_victim(dev)
+        try:
+            got = choose()
+        except SimulationStall:
+            got = None
+        assert got == want
+        if got is None:
+            raise SimulationStall("no reclamation victim available")
+        return got
+
+    dev._choose_victim = checked
+
+
+@st.composite
+def small_profiles(draw):
+    page = draw(st.sampled_from([512, 2048]))
+    pages_per_block = draw(st.sampled_from([4, 8, 16]))
+    block = page * pages_per_block
+    pool = draw(st.integers(0, 4))
+    batch = draw(st.integers(1, 4))
+    deferred = draw(st.booleans())
+    return SimProfile(
+        capacity=draw(st.integers(8, 48)) * block,
+        page_size=page,
+        pages_per_block=pages_per_block,
+        map_granularity=page * draw(st.sampled_from([1, 2, 4])),
+        write_cache_blocks=draw(st.integers(0, 4)),
+        free_block_pool=pool,
+        gc_mode="deferred" if deferred else "synchronous",
+        gc_batch_blocks=batch,
+        stream_slots=draw(st.integers(0, 3)),
+        detect_reverse_stream=draw(st.booleans()),
+        hide_stream_gc=draw(st.booleans()),
+        idle_drain_blocks_per_sec=500.0 if deferred else 0.0,
+        busy_drain_blocks_per_sec=100.0 if deferred else 0.0,
+        read_drain_extra_us=20 if deferred else 0,
+        spare_blocks=pool + batch + 2 + draw(st.integers(0, 6)),
+    )
+
+
+victim_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "write", "write", "read", "idle"]),
+        st.floats(min_value=0.0, max_value=1.0),   # where on the device
+        st.integers(min_value=1, max_value=96),    # sectors
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestVictimSelection:
+    @given(small_profiles(), victim_ops, st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_victims_match_a_from_scratch_choice(self, prof, ops, cut):
+        def apply(dev, ops):
+            for op, where, sectors in ops:
+                size = min(sectors * 512, dev.capacity)
+                lba = int(where * (dev.capacity - size) // 512) * 512
+                if op == "idle":
+                    dev.idle(sectors * 1000)
+                else:
+                    getattr(dev, op)(lba, size)
+
+        dev = SimulatedDevice(prof)
+        check_victims(dev)
+        half = int(cut * len(ops))
+        try:
+            apply(dev, ops[:half])
+        except SimulationStall:
+            return
+        dev.check_consistency()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.bin"
+            dev.save_state(path)
+            restored = SimulatedDevice(prof)
+            restored.load_state(path)
+        restored.check_consistency()
+        check_victims(restored)
+        with contextlib.suppress(SimulationStall):
+            restored._choose_victim()
+        for d in (dev, restored):
+            try:
+                apply(d, ops[half:])
+            except SimulationStall:
+                continue
+            d.check_consistency()
+        assert restored.snapshot_state() == dev.snapshot_state()
 
 
 def pinned_mix(capacity, seed=5):

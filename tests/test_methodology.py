@@ -146,6 +146,92 @@ class TestEnforceRandomState:
         assert coverage == sorted(coverage) and 0.0 < coverage[0] and coverage[-1] <= 1.0
 
 
+class WriteLog:
+    """A do-nothing device that records every write it is sent."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.writes = []
+
+    def write(self, lba, size):
+        self.writes.append((lba, size))
+        return 0
+
+    def now_us(self):
+        return 0
+
+
+def enforcement_digest(capacity, seed):
+    dev = WriteLog(capacity)
+    result = enforce_random_state(dev, seed)
+    blob = json.dumps([dev.writes, result.ios_issued, result.bytes_written])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# SHA-256 of the JSON [(lba, size) write sequence, ios_issued,
+# bytes_written] of enforce_random_state on a do-nothing device, per
+# (capacity, seed).  A change to the seed streams, the stopping point or
+# the hole fill shows here.
+PINNED_ENFORCEMENT = {
+    (4 * MB, 0): "556fda9ed8601df1884be17083d608b7d1db9e761fa9f7aa768d2a45dcdf6135",
+    (4 * MB, 1): "9520299b69d3996f4a202c2b8e5aa3df8109b0a6b958f03443398ab8e830f701",
+    (4 * MB, 41): "93796a8f650c45a689da56cf99283f728124321a0e669babf9d0855d93fc4e26",
+    (4 * MB, 2**63 + 12345): "df9cd52abe695b9f49a2bca17d68e5d57d15cfbf3cdfe521215cdb23d026ca64",
+    (32 * MB, 0): "6ce0843058285e9bcb89840366cc9726ce8bee9f16212d2b5d46e7a5b2277897",
+    (32 * MB, 1): "dc4bb7e47c89fee12e7e027055c69dacfeafa104508e4321d96e86fa46cb4d2a",
+    (32 * MB, 41): "1e1d95ccacb4aa87b8f2ecd0d4beb2dd72243a20930a648460cfbb4620660afc",
+    (32 * MB, 2**63 + 12345): "ead30f47702781453e2fe950fc69018b22b200f2e285562c247bef28660ac907",
+    (128 * MB, 0): "e80ec749e25c7b1156e3d8f5e4b6bbce6390a81bb472e31907a55a64a1ce3a53",
+    (128 * MB, 1): "e52b784a8178aeafad26f974e8d21778c49a8edc298f1044f50e42d73ed14bdb",
+    (128 * MB, 41): "df670bf515c5355eb669d4762bc326ae0bd51371f64e1a5cdde7b1783e05c669",
+    (128 * MB, 2**63 + 12345): "24aef4373348acaa45b50e3942456103bd2a2c5b7a6199e3b86b94b8311cccac",
+    # 40,001 sectors: not a power of two, and not a whole number of blocks
+    (40_001 * 512, 0): "d59f1bcc7ebaef5515abae1212236c8210010addffbad79b849cc01b6890ca12",
+    (40_001 * 512, 1): "d92154753ebe360d5882e7d608b507696ecb6c8f3b94cfeecde01db572a5e43a",
+    (40_001 * 512, 41): "f7ee61c82f61f131a435661f22e6ce1072577b5df0d523fe3637ded7ab2cf3f8",
+    (40_001 * 512, 2**63 + 12345): "8980ea5ef1e7b2783d401804f23cae681cb8a135f20f267a4dd4d2a25891809f",
+}
+# SHA-256 of the JSON [(ios, coverage)] progress marks of seed 41 on a
+# 32 MB do-nothing device at every=64.
+PINNED_ENFORCEMENT_PROGRESS = "9fa9152fb315b13ee5a36aa880a1eb08bd932e7f184ea4478583244bf0c63f66"
+
+
+class TestEnforcementBytes:
+    @pytest.mark.parametrize("capacity, seed", sorted(PINNED_ENFORCEMENT))
+    def test_write_sequence_pinned(self, capacity, seed):
+        assert enforcement_digest(capacity, seed) == PINNED_ENFORCEMENT[(capacity, seed)]
+
+    def test_progress_coverage_pinned(self):
+        marks = []
+        enforce_random_state(
+            WriteLog(32 * MB), 41, progress=lambda f, n: marks.append((n, f)), every=64
+        )
+        digest = hashlib.sha256(json.dumps(marks).encode()).hexdigest()
+        assert digest == PINNED_ENFORCEMENT_PROGRESS
+
+    @pytest.mark.parametrize("start_io", [0, 1, 300, 640, 783])
+    def test_resume_sends_the_suffix(self, start_io):
+        # 32 MB seed 41 issues 783 IOs, the first 568 of them random
+        full, full_marks = WriteLog(32 * MB), []
+        whole = enforce_random_state(
+            full, 41, progress=lambda f, n: full_marks.append((n, f)), every=64
+        )
+        part, marks = WriteLog(32 * MB), []
+        resumed = enforce_random_state(
+            part, 41, progress=lambda f, n: marks.append((n, f)), every=64, start_io=start_io
+        )
+        assert part.writes == full.writes[start_io:]
+        assert marks == [m for m in full_marks if m[0] > start_io]
+        assert (resumed.ios_issued, resumed.bytes_written) == (whole.ios_issued, whole.bytes_written)
+
+    @pytest.mark.parametrize("fail_at, coverage", [(300, 0.446136474609375), (640, 0.787994384765625)])
+    def test_failure_coverage_pinned(self, fail_at, coverage):
+        dev = FailingAfter(WriteLog(32 * MB), fail_at=fail_at)
+        with pytest.raises(EnforcementError, match=f"format write {fail_at} failed") as exc:
+            enforce_random_state(dev, 41)
+        assert exc.value.coverage == coverage
+
+
 class TestCalibratePhases:
     def test_constant_latency_device(self):
         # pool large enough that no write ever triggers reclamation

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,8 @@ from flashmark.patterns import (
     interleave_mix,
     lba_at,
     split_parallel,
+    uniform_index,
+    uniform_indices,
 )
 from flashmark.serialization import dumps, from_data, to_data
 
@@ -345,3 +348,120 @@ class TestInvariantValidation:
     def test_unaligned_io_size(self):
         with pytest.raises(PatternError):
             make_spec(io_size=1000)
+
+
+timings = st.one_of(
+    st.just(Consecutive()),
+    st.builds(Pause, pause_us=st.integers(min_value=0, max_value=10**6)),
+    st.builds(
+        Burst,
+        pause_us=st.integers(min_value=0, max_value=10**6),
+        burst_count=st.integers(min_value=1, max_value=9),
+    ),
+)
+
+
+def reference_gap(spec, i):
+    """The gap before IO i, one IO at a time."""
+    t = spec.timing
+    if i == 0:
+        return 0
+    if isinstance(t, Pause):
+        return t.pause_us
+    if isinstance(t, Burst) and i % t.burst_count == 0:
+        return t.pause_us
+    return 0
+
+
+def reference_mix(mix):
+    """interleave_mix one IO at a time: whose turn, then that component's
+    next index, until the component whose turn it is has run out."""
+    out = []
+    k = 0
+    while True:
+        group, turn = divmod(k, mix.ratio + 1)
+        if turn < mix.ratio:
+            sub, i = mix.first, group * mix.ratio + turn
+        else:
+            sub, i = mix.second, group
+        if i >= sub.io_count:
+            return out
+        out.append(IORequest(0, lba_at(sub, i), sub.io_size, sub.mode))
+        k += 1
+
+
+class TestSeedStreams:
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**62),
+                st.one_of(st.just(1), st.integers(min_value=1, max_value=2**62)),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_indices_match_uniform_index(self, seed, draws):
+        idx = [i for i, _ in draws]
+        n = [m for _, m in draws]
+        got = uniform_indices(seed, np.array(idx), np.array(n))
+        assert got.tolist() == [uniform_index(seed, i, m) for i, m in draws]
+        # a scalar slot count broadcasts over the indices
+        assert uniform_indices(seed, np.array(idx), n[0]).tolist() == [
+            uniform_index(seed, i, n[0]) for i in idx
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 41, 2**63, 2**63 + 12345, 2**64 - 1])
+    def test_uniform_indices_at_edge_seeds(self, seed):
+        idx = np.arange(4096)
+        for n in (1, 2, 255, 256, 2**31 - 1, 2**40 + 7):
+            want = [uniform_index(seed, i, n) for i in range(4096)]
+            assert uniform_indices(seed, idx, n).tolist() == want
+
+    @given(pattern_specs(), timings, st.sampled_from(list(Mode)))
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_rows_match_per_io_rows(self, spec, timing, mode):
+        spec = replace(spec, timing=timing, mode=mode)
+        want = [
+            IORequest(reference_gap(spec, i), lba_at(spec, i), spec.io_size, spec.mode)
+            for i in range(spec.io_count)
+        ]
+        assert generate_schedule(spec) == want
+        assert [r.lba for r in want] == [oracle_lba(spec, i) for i in range(spec.io_count)]
+
+    @given(
+        st.sampled_from([Sequential(), Random()]),
+        st.sampled_from([Sequential(), Random()]),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mix_rows_match_per_io_rows(self, loc1, loc2, n1, n2, ratio, seed):
+        first = make_spec(location=loc1, mode=Mode.READ, io_count=n1, seed=seed)
+        second = make_spec(
+            location=loc2, mode=Mode.WRITE, io_count=n2, io_size=4 * KB,
+            target_offset=8 * KB * KB, seed=seed ^ 1,
+        )
+        mix = MixSpec(first=first, second=second, ratio=ratio)
+        assert interleave_mix(mix) == reference_mix(mix)
+
+    @pytest.mark.parametrize("incr", [-3, -1, 1, 2, 64, 10**15])
+    def test_ordered_out_of_range_names_the_first_index(self, incr):
+        spec = make_spec(location=Ordered(incr=incr), io_count=80, target_size=64 * 32 * KB)
+        top = spec.target_size - spec.io_size
+        start = 0 if incr > 0 else top
+        first = next(
+            i for i in range(spec.io_count)
+            if not 0 <= start + incr * i * spec.io_size <= top
+        )
+        with pytest.raises(ScheduleError) as exc:
+            generate_schedule(spec)
+        assert exc.value.index == first
+        assert str(exc.value) == (
+            f"ordered pattern leaves target space at IO {first} "
+            f"(incr={incr}, offset {start + incr * first * spec.io_size})"
+        )
