@@ -147,57 +147,29 @@ def aggregate(
     )
 
 
-def _sweep(
-    outcomes: Iterable[ExperimentOutcome], micro: str, baseline: str
-) -> list[tuple[int, float]]:
-    pts = [
-        (o.varying_value, o.mean_us)
-        for o in outcomes
-        if o.micro == micro and o.baseline == baseline
-    ]
-    return sorted(pts)
+def sweeps(outcomes: Iterable[ExperimentOutcome]) -> dict[tuple[str, str], list[tuple[int, float]]]:
+    """Every measured sweep, keyed (micro, baseline): its (swept value,
+    mean response time) points in value order."""
+    out: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    for o in outcomes:
+        out.setdefault((o.micro, o.baseline), []).append((o.varying_value, o.mean_us))
+    return {key: sorted(pts) for key, pts in out.items()}
 
 
-def locality_area(
-    locality_rw: Sequence[tuple[int, float]],
-    sw_mean_us: float,
-    io_size: int,
-    threshold: float = 2.0,
+def largest_within(
+    sweep: Iterable[tuple[int, float]], sw_mean_us: float, factor: float
 ) -> tuple[int, float] | None:
-    """Largest random-write area still behaving like sequential writes.
+    """The largest swept point whose mean stays within factor times the
+    sequential-write cost, as (value, its cost relative to sequential
+    writes); None when no point does.
 
-    Takes (target_size, mean_rt) sweep points; target_size equal to the
-    IO size degenerates to in-place writes and is excluded.  Returns
-    (area_bytes, achieved cost factor relative to sequential writes), or
-    None when even the smallest non-degenerate area exceeds
-    threshold * sw_mean.
+    The one qualification rule behind both the locality area (the largest
+    random-write target still behaving like sequential writes) and the
+    partition threshold (the most partitions writable without significant
+    degradation).
     """
-    qualifying = [
-        (size, mean / sw_mean_us)
-        for size, mean in locality_rw
-        if size > io_size and mean <= threshold * sw_mean_us
-    ]
-    if not qualifying:
-        return None
-    area, factor = max(qualifying)
-    return area, factor
-
-
-def partition_threshold(
-    partitioning_sw: Sequence[tuple[int, float]],
-    sw_mean_us: float,
-    threshold: float = 2.0,
-) -> tuple[int, float] | None:
-    """Largest partition count writable without significant degradation."""
-    qualifying = [
-        (parts, mean / sw_mean_us)
-        for parts, mean in partitioning_sw
-        if mean <= threshold * sw_mean_us
-    ]
-    if not qualifying:
-        return None
-    parts, factor = max(qualifying)
-    return parts, factor
+    within = [(value, mean / sw_mean_us) for value, mean in sweep if mean <= factor * sw_mean_us]
+    return max(within) if within else None
 
 
 def order_ratios(
@@ -205,7 +177,7 @@ def order_ratios(
     sw_mean_us: float,
     rw_mean_us: float,
     io_size: int,
-    large_stride_bytes: int = 1024 * 1024,
+    large_stride_bytes: int,
 ) -> dict:
     """Reverse / in-place / large-increment cost ratios.
 
@@ -284,66 +256,71 @@ class SummaryReport:
 def build_summary(
     outcomes: Sequence[ExperimentOutcome],
     device: str,
-    io_size: int = 32 * 1024,
-    thresholds: SummaryThresholds | None = None,
+    io_size: int,
+    thresholds: SummaryThresholds,
 ) -> SummaryReport:
     """Assemble the characterization report from measured experiment means.
 
     Metrics whose micro-benchmark is missing stay None; nothing is ever
     extrapolated.
     """
-    th = thresholds or SummaryThresholds()
-    report = SummaryReport(device=device, io_size=io_size, thresholds=th)
-    outcomes = list(outcomes)
+    report = SummaryReport(device=device, io_size=io_size, thresholds=thresholds)
+    by_key = sweeps(outcomes)
+
+    def sweep(micro: str, baseline: str) -> list[tuple[int, float]]:
+        return by_key.get((micro, baseline), [])
 
     for b in BASELINES:
-        pts = dict(_sweep(outcomes, "granularity", b))
+        pts = dict(sweep("granularity", b))
         if io_size in pts:
             report.baseline_cost_us[b] = pts[io_size]
     sw = report.baseline_cost_us.get("SW")
     rw = report.baseline_cost_us.get("RW")
 
-    pause_rw = _sweep(outcomes, "pause", "RW")
+    pause_rw = sweep("pause", "RW")
     if pause_rw and sw:
-        hits = [p for p, mean in pause_rw if mean <= th.pause_factor * sw]
+        hits = [p for p, mean in pause_rw if mean <= thresholds.pause_factor * sw]
         report.pause_effect_us = min(hits) if hits else None
 
-    loc = _sweep(outcomes, "locality", "RW")
+    loc = sweep("locality", "RW")
     if loc and sw:
-        report.locality_area = locality_area(loc, sw, io_size, th.locality_factor)
+        # a one-IO target degenerates to in-place writes
+        report.locality_area = largest_within(
+            [(size, mean) for size, mean in loc if size > io_size], sw, thresholds.locality_factor
+        )
         if len(loc) < 17:  # full declared sweep is 2^0..2^16 x io_size
             report.notes.append(
                 f"locality/RW sweep partial: {len(loc)} of 17 points "
                 f"(largest {max(s for s, _ in loc)} bytes)"
             )
 
-    parts = _sweep(outcomes, "partitioning", "SW")
+    parts = sweep("partitioning", "SW")
     if parts and sw:
-        report.partition_threshold = partition_threshold(parts, sw, th.partition_factor)
+        report.partition_threshold = largest_within(parts, sw, thresholds.partition_factor)
         if len(parts) < 9:  # full declared sweep is 2^0..2^8
             report.notes.append(f"partitioning/SW sweep partial: {len(parts)} of 9 points")
 
-    order = _sweep(outcomes, "order", "SW")
+    order = sweep("order", "SW")
     if order and sw and rw:
-        report.order = order_ratios(order, sw, rw, io_size, th.large_stride_bytes)
+        report.order = order_ratios(order, sw, rw, io_size, thresholds.large_stride_bytes)
 
     penalties = []
     for b in BASELINES:
-        align = dict(_sweep(outcomes, "alignment", b))
+        align = dict(sweep("alignment", b))
         if 0 in align and len(align) > 1:
             aligned = align[0]
             penalties.extend(m / aligned for shift, m in align.items() if shift)
     if penalties:
         report.alignment_penalty = max(penalties)
 
-    for pair in sorted({o.baseline for o in outcomes if o.micro == "mix"}):
+    for pair in sorted(baseline for micro, baseline in by_key if micro == "mix"):
         b1, _, b2 = pair.partition("+")
         m1 = report.baseline_cost_us.get(b1)
         m2 = report.baseline_cost_us.get(b2)
         if m1 is None or m2 is None:
             continue
         worst = None
-        for ratio, mean in _sweep(outcomes, "mix", pair):
+        for ratio, mean in sweep("mix", pair):
             blend = (ratio * m1 + m2) / (ratio + 1)
             factor = mean / blend
             if worst is None or abs(np.log(factor)) > abs(np.log(worst)):
@@ -352,10 +329,10 @@ def build_summary(
             report.mix_deviation[pair] = worst
 
     for b in BASELINES:
-        sweep = dict(_sweep(outcomes, "parallelism", b))
-        if 1 in sweep and len(sweep) > 1:
+        par = dict(sweep("parallelism", b))
+        if 1 in par and len(par) > 1:
             report.parallel_degradation[b] = {
-                deg: mean / sweep[1] for deg, mean in sweep.items() if deg != 1
+                deg: mean / par[1] for deg, mean in par.items() if deg != 1
             }
 
     report.dispersion_flags = sorted(
@@ -369,69 +346,59 @@ def build_summary(
 # ------------------------------------------------------------- plot data
 
 
-def emit_xy_series(
-    path: str | Path,
-    series: dict[str, Sequence[tuple[float, float]]],
-    x_axis: str,
-    y_axis: str,
+def _write_table(
+    path: Path, x_axis: str, y_axis: str, header: list[str], rows: list[str], **meta
 ) -> None:
-    """Write labeled (x, y) series as tab-separated values plus a sidecar
-    metadata file naming axes and units."""
-    path = Path(path)
-    lines = [f"# axis: x={x_axis} y={y_axis}", "series\tx\ty"]
-    for label in sorted(series):
-        for x, y in series[label]:
-            lines.append(f"{label}\t{x}\t{y}")
+    """Write tab-separated rows under an `# axis:` line and a header, plus
+    a `.meta.json` sidecar naming the axes followed by meta."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"# axis: x={x_axis} y={y_axis}", "\t".join(header), *rows]
     write_atomic(path, "\n".join(lines) + "\n")
-    meta = {"x_axis": x_axis, "y_axis": y_axis, "series": sorted(series)}
+    meta = {"x_axis": x_axis, "y_axis": y_axis, **meta}
     write_atomic(path.with_suffix(path.suffix + ".meta.json"), json.dumps(meta, indent=2))
 
 
 def emit_phase_trace(path: str | Path, rts: Sequence[float], io_ignore: int) -> None:
     """Per-IO scatter plus the two running averages (with and without the
     start-up prefix), the trace view used to pick warm-up lengths."""
-    path = Path(path)
     x = np.asarray(rts, dtype=float)
     with_startup = running_average(x)
     without = np.full(x.size, np.nan)
     if io_ignore < x.size:
         without[io_ignore:] = running_average(x[io_ignore:])
-    lines = ["# axis: x=io_index y=response_time_us", "index\trt\tavg_all\tavg_after_ignore"]
+    rows = []
     for i in range(x.size):
         tail = "" if np.isnan(without[i]) else f"{without[i]:.3f}"
-        lines.append(f"{i}\t{x[i]:.3f}\t{with_startup[i]:.3f}\t{tail}")
-    write_atomic(path, "\n".join(lines) + "\n")
-    meta = {
-        "x_axis": "io_index",
-        "y_axis": "response_time_us",
-        "io_ignore": io_ignore,
-        "columns": ["index", "rt", "avg_all", "avg_after_ignore"],
-    }
-    write_atomic(path.with_suffix(path.suffix + ".meta.json"), json.dumps(meta, indent=2))
+        rows.append(f"{i}\t{x[i]:.3f}\t{with_startup[i]:.3f}\t{tail}")
+    columns = ["index", "rt", "avg_all", "avg_after_ignore"]
+    _write_table(
+        Path(path), "io_index", "response_time_us", columns, rows,
+        io_ignore=io_ignore, columns=columns,
+    )
 
 
-def emit_plot_data(
-    outcomes: Sequence[ExperimentOutcome], kind: str, out_dir: str | Path
-) -> Path:
-    """Emit plot-ready sweep data for one micro-benchmark."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{kind}.tsv"
-    series: dict[str, list[tuple[float, float]]] = {}
-    for o in outcomes:
-        if o.micro != kind:
-            continue
-        series.setdefault(o.baseline, []).append((o.varying_value, o.mean_us))
-    x_name = {
-        "granularity": "io_size_bytes",
-        "alignment": "io_shift_bytes",
-        "locality": "target_size_bytes",
-        "partitioning": "partitions",
-        "order": "incr",
-        "parallelism": "parallel_degree",
-        "mix": "ratio",
-        "pause": "pause_us",
-        "bursts": "burst_count",
-    }.get(kind, "value")
-    emit_xy_series(path, {k: sorted(v) for k, v in series.items()}, x_name, "mean_rt_us")
-    return path
+# the x axis of each micro-benchmark's plot table
+PLOT_X_AXIS = {
+    "granularity": "io_size_bytes",
+    "alignment": "io_shift_bytes",
+    "locality": "target_size_bytes",
+    "partitioning": "partitions",
+    "order": "incr",
+    "parallelism": "parallel_degree",
+    "mix": "ratio",
+    "pause": "pause_us",
+    "bursts": "burst_count",
+}
+
+
+def emit_plot_data(outcomes: Sequence[ExperimentOutcome], out_dir: str | Path) -> None:
+    """Write one plot table, `<micro>.tsv`, per measured micro-benchmark:
+    a (series, x, y) row per sweep point, series being the baseline."""
+    by_key = sweeps(outcomes)
+    for micro in sorted({m for m, _ in by_key}):
+        labels = sorted(b for m, b in by_key if m == micro)
+        rows = [f"{b}\t{x}\t{y}" for b in labels for x, y in by_key[micro, b]]
+        _write_table(
+            Path(out_dir) / f"{micro}.tsv", PLOT_X_AXIS[micro], "mean_rt_us",
+            ["series", "x", "y"], rows, series=labels,
+        )

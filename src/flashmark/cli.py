@@ -352,13 +352,8 @@ def cmd_calibrate(config_path: str) -> None:
     _require(journal, "format")
     cfg.check_plannable(dev.capacity, None)  # as format does
 
-    c = cfg.calibration
-    profile = calibrate_phases(
-        dev, long_io_count=c.long_io_count, seed=cfg.seed, settle_pause_us=c.settle_pause_us
-    )
-    pause = calibrate_pause(
-        dev, cfg.seed, c.probe_reads, c.disturb_writes, c.observe_reads, c.settle_pause_us
-    )
+    profile = calibrate_phases(dev, cfg.calibration, cfg.seed)
+    pause = calibrate_pause(dev, cfg.calibration, cfg.seed)
     profile = replace(profile, inter_run_pause_us=pause.pause_us)
     cfg.check_plannable(dev.capacity, profile)  # with the counts `plan` will use
     out = cfg.output_dir / "device_profile.json"
@@ -475,6 +470,7 @@ def cmd_report(config_path: str) -> None:
     # the response times of the longest RW run (the most start-up-prone
     # trace, shown in the phase plot) are kept.  A run counts only once it
     # is journaled done: a failed or interrupted run leaves a partial trace.
+    # A done run's trace holds all its IOs; a shorter one was truncated.
     done = cfg.journal().done_steps()
     unfinished = 0
     run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
@@ -488,7 +484,12 @@ def cmd_report(config_path: str) -> None:
         path = traces_root / trace_relpath(step, device)
         with path.open() as fp:
             trace = read_trace_csv(fp)
-        mean = summarize(trace, min(exp.io_ignore, len(trace.records) - 1))
+        if len(trace.records) != exp.io_count:
+            raise ValueError(
+                f"{path}: {len(trace.records)} rows, but its run is journaled done "
+                f"with {exp.io_count} IOs"
+            )
+        mean = summarize(trace, exp.io_ignore)
         run_means.setdefault(exp.experiment_id, (exp, []))[1].append(mean)
         if exp.baseline == "RW" and len(trace.records) > len(phase_rts):
             phase_rts, phase_io_ignore = trace.rts, exp.io_ignore
@@ -504,8 +505,7 @@ def cmd_report(config_path: str) -> None:
     save(report, report_dir / "summary.json")
     write_atomic(report_dir / "summary.txt", report.to_text() + "\n")
     plots = report_dir / "plots"
-    for micro in sorted({o.micro for o in outcomes}):
-        emit_plot_data(outcomes, micro, plots)
+    emit_plot_data(outcomes, plots)
     if phase_rts:
         emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase_io_ignore)
     cfg.write_manifest("report", experiments=len(run_means))

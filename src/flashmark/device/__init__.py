@@ -11,7 +11,7 @@ clock and real sleeps.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 SECTOR = 512
 
@@ -24,10 +24,8 @@ class UnsupportedError(DeviceError):
     """The backend does not support the requested operation."""
 
 
-@runtime_checkable
 class BlockDevice(Protocol):
     capacity: int
-    device_id: str
 
     def read(self, lba: int, size: int) -> int:
         """Synchronously read; returns response time in microseconds."""

@@ -73,7 +73,6 @@ class RawDevice:
         except OSError as exc:
             raise DeviceError(f"cannot open {path}: {exc}") from exc
         self.path = path
-        self.device_id = os.path.basename(path) or "raw"
         self.capacity = _device_size(self._fd)
         if self.capacity % SECTOR:
             self.capacity -= self.capacity % SECTOR

@@ -197,7 +197,6 @@ class SimulatedDevice:
     def __init__(self, profile: SimProfile):
         self.profile = profile
         self.capacity = profile.capacity
-        self.device_id = profile.name
         p = profile
 
         self._page = p.page_size

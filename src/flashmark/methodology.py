@@ -38,7 +38,6 @@ from .microbench import (
 from .patterns import (
     BASELINES,
     MixSpec,
-    PatternSpec,
     baseline_pattern,
     derive_seed,
     uniform_indices,
@@ -213,38 +212,34 @@ def enforce_random_state(
 CALIBRATION_IO_SIZE = 32 * KB
 
 
-def _calibration_pattern(baseline: str, device: BlockDevice, io_count: int, seed: int) -> PatternSpec:
-    """A 32 KB baseline pattern over the device: a random one roams all of
-    it, a sequential one spans its IOs, wrapping at the device end."""
+def _probe(device: BlockDevice, baseline: str, io_count: int, seed: int) -> list[int]:
+    """Response times of one calibration run: a 32 KB baseline pattern
+    over the device.  A random pattern roams all of it, a sequential one
+    spans its IOs, wrapping at the device end."""
     device_span = device.capacity - device.capacity % CALIBRATION_IO_SIZE
     spec = baseline_pattern(baseline, CALIBRATION_IO_SIZE, io_count, device_span, seed)
-    return replace(spec, target_size=min(spec.target_size, device_span))
+    spec = replace(spec, target_size=min(spec.target_size, device_span))
+    trace = execute_run(device, spec)
+    if trace.error:
+        raise DeviceError(f"calibration run {baseline} aborted: {trace.error}")
+    return trace.rts
 
 
-def calibrate_phases(
-    device: BlockDevice,
-    long_io_count: int = CalibrationConfig.long_io_count,
-    seed: int = 0,
-    settle_pause_us: int = CalibrationConfig.settle_pause_us,
-) -> DeviceProfile:
+def calibrate_phases(device: BlockDevice, cfg: CalibrationConfig, seed: int) -> DeviceProfile:
     """Measure start-up and period for each baseline pattern.
 
-    Runs SR, RR, SW and RW with a long IO count against the enforced
-    device, detects the two phases on each trace, and derives per-run
-    IOIgnore/IOCount recommendations (start-up plus enough periods to
-    converge, floored at the per-baseline defaults).
+    Runs SR, RR, SW and RW with cfg.long_io_count IOs against the enforced
+    device, each after a settle pause, detects the two phases on each
+    trace, and derives per-run IOIgnore/IOCount recommendations (start-up
+    plus enough periods to converge, floored at the per-baseline defaults).
     """
     startup: dict[str, int] = {}
     period: dict[str, int] = {}
     flags: list[str] = []
     recommendation: dict[str, int] = {}
     for tag, baseline in enumerate(BASELINES, 1):
-        device.idle(settle_pause_us)
-        spec = _calibration_pattern(baseline, device, long_io_count, derive_seed(seed, tag))
-        trace = execute_run(device, spec)
-        if trace.error:
-            raise DeviceError(f"calibration run {baseline} aborted: {trace.error}")
-        rts = trace.rts
+        device.idle(cfg.settle_pause_us)
+        rts = _probe(device, baseline, cfg.long_io_count, derive_seed(seed, tag))
         est = detect_startup(rts)
         if not est.conclusive:
             flags.append(f"startup:{baseline}:inconclusive")
@@ -272,34 +267,20 @@ class PauseCalibration:
     lingering_us: int
 
 
-def calibrate_pause(
-    device: BlockDevice,
-    seed: int = 0,
-    probe_reads: int = CalibrationConfig.probe_reads,
-    disturb_writes: int = CalibrationConfig.disturb_writes,
-    observe_reads: int = CalibrationConfig.observe_reads,
-    settle_pause_us: int = CalibrationConfig.settle_pause_us,
-) -> PauseCalibration:
+def calibrate_pause(device: BlockDevice, cfg: CalibrationConfig, seed: int) -> PauseCalibration:
     """Measure how long one run's side effects linger into the next.
 
-    Sequential reads, then a batch of random writes, then sequential
+    After a settle pause: cfg.probe_reads sequential reads, then
+    cfg.disturb_writes random writes, then cfg.observe_reads sequential
     reads again; reads in the second batch whose response time exceeds
     the pre-batch mean by PAUSE_K_SIGMA standard deviations are counted as
     affected.  The returned pause doubles the observed lingering time
     and never goes below one second, deliberately overestimating.
     """
-    device.idle(settle_pause_us)
-
-    def probe(baseline: str, n: int, tag: int) -> list[int]:
-        spec = _calibration_pattern(baseline, device, n, derive_seed(seed, tag))
-        trace = execute_run(device, spec)
-        if trace.error:
-            raise DeviceError(f"pause probe aborted: {trace.error}")
-        return trace.rts
-
-    pre = np.asarray(probe("SR", probe_reads, 1), dtype=float)
-    probe("RW", disturb_writes, 2)
-    post = np.asarray(probe("SR", observe_reads, 3), dtype=float)
+    device.idle(cfg.settle_pause_us)
+    pre = np.asarray(_probe(device, "SR", cfg.probe_reads, derive_seed(seed, 1)), dtype=float)
+    _probe(device, "RW", cfg.disturb_writes, derive_seed(seed, 2))
+    post = np.asarray(_probe(device, "SR", cfg.observe_reads, derive_seed(seed, 3)), dtype=float)
     threshold = pre.mean() + PAUSE_K_SIGMA * pre.std() + 1e-9
     affected = post > threshold
     count = int(affected.sum())

@@ -181,8 +181,8 @@ def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: T
 # ----------------------------------------------------------------- files
 
 
-def trace_relpath(step: RunStep, device_id: str) -> Path:
-    return Path(device_id) / f"{step.step_id}.csv"
+def trace_relpath(step: RunStep, device_label: str) -> Path:
+    return Path(device_label) / f"{step.step_id}.csv"
 
 
 def write_trace_csv(trace: Trace, fp: IO[str]) -> None:

@@ -21,6 +21,7 @@ from flashmark.analysis import detect_startup, estimate_period
 from flashmark.cli import main as cli_main
 from flashmark.device import SimulatedDevice, builtin_profile
 from flashmark.methodology import (
+    CalibrationConfig,
     StateReset,
     RunStep,
     build_plan,
@@ -153,7 +154,7 @@ def test_acceptance_3_startup_recovery(pool):
     prof = builtin_profile("highend-ssd", capacity=128 * MB, free_block_pool=pool)
     dev = SimulatedDevice(prof)
     enforce_random_state(dev, seed=31)
-    profile = calibrate_phases(dev, long_io_count=4096, seed=5)
+    profile = calibrate_phases(dev, CalibrationConfig(long_io_count=4096), seed=5)
     got = profile.startup["RW"]
     if pool == 0:
         assert got == 0
@@ -191,7 +192,9 @@ def test_acceptance_5_pause_calibration():
     prof = builtin_profile("highend-ssd")
     dev = SimulatedDevice(prof)
     enforce_random_state(dev, seed=17)
-    cal = calibrate_pause(dev, seed=9, disturb_writes=1024, observe_reads=8192)
+    cal = calibrate_pause(
+        dev, CalibrationConfig(disturb_writes=1024, observe_reads=8192), seed=9
+    )
 
     sr_cost = prof.controller_overhead_us + 16 * prof.read_page_us
     affected_cost = sr_cost + prof.read_drain_extra_us
@@ -204,7 +207,9 @@ def test_acceptance_5_pause_calibration():
 
     sync = SimulatedDevice(builtin_profile("lowend-usb", capacity=64 * MB))
     enforce_random_state(sync, seed=18)
-    cal_sync = calibrate_pause(sync, seed=9, disturb_writes=256, observe_reads=2048)
+    cal_sync = calibrate_pause(
+        sync, CalibrationConfig(disturb_writes=256, observe_reads=2048), seed=9
+    )
     assert cal_sync.pause_us == 1_000_000
     ok(
         5,

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from flashmark.analysis import (
     ExperimentOutcome,
+    SummaryThresholds,
     build_summary,
     detect_startup,
     emit_phase_trace,
     emit_plot_data,
-    emit_xy_series,
     estimate_period,
-    locality_area,
+    largest_within,
     order_ratios,
-    partition_threshold,
     running_average,
 )
 from flashmark.serialization import dumps
@@ -108,7 +107,19 @@ class TestEstimatePeriod:
         assert estimate_period(x).period == 128
 
 
+def outcome(micro, baseline, name, value, mean, flagged=False):
+    return ExperimentOutcome(micro, baseline, name, value, mean, flagged)
+
+
+def summary(outcomes, device="d"):
+    """build_summary at a 32 KB IO size with the default thresholds."""
+    return build_summary(outcomes, device, 32 * KB, SummaryThresholds())
+
+
 class TestLocalityArea:
+    """largest_within on a locality/RW sweep, as build_summary passes it:
+    the points larger than one IO."""
+
     SWEEP = [
         (32 * KB, 600.0),      # degenerate: equals io_size, excluded
         (1 * MB, 700.0),
@@ -116,9 +127,10 @@ class TestLocalityArea:
         (64 * MB, 5_000.0),
         (256 * MB, 9_000.0),
     ]
+    AREAS = [(size, mean) for size, mean in SWEEP if size > 32 * KB]
 
     def test_midrange_area_with_factor(self):
-        got = locality_area(self.SWEEP, sw_mean_us=400.0, io_size=32 * KB, threshold=2.0)
+        got = largest_within(self.AREAS, sw_mean_us=400.0, factor=2.0)
         assert got is not None
         area, factor = got
         assert area == 8 * MB
@@ -126,44 +138,50 @@ class TestLocalityArea:
 
     def test_no_qualifying_area(self):
         sweep = [(1 * MB, 9_000.0), (8 * MB, 12_000.0)]
-        assert locality_area(sweep, sw_mean_us=400.0, io_size=32 * KB) is None
+        assert largest_within(sweep, sw_mean_us=400.0, factor=2.0) is None
 
     def test_degenerate_point_alone_does_not_qualify(self):
-        sweep = [(32 * KB, 500.0), (1 * MB, 30_000.0)]
-        assert locality_area(sweep, sw_mean_us=400.0, io_size=32 * KB) is None
+        out = [
+            outcome("granularity", "SW", "io_size", 32 * KB, 400.0),
+            outcome("locality", "RW", "target_size", 32 * KB, 500.0),
+            outcome("locality", "RW", "target_size", 1 * MB, 30_000.0),
+        ]
+        assert summary(out).locality_area is None
 
     @given(st.floats(min_value=1.1, max_value=10.0), st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_threshold(self, t1, dt):
-        a1 = locality_area(self.SWEEP, 400.0, 32 * KB, t1)
-        a2 = locality_area(self.SWEEP, 400.0, 32 * KB, t1 + dt)
+        a1 = largest_within(self.AREAS, 400.0, t1)
+        a2 = largest_within(self.AREAS, 400.0, t1 + dt)
         if a1 is not None:
             assert a2 is not None and a2[0] >= a1[0]
 
 
 class TestPartitionThreshold:
+    """largest_within on a partitioning/SW sweep."""
+
     SWEEP = [(1, 400.0), (2, 400.0), (4, 430.0), (8, 460.0), (16, 4_000.0), (256, 9_000.0)]
 
     def test_generous_device_threshold(self):
-        parts, factor = partition_threshold(self.SWEEP, sw_mean_us=400.0)
+        parts, factor = largest_within(self.SWEEP, sw_mean_us=400.0, factor=2.0)
         assert parts == 8
         assert factor == pytest.approx(460.0 / 400.0)
 
     def test_strict_device_threshold(self):
         sweep = [(1, 2900.0), (2, 3300.0), (4, 14_000.0), (8, 60_000.0)]
-        parts, factor = partition_threshold(sweep, sw_mean_us=2900.0, threshold=5.0)
+        parts, factor = largest_within(sweep, sw_mean_us=2900.0, factor=5.0)
         assert parts == 4
         assert factor == pytest.approx(14_000.0 / 2900.0)
 
     def test_single_partition_always_qualifies(self):
-        got = partition_threshold([(1, 700.0)], sw_mean_us=700.0, threshold=1.01)
+        got = largest_within([(1, 700.0)], sw_mean_us=700.0, factor=1.01)
         assert got == (1, 1.0)
 
     @given(st.floats(min_value=1.05, max_value=4.0), st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_threshold(self, t1, dt):
-        p1 = partition_threshold(self.SWEEP, 400.0, t1)
-        p2 = partition_threshold(self.SWEEP, 400.0, t1 + dt)
+        p1 = largest_within(self.SWEEP, 400.0, t1)
+        p2 = largest_within(self.SWEEP, 400.0, t1 + dt)
         if p1 is not None:
             assert p2 is not None and p2[0] >= p1[0]
 
@@ -171,14 +189,14 @@ class TestPartitionThreshold:
 class TestOrderRatios:
     def test_in_place_writes_can_save_time(self):
         sweep = [(-1, 900.0), (0, 360.0), (1, 600.0), (32, 36_000.0), (64, 36_000.0)]
-        got = order_ratios(sweep, sw_mean_us=600.0, rw_mean_us=18_000.0, io_size=32 * KB)
+        got = order_ratios(sweep, 600.0, 18_000.0, 32 * KB, MB)
         assert got["in_place"] == pytest.approx(0.6)
         assert got["reverse"] == pytest.approx(1.5)
         assert got["large_incr"] == pytest.approx(2.0)
 
     def test_in_place_writes_can_be_penalized(self):
         sweep = [(0, 116_000.0)]
-        got = order_ratios(sweep, sw_mean_us=2900.0, rw_mean_us=256_000.0, io_size=32 * KB)
+        got = order_ratios(sweep, 2900.0, 256_000.0, 32 * KB, MB)
         assert got["in_place"] == pytest.approx(40.0)
         assert got["reverse"] is None
 
@@ -190,12 +208,8 @@ class TestOrderRatios:
     def test_large_incr_uses_stride_cutoff(self):
         # io 32 KB: incr 32 is the first 1 MB stride
         sweep = [(16, 5_000.0), (32, 8_000.0), (64, 12_000.0)]
-        got = order_ratios(sweep, 400.0, 10_000.0, 32 * KB)
+        got = order_ratios(sweep, 400.0, 10_000.0, 32 * KB, MB)
         assert got["large_incr"] == pytest.approx(np.mean([8_000.0, 12_000.0]) / 10_000.0)
-
-
-def outcome(micro, baseline, name, value, mean, flagged=False):
-    return ExperimentOutcome(micro, baseline, name, value, mean, flagged)
 
 
 class TestBuildSummary:
@@ -224,7 +238,7 @@ class TestBuildSummary:
         return out
 
     def test_assembles_all_fields(self):
-        rep = build_summary(self._full_outcomes(), device="demo")
+        rep = summary(self._full_outcomes(), device="demo")
         assert rep.baseline_cost_us == {
             "SR": 400.0, "RR": 500.0, "SW": 400.0, "RW": 9_000.0,
         }
@@ -246,10 +260,10 @@ class TestBuildSummary:
             outcome("pause", "RW", "pause_us", 100, 9_000.0),
             outcome("pause", "RW", "pause_us", 25_600, 8_800.0),
         ]
-        assert build_summary(out, device="d").pause_effect_us is None
+        assert summary(out).pause_effect_us is None
 
     def test_empty_outcomes_give_null_report(self):
-        rep = build_summary([], device="empty")
+        rep = summary([], device="empty")
         assert rep.baseline_cost_us == {}
         assert rep.pause_effect_us is None
         assert rep.locality_area is None
@@ -260,21 +274,20 @@ class TestBuildSummary:
         assert data["device"] == "empty"
 
     def test_text_table_renders_missing_as_dashes(self):
-        text = build_summary([], device="empty").to_text()
+        text = summary([], device="empty").to_text()
         assert "empty" in text.splitlines()[1]
         assert "No" in text  # locality column
 
 
 class TestPlotData:
     def test_xy_series_format(self, tmp_path):
-        path = tmp_path / "granularity.tsv"
-        emit_xy_series(path, {"SW": [(512, 3300.0)]}, "io_size_bytes", "mean_rt_us")
-        lines = path.read_text().splitlines()
+        emit_plot_data([outcome("granularity", "SW", "io_size", 512, 3300.0)], tmp_path)
+        lines = (tmp_path / "granularity.tsv").read_text().splitlines()
         assert lines[0] == "# axis: x=io_size_bytes y=mean_rt_us"
         assert lines[1] == "series\tx\ty"
         assert lines[2] == "SW\t512\t3300.0"
         meta = json.loads((tmp_path / "granularity.tsv.meta.json").read_text())
-        assert meta["x_axis"] == "io_size_bytes"
+        assert meta == {"x_axis": "io_size_bytes", "y_axis": "mean_rt_us", "series": ["SW"]}
 
     def test_phase_trace_includes_both_running_averages(self, tmp_path):
         path = tmp_path / "trace.tsv"
@@ -290,15 +303,15 @@ class TestPlotData:
             outcome("granularity", "SR", "io_size", 512, 150.0),
             outcome("pause", "RW", "pause_us", 100, 9_000.0),
         ]
-        path = emit_plot_data(oc, "granularity", tmp_path)
-        body = path.read_text()
+        emit_plot_data(oc, tmp_path)
+        body = (tmp_path / "granularity.tsv").read_text()
         assert "SR\t512\t150.0" in body
         assert "pause" not in body
+        assert "RW\t100\t9000.0" in (tmp_path / "pause.tsv").read_text()
 
-    def test_empty_results_header_only(self, tmp_path):
-        path = emit_plot_data([], "locality", tmp_path)
-        lines = path.read_text().splitlines()
-        assert lines == ["# axis: x=target_size_bytes y=mean_rt_us", "series\tx\ty"]
+    def test_no_outcomes_write_no_table(self, tmp_path):
+        emit_plot_data([], tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
 
     def test_running_average(self):
         assert running_average([1.0, 3.0, 5.0]).tolist() == [1.0, 2.0, 3.0]

@@ -361,6 +361,19 @@ class TestPipeline:
         assert invoke(["report", "--config", str(config_path)]).exit_code == 0
         assert (out / "report" / "summary.json").read_text() == summary
 
+    def test_report_refuses_a_truncated_done_trace(self, campaign):
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan", "run"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        trace = sorted((out / "traces").rglob("run*.csv"))[0]
+        rows = trace.read_text().splitlines()
+        assert len(rows) - 1 == 16
+        trace.write_text("\n".join(rows[:-1]) + "\n")
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert f"{trace}: 15 rows, but its run is journaled done with 16 IOs" in r.output
+        assert not (out / "report").exists()
+
 
 # Config and simulator-profile inputs that must stop a command with exit 2
 # before it touches the device: (edit of config, profile, raw file path;

@@ -7,6 +7,7 @@ import pytest
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import (
     BenchmarkPlan,
+    CalibrationConfig,
     DeviceProfile,
     EnforcementError,
     MIN_INTER_RUN_PAUSE_US,
@@ -236,7 +237,7 @@ class TestCalibratePhases:
     def test_constant_latency_device(self):
         # pool large enough that no write ever triggers reclamation
         dev = small_sim(free_block_pool=700, gc_mode="synchronous")
-        profile = calibrate_phases(dev, long_io_count=512, settle_pause_us=0)
+        profile = calibrate_phases(dev, CalibrationConfig(long_io_count=512, settle_pause_us=0), 0)
         for b in ("SR", "RR", "SW", "RW"):
             assert profile.startup[b] == 0
             assert profile.period[b] == 1
@@ -247,7 +248,9 @@ class TestCalibratePhases:
         prof = builtin_profile("highend-ssd", capacity=64 * MB, free_block_pool=64)
         dev = SimulatedDevice(prof)
         enforce_random_state(dev, seed=9)
-        profile = calibrate_phases(dev, long_io_count=1024, settle_pause_us=60_000_000)
+        profile = calibrate_phases(
+            dev, CalibrationConfig(long_io_count=1024, settle_pause_us=60_000_000), 0
+        )
         assert abs(profile.startup["RW"] - 64) <= 7
         assert profile.startup["SR"] == 0
         assert profile.startup["SW"] == 0
@@ -256,7 +259,7 @@ class TestCalibratePhases:
         prof = builtin_profile("lowend-usb", capacity=64 * MB)
         dev = SimulatedDevice(prof)
         enforce_random_state(dev, seed=9)
-        profile = calibrate_phases(dev, long_io_count=2048, settle_pause_us=0)
+        profile = calibrate_phases(dev, CalibrationConfig(long_io_count=2048, settle_pause_us=0), 0)
         assert profile.period["SW"] == 128
         assert profile.io_count_recommendation["SW"] == max(20 * 128, 1024)
 
@@ -265,7 +268,9 @@ class TestCalibratePause:
     def test_synchronous_device_gets_floor(self):
         dev = small_sim(free_block_pool=0, write_cache_blocks=0, stream_slots=0)
         enforce_random_state(dev, seed=4)
-        cal = calibrate_pause(dev, observe_reads=1024, disturb_writes=256, settle_pause_us=0)
+        cal = calibrate_pause(
+            dev, CalibrationConfig(observe_reads=1024, disturb_writes=256, settle_pause_us=0), 0
+        )
         assert cal.affected_reads == 0
         assert cal.pause_us == 1_000_000
 
@@ -278,7 +283,7 @@ class TestCalibratePause:
             read_drain_extra_us=500,
         )
         enforce_random_state(dev, seed=4)
-        cal = calibrate_pause(dev, observe_reads=4096, disturb_writes=512)
+        cal = calibrate_pause(dev, CalibrationConfig(observe_reads=4096, disturb_writes=512), 0)
         assert cal.affected_reads > 0
         assert cal.pause_us >= 2 * cal.lingering_us
         assert cal.pause_us > 1_000_000
@@ -294,7 +299,7 @@ class TestCalibratePause:
                 read_drain_extra_us=500,
             )
             enforce_random_state(dev, seed=4)
-            cal = calibrate_pause(dev, observe_reads=4096, disturb_writes=512)
+            cal = calibrate_pause(dev, CalibrationConfig(observe_reads=4096, disturb_writes=512), 0)
             pauses.append(cal.pause_us)
         assert pauses == sorted(pauses)
         assert pauses[0] < pauses[-1]
@@ -303,7 +308,9 @@ class TestCalibratePause:
         # threshold sits above the pre-batch mean, so identical behavior
         # in both read batches counts nothing
         dev = small_sim(free_block_pool=700)
-        cal = calibrate_pause(dev, observe_reads=512, disturb_writes=64, settle_pause_us=0)
+        cal = calibrate_pause(
+            dev, CalibrationConfig(observe_reads=512, disturb_writes=64, settle_pause_us=0), 0
+        )
         assert cal.affected_reads == 0
 
 

@@ -70,7 +70,6 @@ class StubDevice:
     def __init__(self, costs):
         self.costs = list(costs)
         self.capacity = 1 << 40
-        self.device_id = "stub"
         self._clock = 0
         self._i = 0
 
