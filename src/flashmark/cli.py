@@ -50,7 +50,7 @@ from .methodology import (
     verify_plan,
 )
 from .microbench import (
-    ExperimentSpec, Micro, StateReset, SuiteConfig, assign_target_offsets, expand_suite,
+    BenchmarkPlan, ExperimentSpec, Micro, StateReset, SuiteConfig, expand_suite,
 )
 from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
@@ -118,10 +118,10 @@ class CampaignConfig:
         return self.output_dir / "device_state.bin"
 
     def sim_profile(self) -> SimProfile:
-        """The simulator profile: a JSON file if one exists at the given
-        path, otherwise a built-in profile name."""
+        """The simulator profile: the JSON file of a name ending in .json,
+        otherwise a built-in profile name."""
         name = self.device.simulator_profile
-        if Path(name).suffix == ".json" and Path(name).exists():
+        if Path(name).suffix == ".json":
             return load(SimProfile, name)
         return builtin_profile(name)
 
@@ -171,11 +171,12 @@ class CampaignConfig:
 
         return journal, commit
 
-    def check_plannable(self, capacity: int, profile: DeviceProfile | None) -> None:
-        """Place the suite's targets as `plan` will: a suite that cannot be
-        planned on the device raises a validation error here."""
+    def plan(self, capacity: int, profile: DeviceProfile) -> BenchmarkPlan:
+        """The suite's plan on a device of `capacity` bytes, as `plan`
+        writes it; `format` and `calibrate` build it before any IO."""
         suite = self.suite_config(capacity, profile)
-        assign_target_offsets(expand_suite(suite, self.micros()), capacity, suite.base_target_offset)
+        experiments = expand_suite(suite, self.micros())
+        return build_plan(experiments, profile, capacity, base_offset=suite.base_target_offset)
 
     def write_manifest(self, command: str, **extra) -> None:
         manifest = {
@@ -196,9 +197,9 @@ class CampaignConfig:
         decoded = _decode(SuiteConfig, options, "CampaignConfig.suite")
         return {k: getattr(decoded, k) for k in options}
 
-    def suite_config(self, capacity: int, profile: DeviceProfile | None) -> SuiteConfig:
+    def suite_config(self, capacity: int, profile: DeviceProfile) -> SuiteConfig:
         overrides = self.suite_overrides()
-        if profile is not None and profile.io_count_recommendation:
+        if profile.io_count_recommendation:
             overrides.setdefault("io_count_by_pattern", profile.io_count_recommendation)
         return SuiteConfig.for_device(capacity, seed=self.seed, **overrides)
 
@@ -268,6 +269,17 @@ def _require(journal: Journal, step: str) -> None:
         raise ValueError(f"{step} has not finished (journal); run {step} first")
 
 
+def _load_plan(cfg: CampaignConfig, journal: Journal) -> tuple[BenchmarkPlan, str]:
+    """plan.json and its SHA-256; a validation error naming both hashes if
+    the journal records that `run` began on another plan."""
+    path = cfg.output_dir / "plan.json"
+    plan_hash = hashlib.sha256(path.read_bytes()).hexdigest()
+    begun = journal.last("run")
+    if begun is not None and begun["plan"] != plan_hash:
+        raise ValueError(f"plan.json is {plan_hash}, but run began on plan {begun['plan']}")
+    return load_plan(path), plan_hash
+
+
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -319,7 +331,7 @@ def cmd_format(config_path: str, force: bool) -> None:
             )
     dev = cfg.open_device()
     # a suite that cannot be planned on this device stops here, before any IO
-    cfg.check_plannable(dev.capacity, None)
+    cfg.plan(dev.capacity, DeviceProfile())
     journal, commit = cfg.resume(dev)
     result = _enforce_state(dev, journal, commit, "format", derive_seed(cfg.seed, 0xF0), end=True)
     if result is None:
@@ -350,12 +362,12 @@ def cmd_calibrate(config_path: str) -> None:
         click.echo("calibrate already complete (journal); nothing to do")
         return
     _require(journal, "format")
-    cfg.check_plannable(dev.capacity, None)  # as format does
+    cfg.plan(dev.capacity, DeviceProfile())  # as format does
 
     profile = calibrate_phases(dev, cfg.calibration, cfg.seed)
     pause = calibrate_pause(dev, cfg.calibration, cfg.seed)
     profile = replace(profile, inter_run_pause_us=pause.pause_us)
-    cfg.check_plannable(dev.capacity, profile)  # with the counts `plan` will use
+    cfg.plan(dev.capacity, profile)  # with the counts `plan` will use
     out = cfg.output_dir / "device_profile.json"
     save(profile, out)
     commit("calibrate", 0, end=True, status="done")  # snapshots the calibrated device
@@ -388,14 +400,12 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
     dev.close()
     profile_path = cfg.output_dir / "device_profile.json"
     profile = load(DeviceProfile, profile_path) if profile_path.exists() else DeviceProfile()
-    suite = cfg.suite_config(capacity, profile)
-    experiments = expand_suite(suite, cfg.micros())
-    plan = build_plan(experiments, profile, capacity, base_offset=suite.base_target_offset)
+    plan = cfg.plan(capacity, profile)
+    experiments = [s.experiment for s in plan.run_steps() if s.run_index == 0]
     if dry_run:
-        for step in plan.run_steps():
-            if step.run_index == 0:
-                click.echo(step.experiment.describe())
-        click.echo(f"{len({s.experiment.experiment_id for s in plan.run_steps()})} experiments")
+        for exp in experiments:
+            click.echo(exp.describe())
+        click.echo(f"{len(experiments)} experiments")
         return
     out = cfg.output_dir / "plan.json"
     save_plan(plan, out)
@@ -413,18 +423,13 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
 def cmd_run(config_path: str) -> None:
     """Execute the plan, journaling each completed step."""
     cfg = CampaignConfig.load(config_path)
-    plan_path = cfg.output_dir / "plan.json"
-    plan = load_plan(plan_path)
-    verify_plan(plan)
-    plan_hash = hashlib.sha256(plan_path.read_bytes()).hexdigest()
     dev = cfg.open_device()
     journal, commit = cfg.resume(dev)
     _require(journal, "calibrate")
-    begun = journal.last("run")
-    if begun is None:
+    plan, plan_hash = _load_plan(cfg, journal)
+    verify_plan(plan)
+    if journal.last("run") is None:
         journal.record("run", plan=plan_hash)
-    elif begun["plan"] != plan_hash:
-        raise ValueError(f"plan.json is {plan_hash}, but run began on plan {begun['plan']}")
     done = journal.done_steps()
     traces_root = cfg.output_dir / "traces"
     device = cfg.device_label()
@@ -460,18 +465,19 @@ def cmd_run(config_path: str) -> None:
 def cmd_report(config_path: str) -> None:
     """Summarize traces into the characterization report and plot data."""
     cfg = CampaignConfig.load(config_path)
-    plan = load_plan(cfg.output_dir / "plan.json")
+    journal = cfg.journal()
+    plan, _ = _load_plan(cfg, journal)
     traces_root = cfg.output_dir / "traces"
     th, dispersion_threshold = cfg.report_thresholds()
     device = cfg.device_label()
-    io_size = cfg.suite_config(plan.capacity, None).base_io_size
+    io_size = cfg.suite_config(plan.capacity, DeviceProfile()).base_io_size
 
     # Runs are read one at a time in plan order; only each run's mean and
     # the response times of the longest RW run (the most start-up-prone
     # trace, shown in the phase plot) are kept.  A run counts only once it
     # is journaled done: a failed or interrupted run leaves a partial trace.
     # A done run's trace holds all its IOs; a shorter one was truncated.
-    done = cfg.journal().done_steps()
+    done = journal.done_steps()
     unfinished = 0
     run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
     phase_rts: list[int] = []

@@ -38,6 +38,7 @@ from .microbench import (
 from .patterns import (
     BASELINES,
     MixSpec,
+    _ranges_overlap,
     baseline_pattern,
     derive_seed,
     uniform_indices,
@@ -342,13 +343,13 @@ def build_plan(
 
 
 def verify_plan(plan: BenchmarkPlan) -> None:
-    """Replay the plan against a capacity ledger.
+    """Replay the plan against what assign_target_offsets reserves.
 
-    Checks that the inter-run pause is at least the minimum, and, per
-    state epoch, that sequential-write ranges never overlap and never
-    accumulate beyond the capacity.  A range includes the io_shift
-    overhang past the nominal target end, as assign_target_offsets
-    allocates it.
+    Checks that the inter-run pause is at least the minimum, that every
+    run's target ranges lie inside the device, and, per state epoch, that
+    the ranges of sequential-write-bearing experiments never overlap.  A
+    range includes the io_shift overhang past the nominal target end, as
+    the allocator reserves it.
     """
     if plan.inter_run_pause_us < MIN_INTER_RUN_PAUSE_US:
         raise PlanError(
@@ -356,32 +357,21 @@ def verify_plan(plan: BenchmarkPlan) -> None:
             f"{MIN_INTER_RUN_PAUSE_US} us"
         )
     epoch_ranges: list[tuple[int, int]] = []
-    epoch_total = 0
     seen_first_rep: set[str] = set()
     for step in plan.steps:
         if isinstance(step, StateReset):
             epoch_ranges = []
-            epoch_total = 0
             continue
         exp = step.experiment
+        for offset, size in exp.target_ranges:
+            if offset + size > plan.capacity:
+                raise PlanError(f"{exp.experiment_id}: target range [{offset}, "
+                                f"{offset + size}) exceeds capacity {plan.capacity}")
         if not exp.sequential_write_bearing or exp.experiment_id in seen_first_rep:
             continue
         seen_first_rep.add(exp.experiment_id)
-        for spec in exp.pattern.components:
-            if not spec.writes_sequentially:
-                continue
-            size = spec.target_size + spec.io_shift
-            rng = (spec.target_offset, spec.target_offset + size)
-            for lo, hi in epoch_ranges:
-                if rng[0] < hi and lo < rng[1]:
-                    raise PlanError(
-                        f"{exp.experiment_id}: sequential-write range overlaps an "
-                        f"earlier one in the same epoch"
-                    )
+        for rng in exp.target_ranges:
+            if any(_ranges_overlap(rng, other) for other in epoch_ranges):
+                raise PlanError(f"{exp.experiment_id}: reserved range overlaps an "
+                                f"earlier one in the same epoch")
             epoch_ranges.append(rng)
-            epoch_total += size
-            if epoch_total > plan.capacity:
-                raise PlanError(
-                    f"{exp.experiment_id}: accumulated sequential-write space "
-                    f"exceeds capacity within one epoch"
-                )

@@ -28,7 +28,7 @@ from .patterns import (
     Pause,
     baseline_pattern,
     derive_seed,
-    interleave_mix,
+    interleave_mix,  # unused here; perfbench/tracer.py still wraps this name
 )
 
 KB = 1024
@@ -78,10 +78,10 @@ class SuiteConfig:
     """Shared baseline values for a benchmark suite.
 
     base_target_size is the roaming space of random-location patterns;
-    sequential patterns span exactly io_count * io_size.  Sweep points
-    whose required target space exceeds max_target_size are dropped at
-    expansion time and surface later as partial-sweep notes in the
-    summary report.
+    sequential patterns span exactly io_count * io_size.  Only locality
+    and order drop a point whose target exceeds max_target_size (_fits),
+    a partial-sweep note in the report; any other experiment too large
+    for the device stops `format`, `calibrate` and `plan` before any IO.
     """
 
     base_io_size: int = 32 * KB
@@ -149,9 +149,7 @@ class ExperimentSpec:
 
     @property
     def io_count(self) -> int:
-        p = self.pattern
-        # a mix's merged stream ends at the first turn whose component is exhausted
-        return len(interleave_mix(p)) if isinstance(p, MixSpec) else p.io_count
+        return self.pattern.io_count
 
     @property
     def target_ranges(self) -> list[tuple[int, int]]:
@@ -369,28 +367,24 @@ def assign_target_offsets(
     must be preceded by a device state reset because the accumulated
     sequential-write space would exceed the capacity.  Read-only and
     random-write experiments share the base offset: they do not disturb
-    an enforced random state.
+    an enforced random state.  Any experiment whose target ranges
+    together pass the device end raises CapacityError.
     """
-    passive = [e for e in experiments if not e.sequential_write_bearing]
-    writers = [e for e in experiments if e.sequential_write_bearing]
-
+    spans = []
     for e in experiments:
-        for off, size in e.target_ranges:
-            if base_offset + size > device_capacity:
-                raise CapacityError(
-                    f"{e.experiment_id}: target of {size} bytes exceeds capacity"
-                )
+        # the ranges are contiguous once rebased, so they span their sum
+        span = sum(size for _, size in e.target_ranges)
+        if base_offset + span > device_capacity:
+            raise CapacityError(f"{e.experiment_id}: target of {span} bytes exceeds capacity")
+        spans.append(span)
 
-    out = [e.rebase(base_offset) for e in passive]
+    out = [e.rebase(base_offset) for e in experiments if not e.sequential_write_bearing]
     resets: set[int] = set()
     cursor = base_offset
-    for e in writers:
-        span = sum(size for _, size in e.target_ranges)
+    for e, span in zip(experiments, spans):
+        if not e.sequential_write_bearing:
+            continue
         if cursor + span > device_capacity:
-            if base_offset + span > device_capacity:
-                raise CapacityError(
-                    f"{e.experiment_id}: target of {span} bytes exceeds capacity"
-                )
             resets.add(len(out))
             cursor = base_offset
         out.append(e.rebase(cursor))

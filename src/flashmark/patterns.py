@@ -277,6 +277,14 @@ class MixSpec:
             raise PatternError("mix component target spaces overlap")
 
     @property
+    def io_count(self) -> int:
+        """IOs of the merged stream, which ends at the first turn whose
+        component is exhausted: the earlier of the positions that each
+        component's first missing IO would take."""
+        first, second, r = self.first.io_count, self.second.io_count, self.ratio
+        return min(first // r * (r + 1) + first % r, second * (r + 1) + r)
+
+    @property
     def components(self) -> tuple[PatternSpec, ...]:
         return (self.first, self.second)
 
@@ -392,12 +400,7 @@ def interleave_mix(mix: MixSpec) -> list[IORequest]:
     as the component whose turn it is has been exhausted.  Both components
     are consecutive, so every gap is 0.
     """
-    first, second, r = mix.first, mix.second, mix.ratio
-    # position of each component's first missing IO; the shorter ends it
-    n = min(
-        first.io_count // r * (r + 1) + first.io_count % r,
-        second.io_count * (r + 1) + r,
-    )
+    first, second, r, n = mix.first, mix.second, mix.ratio, mix.io_count
     from_first = np.arange(n) % (r + 1) < r
     n_first = int(np.count_nonzero(from_first))
     lbas = np.empty(n, dtype=np.int64)

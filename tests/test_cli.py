@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from flashmark.analysis import SummaryThresholds
 from flashmark import cli
 from flashmark.cli import CampaignConfig, DeviceConfig, main
-from flashmark.device import DeviceError, SimProfile, SimulatedDevice
+from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import CalibrationConfig
 from flashmark.microbench import SuiteConfig
 from flashmark.patterns import BASELINES
@@ -374,6 +375,23 @@ class TestPipeline:
         assert f"{trace}: 15 rows, but its run is journaled done with 16 IOs" in r.output
         assert not (out / "report").exists()
 
+    def test_report_refuses_a_plan_other_than_the_one_run_began_on(self, campaign):
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan", "run", "report"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        begun = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
+        config = json.loads(config_path.read_text())
+        config["suite"]["repetitions"] = 2
+        config_path.write_text(json.dumps(config))
+        assert invoke(["plan", "--config", str(config_path)]).exit_code == 0
+        replaced = hashlib.sha256((out / "plan.json").read_bytes()).hexdigest()
+        assert replaced != begun
+        summary = (out / "report" / "summary.json").read_bytes()
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert f"plan.json is {replaced}, but run began on plan {begun}" in r.output
+        assert (out / "report" / "summary.json").read_bytes() == summary
+
 
 # Config and simulator-profile inputs that must stop a command with exit 2
 # before it touches the device: (edit of config, profile, raw file path;
@@ -498,6 +516,38 @@ class TestValidation:
         assert r.exit_code == 2
         assert "granularity/SW/io_size=131072: target of 335544320 bytes exceeds capacity" in r.output
         assert not (tmp_path / "out" / "device_profile.json").exists()
+
+    def test_suite_whose_runs_fit_only_range_by_range_exits_two_before_format(self, tmp_path):
+        # on 64 MB, mix/SR+RR at ratio 8 places 52.75 MB of sequential
+        # reads beside a 16 MB random roam: each range fits, the two do not
+        profile_path = tmp_path / "highend.json"
+        profile_path.write_text(builtin_profile("highend-ssd", capacity=64 * MB).to_json())
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "device": {"simulator_profile": str(profile_path)},
+            "output_dir": str(out),
+            "suite": {"micros": ["mix"],
+                      "io_count_by_pattern": {"SR": 1900, "RR": 64, "SW": 64, "RW": 64}},
+        }))
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert "mix/SR+RR/ratio=8: target of 72089600 bytes exceeds capacity" in r.output
+        assert not (out / "device_state.bin").exists()
+        journal = out / "journal.jsonl"
+        assert not journal.exists() or '"format"' not in journal.read_text()
+
+    def test_missing_simulator_profile_file_named(self, tmp_path):
+        missing = tmp_path / "prof" / "missing.json"
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "device": {"simulator_profile": str(missing)},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert f"No such file or directory: '{missing}'" in r.output
+        assert "unknown profile" not in r.output
 
     def test_raw_device_requires_force(self, tmp_path):
         blob = tmp_path / "disk"

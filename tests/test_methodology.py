@@ -3,6 +3,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import (
@@ -21,8 +23,11 @@ from flashmark.methodology import (
     scaled_io_ignore,
     verify_plan,
 )
-from flashmark.microbench import ExperimentSpec, Micro, SuiteConfig, expand, expand_suite
+from flashmark.microbench import (
+    CapacityError, ExperimentSpec, Micro, SuiteConfig, expand, expand_suite,
+)
 from flashmark.patterns import (
+    BASELINES,
     Consecutive,
     MixSpec,
     Mode,
@@ -323,7 +328,43 @@ def profile_with(startup_rw=128, pause_us=1_000_000):
     )
 
 
+@st.composite
+def device_suites(draw):
+    """(capacity, micros, SuiteConfig) of a 16-256 MB device: mix, which
+    places two ranges side by side, plus up to three other micros, with IO
+    counts of up to the space past the target offset."""
+    capacity = draw(st.integers(16, 256)) * MB
+    offset = draw(st.integers(0, capacity // MB // 2)) * MB
+    space = capacity - offset
+    # 16k IOs of 32 KB: each of parallelism's 16 workers gets whole IOs
+    target_size = draw(st.integers(1, space // (512 * KB))) * 512 * KB
+    counts = {b: draw(st.integers(1, space // (32 * KB))) for b in BASELINES}
+    others = draw(st.sets(st.sampled_from([m for m in Micro if m is not Micro.MIX]), max_size=3))
+    suite = SuiteConfig.for_device(
+        capacity, base_target_offset=offset, base_target_size=target_size,
+        io_count_by_pattern=counts,
+    )
+    return capacity, [Micro.MIX, *sorted(others)], suite
+
+
 class TestBuildPlan:
+    @given(device_suites())
+    @settings(max_examples=60, deadline=None)
+    def test_a_built_plan_stays_inside_the_device(self, device_suite):
+        capacity, micros, suite = device_suite
+        try:
+            plan = build_plan(
+                expand_suite(suite, micros), profile_with(), capacity,
+                base_offset=suite.base_target_offset,
+            )
+        except (CapacityError, PlanError):
+            event("refused")
+            return
+        event("planned")
+        for step in plan.run_steps():
+            for offset, size in step.experiment.target_ranges:
+                assert suite.base_target_offset <= offset and offset + size <= capacity, step.step_id
+
     def test_empty_experiment_list(self):
         plan = build_plan([], profile_with(), capacity=1 * GB)
         assert plan.steps == []
@@ -446,6 +487,20 @@ class TestBuildPlan:
         plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=2 * MB)
         with pytest.raises(PlanError, match="exceeds capacity"):
             verify_plan(plan)
+
+    def test_verify_refuses_a_passive_run_past_capacity(self):
+        # a random read shares the base offset with every passive run and
+        # disturbs nothing, but its IOs still have to land on the device
+        rr = replace(baseline_pattern(mode=Mode.READ, io_count=64), target_offset=1 * MB)
+        exp = ExperimentSpec(
+            micro=Micro.LOCALITY, baseline="RR", varying_name="target_size",
+            varying_value=rr.target_size, pattern=rr,
+        )
+        assert not exp.sequential_write_bearing
+        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=32 * MB)
+        with pytest.raises(PlanError, match=r"\[1048576, 34603008\) exceeds capacity 33554432"):
+            verify_plan(plan)
+        verify_plan(replace(plan, capacity=33 * MB))
 
     def test_verify_requires_pause(self):
         sw = baseline_pattern(mode=Mode.READ, io_count=64)

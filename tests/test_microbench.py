@@ -221,6 +221,21 @@ class TestAssignTargetOffsets:
         with pytest.raises(CapacityError):
             assign_target_offsets([sw_experiment(2 * GB)], device_capacity=1 * GB)
 
+    def test_passive_mix_whose_ranges_fit_only_apart_rejected(self):
+        # on 64 MB, SR+RR at ratio 8 reads 1688 sequential IOs (52.75 MB)
+        # beside a 16 MB random roam: each range fits, the two do not
+        suite = SuiteConfig.for_device(
+            64 * MB, io_count_by_pattern={"SR": 1900, "RR": 64, "SW": 64, "RW": 64}
+        )
+        exps = [e for e in expand(Micro.MIX, suite) if e.experiment_id == "mix/SR+RR/ratio=8"]
+        (mix,) = exps
+        assert not mix.sequential_write_bearing
+        assert [size for _, size in mix.target_ranges] == [1688 * 32 * KB, 16 * MB]
+        with pytest.raises(
+            CapacityError, match=r"^mix/SR\+RR/ratio=8: target of 72089600 bytes exceeds capacity$"
+        ):
+            assign_target_offsets(exps, device_capacity=64 * MB)
+
     def test_sequential_writers_grouped_last(self, cfg):
         exps = expand_suite(cfg, [Micro.GRANULARITY])
         out, _ = assign_target_offsets(exps, device_capacity=32 * GB)
@@ -249,8 +264,17 @@ class TestExperimentSpec:
         assert e.with_io_ignore(10_000_000).io_ignore == e.io_count - 1
 
     def test_mix_io_count_is_merged_length(self, cfg):
-        e = [x for x in expand(Micro.MIX, cfg) if x.varying_value == 4][0]
-        assert e.io_count == len(__import__("flashmark.patterns", fromlist=["interleave_mix"]).interleave_mix(e.pattern))
+        # counted one turn at a time: the merged stream stops at the first
+        # turn whose component has no IO left
+        for e in expand(Micro.MIX, cfg):
+            n1, n2, r = e.pattern.first.io_count, e.pattern.second.io_count, e.pattern.ratio
+            k = 0
+            while True:
+                group, turn = divmod(k, r + 1)
+                if group * r + turn >= n1 if turn < r else group >= n2:
+                    break
+                k += 1
+            assert e.io_count == k, e.experiment_id
 
     def test_repetitions_default_three(self, cfg):
         assert all(e.repetitions == 3 for e in expand(Micro.PAUSE, cfg))
