@@ -50,7 +50,7 @@ from .methodology import (
     verify_plan,
 )
 from .microbench import (
-    BenchmarkPlan, ExperimentSpec, Micro, StateReset, SuiteConfig, expand_suite,
+    BenchmarkPlan, ExperimentSpec, Micro, RunStep, StateReset, SuiteConfig, expand_suite,
 )
 from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
@@ -280,6 +280,25 @@ def _load_plan(cfg: CampaignConfig, journal: Journal) -> tuple[BenchmarkPlan, st
     return load_plan(path), plan_hash
 
 
+def _check_trace(path: Path, trace_bytes: int, io_count: int) -> None:
+    """A validation error unless the trace of a run journaled done is still
+    the trace_bytes long that `run` wrote; a file of another size is read
+    to say whether rows are missing."""
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing, but its run is journaled done") from None
+    if size == trace_bytes:
+        return
+    with path.open() as fp:
+        rows = len(read_trace_csv(fp).records)
+    if rows != io_count:
+        raise ValueError(f"{path}: {rows} rows, but its run is journaled done with {io_count} IOs")
+    raise ValueError(
+        f"{path}: {size} bytes, but its run is journaled done with a {trace_bytes}-byte trace"
+    )
+
+
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -449,11 +468,14 @@ def cmd_run(config_path: str) -> None:
         dev.idle(plan.inter_run_pause_us)
         trace = execute_run(dev, step.experiment.pattern)
         path = traces_root / trace_relpath(step, device)
-        save_trace(trace, path)
+        trace_bytes = save_trace(trace, path)
         if trace.error:
             commit(step_id, None, status="failed", error=trace.error)
             _fail(EXIT_DEVICE, f"{step_id}: {trace.error} (partial trace at {path})")
-        commit(step_id, len(trace.records), end=i == len(plan.steps) - 1, status="done")
+        # the run's result, which `report` reads in place of the trace
+        mean_us = summarize(trace, step.experiment.io_ignore)
+        commit(step_id, len(trace.records), end=i == len(plan.steps) - 1, status="done",
+               mean_us=mean_us, trace_bytes=trace_bytes)
         executed += 1
     cfg.write_manifest("run", executed=executed, skipped=skipped)
     click.echo(f"runs executed: {executed}, resumed past: {skipped}")
@@ -463,7 +485,7 @@ def cmd_run(config_path: str) -> None:
 @config_option
 @_guarded
 def cmd_report(config_path: str) -> None:
-    """Summarize traces into the characterization report and plot data."""
+    """Aggregate the journaled run means into the characterization report and plot data."""
     cfg = CampaignConfig.load(config_path)
     journal = cfg.journal()
     plan, _ = _load_plan(cfg, journal)
@@ -472,33 +494,34 @@ def cmd_report(config_path: str) -> None:
     device = cfg.device_label()
     io_size = cfg.suite_config(plan.capacity, DeviceProfile()).base_io_size
 
-    # Runs are read one at a time in plan order; only each run's mean and
-    # the response times of the longest RW run (the most start-up-prone
-    # trace, shown in the phase plot) are kept.  A run counts only once it
-    # is journaled done: a failed or interrupted run leaves a partial trace.
-    # A done run's trace holds all its IOs; a shorter one was truncated.
-    done = journal.done_steps()
+    # A run counts only once it is journaled done: a failed or interrupted
+    # run leaves a partial trace.  Its mean is the one `run` journaled, and
+    # its trace must still hold the bytes `run` wrote.  Only the longest RW
+    # run (the most start-up-prone trace, shown in the phase plot) is parsed.
+    latest = journal.latest()
     unfinished = 0
     run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
-    phase_rts: list[int] = []
-    phase_io_ignore = 0
+    phase: RunStep | None = None
     for step in plan.run_steps():
-        if step.step_id not in done:
+        entry = latest.get(step.step_id, {})
+        if entry.get("status") != "done":
             unfinished += 1
             continue
+        if "mean_us" not in entry:
+            raise ValueError(
+                f"{step.step_id} is journaled done without its mean_us: the journal was "
+                f"written before runs journaled their results; run the campaign again "
+                f"in a new output_dir"
+            )
         exp = step.experiment
         path = traces_root / trace_relpath(step, device)
-        with path.open() as fp:
-            trace = read_trace_csv(fp)
-        if len(trace.records) != exp.io_count:
-            raise ValueError(
-                f"{path}: {len(trace.records)} rows, but its run is journaled done "
-                f"with {exp.io_count} IOs"
-            )
-        mean = summarize(trace, exp.io_ignore)
-        run_means.setdefault(exp.experiment_id, (exp, []))[1].append(mean)
-        if exp.baseline == "RW" and len(trace.records) > len(phase_rts):
-            phase_rts, phase_io_ignore = trace.rts, exp.io_ignore
+        _check_trace(path, entry["trace_bytes"], exp.io_count)
+        run_means.setdefault(exp.experiment_id, (exp, []))[1].append(entry["mean_us"])
+        if exp.baseline == "RW" and (phase is None or exp.io_count > phase.experiment.io_count):
+            phase = step
+    if phase:
+        with (traces_root / trace_relpath(phase, device)).open() as fp:
+            phase_rts = read_trace_csv(fp).rts
 
     outcomes = [aggregate(exp, means, dispersion_threshold) for exp, means in run_means.values()]
     report_dir = cfg.output_dir / "report"
@@ -512,8 +535,8 @@ def cmd_report(config_path: str) -> None:
     write_atomic(report_dir / "summary.txt", report.to_text() + "\n")
     plots = report_dir / "plots"
     emit_plot_data(outcomes, plots)
-    if phase_rts:
-        emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase_io_ignore)
+    if phase:
+        emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase.experiment.io_ignore)
     cfg.write_manifest("report", experiments=len(run_means))
     click.echo(report.to_text())
     click.echo(f"report written to {report_dir}")

@@ -202,14 +202,15 @@ class SimulatedDevice:
         self._page = p.page_size
         self._g = p.unit_size // p.page_size  # pages per map unit
         self._unit = p.unit_size
-        self._ups = p.block_size // p.unit_size  # map-unit slots per block
+        self._block = p.block_size
+        self._ups = self._block // self._unit  # map-unit slots per block
 
         spare = p.spare_blocks
         if spare is None:
             spare = p.free_block_pool + 2 * p.gc_batch_blocks + 18
         if spare < p.free_block_pool + p.gc_batch_blocks + 2:
             raise ValueError("spare_blocks too small for the pool and reclamation batch")
-        self._n_blocks = p.capacity // p.block_size + spare
+        self._n_blocks = p.capacity // self._block + spare
 
         # direct map: unit -> slot; inverse: slot -> unit; valid slots per block
         self._direct = array("q", [-1]) * (p.capacity // self._unit)
@@ -313,8 +314,8 @@ class SimulatedDevice:
                 if len(self._streams) > p.stream_slots:
                     self._streams.pop(0)
 
-        regions = range(lba // p.block_size, (end - 1) // p.block_size + 1)
         if p.write_cache_blocks > 0:
+            regions = range(lba // self._block, (end - 1) // self._block + 1)
             if not hit:
                 hit = all(r in self._cached_regions for r in regions)
             for r in regions:

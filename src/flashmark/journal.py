@@ -41,10 +41,13 @@ class Journal:
         del self.entries[n:]
         write_atomic(self.path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries))
 
+    def latest(self) -> dict[str, dict]:
+        """Each step's latest entry."""
+        return {e["step"]: e for e in self.entries}
+
     def done_steps(self) -> set[str]:
         """Steps whose latest entry is done."""
-        latest = {e["step"]: e.get("status") for e in self.entries}
-        return {step for step, status in latest.items() if status == "done"}
+        return {step for step, e in self.latest().items() if e.get("status") == "done"}
 
     def last(self, step: str) -> dict | None:
-        return next((e for e in reversed(self.entries) if e["step"] == step), None)
+        return self.latest().get(step)

@@ -4,9 +4,10 @@ Timing semantics: an IO is submitted as soon as its predecessor
 completes, plus the gap its schedule row carries (0 for consecutive
 timing); its trace index is its position in its worker's schedule.
 Every pattern runs as one or more workers, one per schedule: a plain or
-mixed pattern is one worker, a parallel pattern one per degree.  On the
-simulator the workers are interleaved on its serialized virtual timeline
-(ties broken by worker id), on a raw device they are real threads
+mixed pattern is one worker, a parallel pattern one per degree.  A
+worker issues its schedule in order through one loop.  Several workers
+on the simulator are interleaved on its serialized virtual timeline
+(ties broken by worker id); on a raw device they are real threads
 released together by a barrier.  Response time is completion minus
 submission, which for queued simulator workers includes time spent
 waiting for the device.
@@ -95,7 +96,9 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
     else:
         schedules = [generate_schedule(pattern)]
     trace = Trace()
-    if getattr(device, "virtual_timeline", False):
+    if len(schedules) == 1:
+        trace.error = _run_worker(device, 0, schedules[0], trace.records)
+    elif getattr(device, "virtual_timeline", False):
         _run_virtual(device, schedules, trace)
     else:
         _run_threads(device, schedules, trace)
@@ -104,6 +107,37 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
 
 def _failure(worker: int, i: int, exc: DeviceError) -> str:
     return f"worker {worker} IO {i} failed: {exc}"
+
+
+def _run_worker(device: BlockDevice, w: int, schedule: Sequence[IORequest],
+                rows: list[TraceRecord]) -> str | None:
+    """Issue worker w's schedule in order, appending one record per IO to
+    rows; the failure of the IO it stopped at, or None.
+
+    Alone on the simulator this gives the records of the interleaver below
+    with one worker: the simulator's clock advances by exactly the cost an
+    IO returns and by exactly an idle's duration.
+    """
+    now_us, idle, read, write = device.now_us, device.idle, device.read, device.write
+    append = rows.append
+    read_mode = Mode.READ  # an enum attribute lookup costs more than the test
+    record = tuple.__new__  # a TraceRecord without its Python-level __new__
+    run_start = now_us()
+    for i, (gap, lba, size, mode) in enumerate(schedule):
+        if gap > 0:
+            idle(gap)
+        submit = now_us()
+        try:
+            if mode is read_mode:
+                rt = read(lba, size)
+                name = "read"
+            else:
+                rt = write(lba, size)
+                name = "write"
+        except DeviceError as exc:
+            return _failure(w, i, exc)
+        append(record(TraceRecord, (i, submit - run_start, rt, lba, size, name, w)))
+    return None
 
 
 def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
@@ -116,6 +150,8 @@ def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: T
     """
     now_us, idle, read, write = device.now_us, device.idle, device.read, device.write
     append = trace.records.append
+    read_mode = Mode.READ
+    record = tuple.__new__
     run_start = now_us()
     # (ready time, worker, position in its schedule); the heap's head is
     # the worker the device serves next
@@ -128,12 +164,18 @@ def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: T
         if now < submit:
             idle(submit - now)
         try:
-            (read if mode is Mode.READ else write)(lba, size)
+            if mode is read_mode:
+                read(lba, size)
+                name = "read"
+            else:
+                write(lba, size)
+                name = "write"
         except DeviceError as exc:
             trace.error = _failure(w, i, exc)
             return
         completion = now_us()
-        append(TraceRecord(i, submit - run_start, completion - submit, lba, size, mode.value, w))
+        append(record(TraceRecord,
+                      (i, submit - run_start, completion - submit, lba, size, name, w)))
         i += 1
         if i < len(schedule):
             heapq.heapreplace(ready, (completion + schedule[i].gap_us, w, i))
@@ -148,22 +190,11 @@ def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: T
 
     def work(w: int, schedule: Sequence[IORequest]) -> None:
         barrier.wait()
-        run_start = device.now_us()
-        for i, (gap, lba, size, mode) in enumerate(schedule):
-            if gap > 0:
-                device.idle(gap)
-            submit = device.now_us()
-            try:
-                if mode is Mode.READ:
-                    rt = device.read(lba, size)
-                else:
-                    rt = device.write(lba, size)
-            except DeviceError as exc:
-                trace.error = _failure(w, i, exc)
-                return
-            rows[w].append(TraceRecord(i, submit - run_start, rt, lba, size, mode.value, w))
+        error = _run_worker(device, w, schedule, rows[w])
+        if error:
+            trace.error = error
 
-    # the calling thread is worker 0: a one-worker run starts no thread
+    # the calling thread is worker 0
     threads = [threading.Thread(target=work, args=ws) for ws in enumerate(schedules) if ws[0]]
     for t in threads:
         t.start()
@@ -199,8 +230,11 @@ def read_trace_csv(fp: IO[str]) -> Trace:
     ])
 
 
-def save_trace(trace: Trace, path: Path) -> None:
+def save_trace(trace: Trace, path: Path) -> int:
+    """Write the trace CSV atomically; returns its size in bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     text = io.StringIO()
     write_trace_csv(trace, text)
-    write_atomic(path, text.getvalue())
+    data = text.getvalue().encode()
+    write_atomic(path, data)
+    return len(data)

@@ -81,6 +81,15 @@ def fail_simulator_write(monkeypatch, at):
     monkeypatch.setattr(SimulatedDevice, "write", write)
 
 
+def edit_journal(out, step, edit):
+    """Replace the latest journal entry of step by edit(entry)."""
+    path = out / "journal.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    i = max(k for k, e in enumerate(entries) if e["step"] == step)
+    entries[i] = edit(entries[i])
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in entries))
+
+
 class TestPipeline:
     def test_full_pipeline(self, campaign):
         config_path, out = campaign
@@ -373,6 +382,37 @@ class TestPipeline:
         r = invoke(["report", "--config", str(config_path)])
         assert r.exit_code == 2, r.output
         assert f"{trace}: 15 rows, but its run is journaled done with 16 IOs" in r.output
+        assert not (out / "report").exists()
+
+    def test_report_reads_run_means_from_the_journal(self, campaign):
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan", "run", "report"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        summary = json.loads((out / "report" / "summary.json").read_text())
+        step = "granularity/SR/io_size=32768/run0"  # a point of the SR baseline cost
+        edit_journal(out, step, lambda e: {**e, "mean_us": e["mean_us"] * 1.1})
+        assert invoke(["report", "--config", str(config_path)]).exit_code == 0
+        edited = json.loads((out / "report" / "summary.json").read_text())
+        assert edited["baseline_cost_us"]["SR"] > summary["baseline_cost_us"]["SR"]
+        assert edited["baseline_cost_us"]["RR"] == summary["baseline_cost_us"]["RR"]
+
+    @pytest.mark.parametrize("damage, message", [
+        ("journal", "granularity/SR/io_size=32768/run0 is journaled done without its mean_us"),
+        ("trace", "SR/io_size=32768/run0.csv: missing, but its run is journaled done"),
+    ])
+    def test_report_refuses_a_done_run_without_its_result(self, campaign, damage, message):
+        # a journal from before runs journaled their means, or a deleted trace
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan", "run"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        step = "granularity/SR/io_size=32768/run0"
+        if damage == "journal":
+            edit_journal(out, step, lambda e: {k: v for k, v in e.items() if k != "mean_us"})
+        else:
+            next((out / "traces").rglob("SR/io_size=32768/run0.csv")).unlink()
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert message in r.output
         assert not (out / "report").exists()
 
     def test_report_refuses_a_plan_other_than_the_one_run_began_on(self, campaign):

@@ -3,9 +3,11 @@ import io
 import pytest
 
 from flashmark.analysis import aggregate
-from flashmark.device import DeviceError, SimProfile, SimulatedDevice
+from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
+from flashmark.methodology import enforce_random_state
 from flashmark.microbench import ExperimentSpec, Micro, RunStep
 from flashmark.patterns import (
+    Burst,
     Consecutive,
     MixSpec,
     Mode,
@@ -14,11 +16,15 @@ from flashmark.patterns import (
     Pause,
     Random,
     Sequential,
+    generate_schedule,
+    interleave_mix,
+    split_parallel,
 )
 from flashmark.runner import (
     EmptySummaryError,
     Trace,
     TraceRecord,
+    _run_virtual,
     execute_run,
     read_trace_csv,
     save_trace,
@@ -28,6 +34,7 @@ from flashmark.runner import (
 )
 
 KB = 1024
+MB = KB * KB
 
 
 def make_pattern(**kw):
@@ -159,6 +166,53 @@ class TestExecuteRun:
         trace = execute_run(dev, make_pattern(io_count=8))
         assert trace.error is not None and "2" in trace.error
         assert len(trace.records) == 2
+
+
+class TestOneWorkerLoop:
+    """A run of one schedule goes through the per-worker loop, not the
+    interleaver; on the simulator the two must agree IO for IO, because its
+    clock advances by exactly the cost an IO returns and by exactly an
+    idle's duration."""
+
+    @pytest.mark.parametrize("name, capacity", [("highend-ssd", 16 * MB), ("lowend-usb", 32 * MB)])
+    def test_equals_the_interleaver_with_one_worker(self, name, capacity):
+        profile = builtin_profile(name, capacity=capacity)
+        dev = SimulatedDevice(profile)
+        enforce_random_state(dev, seed=1)
+        snapshot = dev.snapshot_state()
+        half = capacity // 2
+        rw = dict(location=Random(), mode=Mode.WRITE, target_size=half)
+        patterns = {
+            "pause": make_pattern(timing=Pause(pause_us=2000), io_count=64, **rw),
+            "burst": make_pattern(timing=Burst(pause_us=50_000, burst_count=8), io_count=64, **rw),
+            "mix": MixSpec(
+                make_pattern(location=Random(), io_count=48, target_size=half),
+                make_pattern(mode=Mode.WRITE, io_count=16, target_offset=half, target_size=half),
+                ratio=3,
+            ),
+            "parallel-1": ParallelSpec(base=make_pattern(io_count=64, **rw), parallel_degree=1),
+            # its fifth IO lies past the end of the device
+            "failing": make_pattern(mode=Mode.WRITE, target_offset=capacity - 4 * 32 * KB),
+        }
+        schedules = {
+            "pause": generate_schedule(patterns["pause"]),
+            "burst": generate_schedule(patterns["burst"]),
+            "mix": interleave_mix(patterns["mix"]),
+            "parallel-1": generate_schedule(split_parallel(patterns["parallel-1"])[0]),
+            "failing": generate_schedule(patterns["failing"]),
+        }
+        for key, pattern in patterns.items():
+            heap_dev, loop_dev = SimulatedDevice(profile), SimulatedDevice(profile)
+            heap_dev.restore_state(snapshot)
+            loop_dev.restore_state(snapshot)
+            heap = Trace()
+            _run_virtual(heap_dev, [schedules[key]], heap)
+            loop = execute_run(loop_dev, pattern)
+            assert loop.records == heap.records, key
+            assert loop.error == heap.error, key
+            assert (loop.error is not None) == (key == "failing"), key
+            assert loop_dev.now_us() == heap_dev.now_us(), key
+            assert loop_dev.snapshot_state() == heap_dev.snapshot_state(), key
 
 
 class TestParallel:
