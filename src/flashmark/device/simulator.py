@@ -216,7 +216,6 @@ class SimulatedDevice:
         self._direct = array("q", [-1]) * (p.capacity // self._unit)
         self._inverse = array("q", [-1]) * (self._n_blocks * self._ups)
         self._valid = array("i", [0]) * self._n_blocks
-        self._erased_block = array("q", [-1]) * self._ups
 
         self._pool = deque(range(p.free_block_pool))
         self._host = [-1, self._ups]
@@ -263,13 +262,45 @@ class SimulatedDevice:
         if not absorbed:
             cost += p.write_miss_penalty_us
 
+        # Place the units at the host frontier: retire each unit's old slot,
+        # then program the next slot.  At a block boundary the frontier
+        # takes a pool block, after a reclamation event if the pool is
+        # empty; the full block stays held until then.  The open block's
+        # valid count, the frontier's fill and the pages programmed are
+        # brought up to date there, before a reclamation that may stall,
+        # and at the end.
+        g, ups = self._g, self._ups
+        direct, inverse, valid = self._direct, self._inverse, self._valid
+        pool, host = self._pool, self._host
+        block = host[0]
+        slot = block * ups + host[1]
+        end = block * ups + ups
+        opened = slot  # first slot this write programs in the open block
         gc_cost = 0
         for u in range(u0, u1 + 1):
-            old = self._direct[u]
+            old = direct[u]
             if old >= 0:
-                self._inverse[old] = -1
-                self._valid[old // self._ups] -= 1
-            gc_cost += self._place(u, self._host)
+                inverse[old] = -1
+                valid[old // ups] -= 1
+            if slot == end:
+                if block >= 0:
+                    valid[block] += slot - opened
+                    self._pages_programmed += (slot - opened) * g
+                host[1] = ups
+                if not pool:
+                    gc_cost += self._reclaim(p.gc_batch_blocks)
+                if block >= 0:
+                    self._held[block] = 0
+                # a pool block stays held while it is open
+                block = host[0] = pool.popleft()
+                slot = opened = block * ups
+                end = slot + ups
+            direct[u] = slot
+            inverse[slot] = u
+            slot += 1
+        valid[block] += slot - opened
+        self._pages_programmed += (slot - opened) * g
+        host[1] = slot - block * ups
         if not (absorbed and p.hide_stream_gc):
             cost += gc_cost
 
@@ -325,88 +356,142 @@ class SimulatedDevice:
                 self._cached_regions.pop(next(iter(self._cached_regions)))
         return hit
 
-    def _place(self, u: int, frontier: list[int]) -> int:
-        """Program unit u at the next slot of frontier, opening a pool block
-        when it is full; returns the cost of any reclamation that took.
-
-        Only the host frontier can find the pool empty: a victim joins the
-        pool before its survivors, at most one block of them, are copied.
-        """
-        gc_cost = 0
-        if frontier[1] == self._ups:
-            if not self._pool:
-                gc_cost = self._reclaim_until(self.profile.gc_batch_blocks)
-            if frontier[0] >= 0:
-                self._held[frontier[0]] = 0
-            # a pool block stays held while it is open
-            frontier[0] = self._pool.popleft()
-            frontier[1] = 0
-        block, fill = frontier
-        slot = block * self._ups + fill
-        frontier[1] = fill + 1
-        self._direct[u] = slot
-        self._inverse[slot] = u
-        self._valid[block] += 1
-        self._pages_programmed += self._g
-        return gc_cost
-
     # ---------------------------------------------------------- reclamation
 
     def _deficit(self) -> int:
         return max(0, self.profile.free_block_pool - len(self._pool))
 
     def _drain(self, extra_credit: float) -> int:
-        """Background reclamation toward the pool target; returns blocks freed."""
+        """Background reclamation toward the pool target; returns blocks freed.
+
+        The credit pays one block at a time, and the greedy order does not
+        depend on event boundaries, so one event frees every block paid
+        for.  A stall still charges the credit for the blocks freed before
+        it."""
         self._drain_credit += extra_credit
-        freed = 0
-        while self._drain_credit >= 1.0 and self._deficit() > 0:
-            self._reclaim_until(len(self._pool) + 1)
-            self._drain_credit -= 1.0
-            freed += 1
+        freed = min(int(self._drain_credit), self._deficit())
+        if freed:
+            before = len(self._pool)
+            try:
+                self._reclaim(before + freed, per_block=True)
+            finally:
+                self._drain_credit -= len(self._pool) - before
         if self._deficit() == 0:
             self._drain_credit = 0.0
         return freed
 
-    def _reclaim_until(self, pool_target: int) -> int:
-        """Erase greedy victims until the pool holds pool_target blocks.
+    def _reclaim(self, pool_target: int, per_block: bool = False) -> int:
+        """One reclamation event: erase greedy victims until the pool holds
+        pool_target blocks; returns the elapsed cost of the event.
 
-        Victims' surviving units are copied, in unit order, to the
-        reclamation frontier after the erase.  Returns the elapsed cost of
-        the whole event.
+        Victims come in (valid count, block index) order among the blocks
+        neither in the pool nor open at a frontier.  Each victim joins the
+        pool, then its surviving units are copied, in unit order, to the
+        reclamation frontier, which takes pool blocks in pool order.  A
+        victim adds one block to the pool and its copies take at most one,
+        so the pool never shrinks.  The event stalls when n_blocks victims
+        have not reached the target: counted from the event's start, or,
+        with per_block (a drain), from the last block it freed.
+
+        The event runs in chunks.  A chunk scores every block once, walks
+        the candidates in order (_ranked), and applies their erases and
+        copies as array assignments.  Only the reclamation frontier changes
+        scores during an event, by releasing a block it has filled, and
+        only the block open when the chunk began can be released with
+        fewer than ups valid slots.  A chunk ends before any candidate that
+        a released block would come first of; the next chunk scores again.
         """
         p = self.profile
+        ups, n_blocks = self._ups, self._n_blocks
+        pool, gc, held, valid = self._pool, self._gc, self._held, self._valid_view
+        closed = ups + 1  # a held block's least score
         cost = 0
-        rounds = 0
-        while len(self._pool) < pool_target:
-            rounds += 1
-            if rounds > self._n_blocks:
+        rounds = 0  # victims counted toward a stall
+        while len(pool) < pool_target:
+            if rounds >= n_blocks:
                 raise SimulationStall("reclamation cannot free enough blocks")
-            victim = self._choose_victim()
-            first = victim * self._ups
-            survivors = sorted(u for u in self._inverse[first : first + self._ups] if u >= 0)
-            copies = len(survivors) * self._g
-            cost += p.erase_block_us + copies * (p.read_page_us + p.program_page_us)
+            scores = np.add(valid, held, out=self._scores, casting="unsafe")
+            low = int(scores[scores.argmin()])
+            if low > ups:
+                raise SimulationStall("no reclamation victim available")
+
+            # Take candidates as the one-victim-at-a-time loop would,
+            # opening a frontier block when survivors overflow the last.
+            first, fill = gc
+            room = ups - fill  # slots left at the reclamation frontier
+            frontier = first
+            reach = room  # survivors the frontier blocks so far can take
+            victims: list[int] = []
+            opened: list[int] = []
+            released: list[int] = []
+            copies = 0
+            have = len(pool)
+            nearest = None  # least (score, block) among released blocks
+            for score, b in self._ranked(low):
+                if nearest is not None and (score, b) > nearest:
+                    break
+                rounds += 1
+                victims.append(b)
+                pool.append(b)
+                copies += score
+                if copies > reach:
+                    if frontier >= 0:
+                        key = (int(valid[frontier]) + room if frontier == first else ups, frontier)
+                        if nearest is None or key < nearest:
+                            nearest = key
+                        released.append(frontier)
+                    frontier = pool.popleft()
+                    opened.append(frontier)
+                    reach += ups
+                else:
+                    have += 1
+                    if per_block:
+                        rounds = 0
+                if have >= pool_target or rounds >= n_blocks:
+                    break
+
+            # Apply the chunk: erase the victims, then copy their survivors
+            # to the slots from the frontier's fill on.
+            held[victims] = closed
+            if copies:
+                rows = self._inverse_blocks[victims]
+                rows.sort(axis=1)
+                units = rows[rows >= 0]
+                self._inverse_blocks[victims] = -1
+                valid[victims] = 0
+                slots = (np.array([first, *opened])[:, None] * ups + self._block_slots).ravel()
+                slots = slots[fill : fill + copies]
+                self._direct_view[units] = slots
+                self._inverse_view[slots] = units
+                gc[0], gc[1] = frontier, fill + copies - ups * len(opened)
+                if opened:
+                    if first >= 0:
+                        valid[first] += room
+                    valid[opened] = ups
+                    valid[frontier] = gc[1]
+                    held[released] = 0
+                else:
+                    valid[first] += copies
+            k = len(victims)
+            copies *= self._g
+            self._erases += k
             self._gc_copies += copies
-            self._erases += 1
-            self._inverse[first : first + self._ups] = self._erased_block
-            self._valid[victim] = 0
-            self._pool.append(victim)
-            self._held[victim] = self._ups + 1
-            for u in survivors:
-                self._place(u, self._gc)
+            self._pages_programmed += copies
+            cost += k * p.erase_block_us + copies * (p.read_page_us + p.program_page_us)
         return cost
 
-    def _choose_victim(self) -> int:
-        """The block with the fewest valid slots, lowest index on ties,
-        among those neither in the pool nor open at a frontier.
-
-        A held block scores at least ups + 1, above any other block.
-        """
-        scores = np.add(self._valid_view, self._held, out=self._scores)
-        victim = int(scores.argmin())
-        if scores[victim] > self._ups:
-            raise SimulationStall("no reclamation victim available")
-        return victim
+    def _ranked(self, low: int):
+        """(score, block) of the eligible blocks in order from score low,
+        each score's blocks found, as the walk reaches them, by a byte
+        search over the scores."""
+        buf, width = self._score_bytes, self._scores.itemsize
+        for score in range(low, self._ups + 1):
+            pattern = score.to_bytes(width, "little")
+            pos = buf.find(pattern)
+            while pos >= 0:
+                if pos % width == 0:
+                    yield score, pos // width
+                pos = buf.find(pattern, pos + 1)
 
     def _held_blocks(self) -> np.ndarray:
         """Per block, ups + 1 for a pool block or one open at a frontier,
@@ -420,11 +505,20 @@ class SimulatedDevice:
         return held
 
     def _index_blocks(self) -> None:
-        """Derive victim selection's arrays; _place and _reclaim_until keep
-        the penalty current after that."""
+        """Derive the reclamation kernel's arrays: numpy views of the maps
+        and the held-block penalty, which write and _reclaim keep current
+        after that."""
+        self._direct_view = np.frombuffer(self._direct, dtype=np.int64)
+        self._inverse_view = np.frombuffer(self._inverse, dtype=np.int64)
+        self._inverse_blocks = self._inverse_view.reshape(self._n_blocks, self._ups)
         self._valid_view = np.frombuffer(self._valid, dtype=np.int32)
+        self._block_slots = np.arange(self._ups)
         self._held = self._held_blocks()
-        self._scores = np.empty(self._n_blocks, dtype=np.int32)
+        # scores (valid + held, at most 2 * ups + 1) little-endian in a
+        # bytearray, which _ranked searches
+        dtype = np.min_scalar_type(2 * self._ups + 1).newbyteorder("<")
+        self._score_bytes = bytearray(self._n_blocks * dtype.itemsize)
+        self._scores = np.frombuffer(self._score_bytes, dtype=dtype)
 
     # ------------------------------------------------------------ inspection
 
@@ -438,9 +532,9 @@ class SimulatedDevice:
         }
 
     def check_consistency(self) -> None:
-        """Full-scan structural check of the direct/inverse maps."""
-        direct = np.frombuffer(self._direct, dtype=np.int64)
-        inverse = np.frombuffer(self._inverse, dtype=np.int64)
+        """Full-scan structural check of the maps, the held-block penalty,
+        the open frontiers and the pool."""
+        direct, inverse = self._direct_view, self._inverse_view
         units = np.flatnonzero(direct >= 0)
         slots = direct[units]
         if slots.size != np.unique(slots).size:
@@ -450,10 +544,18 @@ class SimulatedDevice:
         if np.count_nonzero(inverse >= 0) != units.size:
             raise AssertionError("inverse map holds a retired slot")
         valid = np.bincount(slots // self._ups, minlength=self._n_blocks)
-        if not np.array_equal(valid, np.frombuffer(self._valid, dtype=np.int32)):
+        if not np.array_equal(valid, self._valid_view):
             raise AssertionError("per-block valid counts inconsistent")
         if not np.array_equal(self._held, self._held_blocks()):
             raise AssertionError("held-block penalty disagrees with the pool and frontiers")
+        # the reclamation kernel writes frontier and pool slots unread
+        by_block = self._inverse_blocks
+        for block, fill in (self._host, self._gc):
+            if block >= 0 and np.any(by_block[block, fill:] >= 0):
+                raise AssertionError("a slot past an open frontier's fill is mapped")
+        pool = list(self._pool)
+        if np.any(self._valid_view[pool]) or np.any(by_block[pool] >= 0):
+            raise AssertionError("a pool block holds valid or mapped slots")
 
     # -------------------------------------------------------------- snapshot
 

@@ -1,8 +1,8 @@
-import contextlib
 import hashlib
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,10 @@ from flashmark.device import (
     probe_raw_capabilities,
 )
 from flashmark.device.simulator import SimulationStall
+from flashmark.methodology import enforce_random_state
 from flashmark.patterns import uniform_index
 from flashmark.serialization import from_data
+from oracles import GreedyOracle
 
 KB = 1024
 MB = 1024 * 1024
@@ -256,6 +258,26 @@ class TestInvariants:
             d1.check_consistency()
             assert d1.snapshot_state() == d2.snapshot_state()
 
+    def test_consistency_check_sees_frontier_and_pool_slots(self):
+        # reclamation writes a frontier's slots from its fill on, and a
+        # pool block's slots, without reading them first
+        dev = SimulatedDevice(builtin_profile("highend-ssd", capacity=16 * MB))
+        random_write_costs(dev, 1500)
+        dev.idle(1_000_000)
+        dev.write(0, 2 * KB)
+        dev.check_consistency()
+        dev._host[1] -= 1
+        with pytest.raises(AssertionError, match="past an open frontier's fill"):
+            dev.check_consistency()
+        dev._host[1] += 1
+
+        # a full closed block in place of a pool block
+        full = np.flatnonzero((dev._valid_view == dev._ups) & (dev._held == 0))
+        dev._pool[0] = int(full[0])
+        dev._held = dev._held_blocks()
+        with pytest.raises(AssertionError, match="a pool block holds"):
+            dev.check_consistency()
+
     def test_map_consistency_after_mixed_workload(self):
         dev = fresh(free_block_pool=4)
         for i in range(200):
@@ -289,38 +311,6 @@ class TestInvariants:
         assert dev.now_us() == t0 + c
         dev.idle(5000)
         assert dev.now_us() == t0 + c + 5000
-
-
-def oracle_victim(dev):
-    """Victim selection recomputed from scratch: copy the per-block valid
-    counts, close every pool block and open frontier block, take the
-    lowest-index minimum; None when every block is closed."""
-    scores = np.frombuffer(dev._valid, dtype=np.int32).copy()
-    closed = dev._ups + 1
-    scores[list(dev._pool)] = closed
-    for block, _ in (dev._host, dev._gc):
-        if block >= 0:
-            scores[block] = closed
-    victim = int(scores.argmin())
-    return None if scores[victim] == closed else victim
-
-
-def check_victims(dev):
-    """Make dev compare every victim it chooses with oracle_victim."""
-    choose = dev._choose_victim
-
-    def checked():
-        want = oracle_victim(dev)
-        try:
-            got = choose()
-        except SimulationStall:
-            got = None
-        assert got == want
-        if got is None:
-            raise SimulationStall("no reclamation victim available")
-        return got
-
-    dev._choose_victim = checked
 
 
 @st.composite
@@ -361,44 +351,137 @@ victim_ops = st.lists(
 )
 
 
-class TestVictimSelection:
-    @given(small_profiles(), victim_ops, st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_victims_match_a_from_scratch_choice(self, prof, ops, cut):
-        def apply(dev, ops):
-            for op, where, sectors in ops:
-                size = min(sectors * 512, dev.capacity)
-                lba = int(where * (dev.capacity - size) // 512) * 512
-                if op == "idle":
-                    dev.idle(sectors * 1000)
-                else:
-                    getattr(dev, op)(lba, size)
+def overcommitted(cls, prof, extra_batch, extra_pool):
+    """A cls device on prof whose reclamation targets then rise past what
+    its spare blocks allow (its constructor refuses such a profile), so
+    that reclamation can stall."""
+    dev = cls(prof)
+    dev.profile = replace(
+        prof,
+        gc_batch_blocks=prof.gc_batch_blocks + extra_batch,
+        free_block_pool=prof.free_block_pool + extra_pool,
+    )
+    return dev
 
-        dev = SimulatedDevice(prof)
-        check_victims(dev)
+
+def concrete(capacity, ops):
+    """victim_ops as (kind, lba, size); an idle's size is its duration."""
+    out = []
+    for kind, where, sectors in ops:
+        size = min(sectors * 512, capacity)
+        lba = int(where * (capacity - size) // 512) * 512
+        out.append((kind, 0, sectors * 1000) if kind == "idle" else (kind, lba, size))
+    return out
+
+
+def in_step(devices, ops):
+    """Apply each op to every device; after each, the results (a stall's
+    type and message) and the snapshots must agree.  Returns False at the
+    first stall: a write that stalls leaves its unit retired but still
+    mapped, so no later op is defined."""
+    dev = devices[0]
+    for op in ops:
+        kind, lba, size = op
+        credit, pool = dev._drain_credit, len(dev._pool)
+        results = []
+        for d in devices:
+            try:
+                results.append(apply_ops(d, [op])[0])
+            except SimulationStall as exc:
+                results.append((type(exc), str(exc)))
+        assert all(r == results[0] for r in results)
+        snapshot = dev.snapshot_state()
+        assert all(d.snapshot_state() == snapshot for d in devices[1:])
+        if isinstance(results[0], tuple):
+            if kind == "idle":
+                # the credit paid for the blocks freed before the stall
+                earned = credit + size * dev.profile.idle_drain_blocks_per_sec / 1e6
+                assert dev._drain_credit == earned - (len(dev._pool) - pool)
+            if kind != "write":
+                dev.check_consistency()
+            return False
+    return True
+
+
+class TestVictimSelection:
+    @given(
+        small_profiles(),
+        victim_ops,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([(0, 0), (0, 0), (12, 0), (0, 12), (2, 60)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_victims_match_a_from_scratch_choice(self, prof, ops, cut, extra):
+        # every op's result and snapshot equal the one-victim-at-a-time
+        # oracle's, which chooses each victim on a copy of the maps
+        dev = overcommitted(SimulatedDevice, prof, *extra)
+        oracle = overcommitted(GreedyOracle, prof, *extra)
+        ops = concrete(prof.capacity, ops)
+        if extra != (0, 0):
+            # a full device, so that the raised targets can stall
+            block = prof.block_size
+            ops = [("write", lba, block) for lba in range(0, prof.capacity, block)] + ops
         half = int(cut * len(ops))
-        try:
-            apply(dev, ops[:half])
-        except SimulationStall:
+        if not in_step((dev, oracle), ops[:half]):
             return
         dev.check_consistency()
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.bin"
             dev.save_state(path)
-            restored = SimulatedDevice(prof)
+            restored = overcommitted(SimulatedDevice, prof, *extra)
             restored.load_state(path)
         restored.check_consistency()
-        check_victims(restored)
-        with contextlib.suppress(SimulationStall):
-            restored._choose_victim()
-        for d in (dev, restored):
-            try:
-                apply(d, ops[half:])
-            except SimulationStall:
-                continue
-            d.check_consistency()
         assert restored.snapshot_state() == dev.snapshot_state()
+        if in_step((dev, oracle, restored), ops[half:]):
+            dev.check_consistency()
+            restored.check_consistency()
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("highend-ssd", {}),
+            # the built-in 256 spare blocks would leave every victim empty
+            ("lowend-usb", {"spare_blocks": 40}),
+        ],
+    )
+    def test_builtin_profiles_match_the_oracle(self, name, overrides):
+        # enforcement, random writes and a long drain at built-in scale
+        prof = builtin_profile(name, capacity=16 * MB, **overrides)
+        runs = []
+        for cls in (SimulatedDevice, GreedyOracle):
+            dev = cls(prof)
+            enforce_random_state(dev, seed=3)
+            costs = random_write_costs(dev, 2000)
+            freed = dev.idle(2_000_000)
+            runs.append((costs, freed, dev.wear_stats(), dev.snapshot_state()))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["gc_copies"] > 0
+        if prof.gc_mode == "deferred":
+            assert freed >= 100
+
+    def test_two_byte_scores_match_the_oracle(self):
+        # 256 map units per block: a score takes two bytes
+        prof = SimProfile(
+            capacity=16 * 128 * KB, page_size=512, pages_per_block=256,
+            free_block_pool=2, gc_mode="deferred", gc_batch_blocks=2,
+            idle_drain_blocks_per_sec=500.0, busy_drain_blocks_per_sec=100.0,
+            read_drain_extra_us=20, spare_blocks=8,
+        )
+        rng = random.Random(3)
+        ops = [("write", lba, 128 * KB) for lba in range(0, prof.capacity, 128 * KB)]
+        for i in range(3000):
+            size = rng.randint(1, 64) * 512
+            ops.append(("write", rng.randrange((prof.capacity - size) // 512) * 512, size))
+            if i % 10 == 0:
+                ops.append(("idle", 0, rng.randrange(20_000)))
+        runs = []
+        for cls in (SimulatedDevice, GreedyOracle):
+            dev = cls(prof)
+            runs.append((apply_ops(dev, ops), dev.wear_stats(), dev.snapshot_state()))
+        assert SimulatedDevice(prof)._scores.itemsize == 2
+        assert runs[0] == runs[1]
+        assert runs[0][1]["gc_copies"] > 0
 
 
 def pinned_mix(capacity, seed=5):
