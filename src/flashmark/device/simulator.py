@@ -20,6 +20,14 @@ Model summary:
   pool a reclamation event restores ``gc_batch_blocks`` net free blocks
   by erasing the victims with the fewest valid units (greedy), copying
   survivors out first to a second, reclamation frontier.
+* A write places its units in runs that fit the open block, as slice
+  copies, and queues the slots it overwrites instead of unmapping them
+  one by one.  The queue is applied (the slots unmapped and their blocks'
+  valid counts lowered) before anything reads the inverse map or the
+  valid counts: at the start of every reclamation event, a snapshot and
+  a consistency check.  A queued slot cannot be reused before that,
+  because slots come back only through erases, and erases happen only
+  inside a reclamation event.
 * A write is *absorbed* when it continues a recognized sequential
   stream or falls entirely inside recently written block-aligned
   regions (``write_cache_blocks``).  Absorbed writes cost bare page
@@ -49,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from ..serialization import dumps, to_data, write_atomic
-from . import DeviceError, check_alignment
+from . import SECTOR, DeviceError, check_alignment
 
 KB = 1024
 MB = 1024 * 1024
@@ -213,16 +221,23 @@ class SimulatedDevice:
         self._n_blocks = p.capacity // self._block + spare
 
         # direct map: unit -> slot; inverse: slot -> unit; valid slots per block
-        self._direct = array("q", [-1]) * (p.capacity // self._unit)
-        self._inverse = array("q", [-1]) * (self._n_blocks * self._ups)
+        n_units, n_slots = p.capacity // self._unit, self._n_blocks * self._ups
+        self._direct = array("q", [-1]) * n_units
+        self._inverse = array("q", [-1]) * n_slots
         self._valid = array("i", [0]) * self._n_blocks
+        # i at index i: write copies runs of unit and slot numbers from it
+        self._ids = array("q", range(max(n_units, n_slots)))
+        # slots overwritten since the last _retire, which unmaps them
+        self._retired = array("q")
 
         self._pool = deque(range(p.free_block_pool))
         self._host = [-1, self._ups]
         self._gc = [-1, self._ups]
         self._erases = 0
 
-        self._streams: list[tuple[int, int]] = []  # (start, end) of last write per stream
+        # start and end of the last write per stream, least recent first
+        self._stream_starts: list[int] = []
+        self._stream_ends: list[int] = []
         self._cached_regions: dict[int, None] = {}  # LRU via dict order
 
         self._clock_us = 0
@@ -236,24 +251,30 @@ class SimulatedDevice:
     # ------------------------------------------------------------------ IO
 
     def read(self, lba: int, size: int) -> int:
-        check_alignment(self, lba, size)
-        pages = self._span_pages(lba, size)
-        cost = self.profile.controller_overhead_us + pages * self.profile.read_page_us
-        if self.profile.gc_mode == "deferred" and self._deficit() > 0:
-            cost += self.profile.read_drain_extra_us
-            self._drain(cost * self.profile.busy_drain_blocks_per_sec / 1e6)
+        end = lba + size
+        if lba % SECTOR or size % SECTOR or size <= 0 or lba < 0 or end > self.capacity:
+            check_alignment(self, lba, size)
+        p = self.profile
+        page = self._page
+        cost = p.controller_overhead_us + (-(end // -page) - lba // page) * p.read_page_us
+        if p.gc_mode == "deferred" and self._deficit() > 0:
+            cost += p.read_drain_extra_us
+            self._drain(cost * p.busy_drain_blocks_per_sec / 1e6)
         self._clock_us += cost
         return cost
 
     def write(self, lba: int, size: int) -> int:
-        check_alignment(self, lba, size)
+        end = lba + size
+        if lba % SECTOR or size % SECTOR or size <= 0 or lba < 0 or end > self.capacity:
+            check_alignment(self, lba, size)
         p = self.profile
         absorbed = self._note_write(lba, size)
 
-        u0 = lba // self._unit
-        u1 = (lba + size - 1) // self._unit
-        amplified = (u1 - u0 + 1) * self._g
-        payload = self._span_pages(lba, size)
+        u = lba // self._unit
+        top = (end - 1) // self._unit + 1  # one past the last unit written
+        g, page = self._g, self._page
+        amplified = (top - u) * g
+        payload = -(end // -page) - lba // page
         cost = (
             p.controller_overhead_us
             + amplified * p.program_page_us
@@ -262,44 +283,45 @@ class SimulatedDevice:
         if not absorbed:
             cost += p.write_miss_penalty_us
 
-        # Place the units at the host frontier: retire each unit's old slot,
-        # then program the next slot.  At a block boundary the frontier
-        # takes a pool block, after a reclamation event if the pool is
-        # empty; the full block stays held until then.  The open block's
-        # valid count, the frontier's fill and the pages programmed are
-        # brought up to date there, before a reclamation that may stall,
-        # and at the end.
-        g, ups = self._g, self._ups
-        direct, inverse, valid = self._direct, self._inverse, self._valid
-        pool, host = self._pool, self._host
+        # Place the units at the host frontier in runs that fit the open
+        # block: queue the run's old slots for _retire, then map the run
+        # onto the next slots.  At a block boundary the frontier takes a
+        # pool block, after a reclamation event if the pool is empty; the
+        # full block stays held until then.  The unit that meets the
+        # boundary is queued and unmapped before that event, which applies
+        # the queue, so a stalled write leaves it retired and unmapped.
+        ups = self._ups
+        direct, inverse, ids, retired = self._direct, self._inverse, self._ids, self._retired
+        valid, pool, host = self._valid, self._pool, self._host
         block = host[0]
         slot = block * ups + host[1]
-        end = block * ups + ups
-        opened = slot  # first slot this write programs in the open block
+        stop = block * ups + ups  # one past the open block's last slot
         gc_cost = 0
-        for u in range(u0, u1 + 1):
-            old = direct[u]
-            if old >= 0:
-                inverse[old] = -1
-                valid[old // ups] -= 1
-            if slot == end:
-                if block >= 0:
-                    valid[block] += slot - opened
-                    self._pages_programmed += (slot - opened) * g
-                host[1] = ups
-                if not pool:
-                    gc_cost += self._reclaim(p.gc_batch_blocks)
-                if block >= 0:
-                    self._held[block] = 0
-                # a pool block stays held while it is open
-                block = host[0] = pool.popleft()
-                slot = opened = block * ups
-                end = slot + ups
-            direct[u] = slot
-            inverse[slot] = u
-            slot += 1
-        valid[block] += slot - opened
-        self._pages_programmed += (slot - opened) * g
+        while True:
+            k = top - u
+            if k > stop - slot:
+                k = stop - slot
+            if k:
+                retired += direct[u : u + k]
+                direct[u : u + k] = ids[slot : slot + k]
+                inverse[slot : slot + k] = ids[u : u + k]
+                valid[block] += k
+                self._pages_programmed += k * g
+                u += k
+                slot += k
+            if u == top:
+                break
+            retired.append(direct[u])
+            direct[u] = -1
+            host[1] = ups
+            if not pool:
+                gc_cost += self._reclaim(p.gc_batch_blocks)
+            if block >= 0:
+                self._held[block] = 0
+            # a pool block stays held while it is open
+            block = host[0] = pool.popleft()
+            slot = block * ups
+            stop = slot + ups
         host[1] = slot - block * ups
         if not (absorbed and p.hide_stream_gc):
             cost += gc_cost
@@ -324,36 +346,45 @@ class SimulatedDevice:
 
     # ------------------------------------------------------- write plumbing
 
-    def _span_pages(self, lba: int, size: int) -> int:
-        return -((lba + size) // -self._page) - lba // self._page
-
     def _note_write(self, lba: int, size: int) -> bool:
-        """Update stream/cache recognition; True when the write is absorbed."""
+        """Update stream/cache recognition; True when the write is absorbed.
+
+        A write continues the least recent stream it ends (forward) or, with
+        detect_reverse_stream, starts (backward) next to; that stream moves
+        to most recent.  Another write opens a stream, the least recent
+        dropping out past stream_slots."""
         p = self.profile
         end = lba + size
-        hit = False
-
-        for i, (start, prev_end) in enumerate(self._streams):
-            if lba == prev_end or (p.detect_reverse_stream and end == start):
-                self._streams.pop(i)
-                self._streams.append((lba, end))
-                hit = True
-                break
-        else:
-            if p.stream_slots > 0:
-                self._streams.append((lba, end))
-                if len(self._streams) > p.stream_slots:
-                    self._streams.pop(0)
+        starts, ends = self._stream_starts, self._stream_ends
+        n = len(ends)
+        i = ends.index(lba) if lba in ends else n
+        if p.detect_reverse_stream and end in starts:
+            i = min(i, starts.index(end))
+        hit = i < n
+        if hit:
+            del starts[i], ends[i]
+        if p.stream_slots > 0:
+            starts.append(lba)
+            ends.append(end)
+            if len(ends) > p.stream_slots:
+                del starts[0], ends[0]
 
         if p.write_cache_blocks > 0:
-            regions = range(lba // self._block, (end - 1) // self._block + 1)
-            if not hit:
-                hit = all(r in self._cached_regions for r in regions)
-            for r in regions:
-                self._cached_regions.pop(r, None)
-                self._cached_regions[r] = None
-            while len(self._cached_regions) > p.write_cache_blocks:
-                self._cached_regions.pop(next(iter(self._cached_regions)))
+            cached = self._cached_regions
+            first, last = lba // self._block, (end - 1) // self._block
+            if first == last:
+                hit = hit or first in cached
+                cached.pop(first, None)
+                cached[first] = None
+            else:
+                regions = range(first, last + 1)
+                if not hit:
+                    hit = all(r in cached for r in regions)
+                for r in regions:
+                    cached.pop(r, None)
+                    cached[r] = None
+            while len(cached) > p.write_cache_blocks:
+                cached.pop(next(iter(cached)))
         return hit
 
     # ---------------------------------------------------------- reclamation
@@ -401,6 +432,7 @@ class SimulatedDevice:
         fewer than ups valid slots.  A chunk ends before any candidate that
         a released block would come first of; the next chunk scores again.
         """
+        self._retire()
         p = self.profile
         ups, n_blocks = self._ups, self._n_blocks
         pool, gc, held, valid = self._pool, self._gc, self._held, self._valid_view
@@ -480,6 +512,19 @@ class SimulatedDevice:
             cost += k * p.erase_block_us + copies * (p.read_page_us + p.program_page_us)
         return cost
 
+    def _retire(self) -> None:
+        """Apply the queue of overwritten slots: unmap them and lower their
+        blocks' valid counts.  The -1 queued for a unit that held no slot
+        is skipped."""
+        queue = self._retired
+        if queue:
+            old = np.array(queue, dtype=np.int64)  # a copy: the queue is emptied below
+            old = old[old >= 0]
+            self._inverse_view[old] = -1
+            counts = np.bincount(old // self._ups, minlength=self._n_blocks)
+            self._valid_view -= counts.astype(np.int32)  # one dtype: no casting loop
+            del queue[:]  # in place: a running write holds the queue
+
     def _ranked(self, low: int):
         """(score, block) of the eligible blocks in order from score low,
         each score's blocks found, as the walk reaches them, by a byte
@@ -534,6 +579,7 @@ class SimulatedDevice:
     def check_consistency(self) -> None:
         """Full-scan structural check of the maps, the held-block penalty,
         the open frontiers and the pool."""
+        self._retire()
         direct, inverse = self._direct_view, self._inverse_view
         units = np.flatnonzero(direct >= 0)
         slots = direct[units]
@@ -560,13 +606,14 @@ class SimulatedDevice:
     # -------------------------------------------------------------- snapshot
 
     def snapshot_state(self) -> bytes:
+        self._retire()
         header = {
             "version": _SNAPSHOT_VERSION,
             "profile": self.profile.fingerprint(),
             "journaled": self.journaled,
             "scalars": {name: getattr(self, name) for name in self._SCALARS},
             "pool": list(self._pool),
-            "streams": self._streams,
+            "streams": [[s, e] for s, e in zip(self._stream_starts, self._stream_ends)],
             "cached_regions": list(self._cached_regions),
         }
         head = json.dumps(header, sort_keys=True).encode()
@@ -584,7 +631,8 @@ class SimulatedDevice:
             setattr(self, name, header["scalars"][name])
         self.journaled = header["journaled"]
         self._pool = deque(header["pool"])
-        self._streams = [tuple(t) for t in header["streams"]]
+        self._stream_starts = [s for s, _ in header["streams"]]
+        self._stream_ends = [e for _, e in header["streams"]]
         self._cached_regions = {r: None for r in header["cached_regions"]}
 
         off = 8 + n
@@ -596,6 +644,7 @@ class SimulatedDevice:
             arr.frombytes(blob[off : off + nbytes])
             setattr(self, name, arr)
             off += nbytes
+        del self._retired[:]
         self._index_blocks()
 
     def save_state(self, path: str | Path) -> None:

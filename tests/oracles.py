@@ -67,10 +67,28 @@ class GreedyOracle(SimulatedDevice):
 
     Host writes and copied survivors go unit by unit through one _place
     routine; a drain is a run of one-block events; every victim is chosen
-    by oracle_victim on a copy of the maps.  The oracle keeps no held-block
-    penalty, so only its snapshot, costs and counters are comparable: they
-    must equal SimulatedDevice's after any op, a stalled one included.
+    by oracle_victim on a copy of the maps.  Requests are checked by
+    check_alignment, page spans counted by their own arithmetic, and
+    streams recognized by a scan over (start, end) pairs.  The oracle keeps
+    no held-block penalty and no retirement queue, so only its snapshot,
+    costs and counters are comparable: they must equal SimulatedDevice's
+    after any op, a stalled one included.
     """
+
+    def _pages(self, lba: int, size: int) -> int:
+        first = lba // self._page
+        last = (lba + size - 1) // self._page
+        return last - first + 1
+
+    def read(self, lba: int, size: int) -> int:
+        check_alignment(self, lba, size)
+        p = self.profile
+        cost = p.controller_overhead_us + self._pages(lba, size) * p.read_page_us
+        if p.gc_mode == "deferred" and self._deficit() > 0:
+            cost += p.read_drain_extra_us
+            self._drain(cost * p.busy_drain_blocks_per_sec / 1e6)
+        self._clock_us += cost
+        return cost
 
     def write(self, lba: int, size: int) -> int:
         check_alignment(self, lba, size)
@@ -79,7 +97,7 @@ class GreedyOracle(SimulatedDevice):
         u0 = lba // self._unit
         u1 = (lba + size - 1) // self._unit
         amplified = (u1 - u0 + 1) * self._g
-        payload = self._span_pages(lba, size)
+        payload = self._pages(lba, size)
         cost = (
             p.controller_overhead_us
             + amplified * p.program_page_us
@@ -93,11 +111,45 @@ class GreedyOracle(SimulatedDevice):
             if old >= 0:
                 self._inverse[old] = -1
                 self._valid[old // self._ups] -= 1
-            gc_cost += self._place(u, self._host)
+            try:
+                gc_cost += self._place(u, self._host)
+            except SimulationStall:
+                self._direct[u] = -1  # retired, never placed
+                raise
         if not (absorbed and p.hide_stream_gc):
             cost += gc_cost
         self._clock_us += cost
         return cost
+
+    def _note_write(self, lba: int, size: int) -> bool:
+        p = self.profile
+        end = lba + size
+        hit = False
+        streams = list(zip(self._stream_starts, self._stream_ends))
+        for i, (start, prev_end) in enumerate(streams):
+            if lba == prev_end or (p.detect_reverse_stream and end == start):
+                streams.pop(i)
+                streams.append((lba, end))
+                hit = True
+                break
+        else:
+            if p.stream_slots > 0:
+                streams.append((lba, end))
+                if len(streams) > p.stream_slots:
+                    streams.pop(0)
+        self._stream_starts = [s for s, _ in streams]
+        self._stream_ends = [e for _, e in streams]
+
+        if p.write_cache_blocks > 0:
+            regions = range(lba // self._block, (end - 1) // self._block + 1)
+            if not hit:
+                hit = all(r in self._cached_regions for r in regions)
+            for r in regions:
+                self._cached_regions.pop(r, None)
+                self._cached_regions[r] = None
+            while len(self._cached_regions) > p.write_cache_blocks:
+                self._cached_regions.pop(next(iter(self._cached_regions)))
+        return hit
 
     def _place(self, u: int, frontier: list[int]) -> int:
         gc_cost = 0

@@ -14,6 +14,7 @@ from flashmark.device import (
     SimProfile,
     SimulatedDevice,
     builtin_profile,
+    check_alignment,
     probe_raw_capabilities,
 )
 from flashmark.device.simulator import SimulationStall
@@ -59,6 +60,35 @@ class TestCostModel:
         dev = fresh()
         with pytest.raises(DeviceError):
             dev.read(dev.capacity, 512)
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize(
+        "lba, size",
+        [
+            (100, 512),                      # unaligned lba
+            (0, 300),                        # unaligned size
+            (0, 0),                          # empty
+            (-512, 512),                     # before the start
+            (64 * MB - 32 * KB + 512, 32 * KB),  # one sector past the end
+        ],
+    )
+    def test_bad_request_raises_as_check_alignment(self, op, lba, size):
+        # a deferred device in debt, whose reads drain and whose writes
+        # leave retirements queued: a refused request changes nothing
+        dev = fresh(
+            gc_mode="deferred", free_block_pool=8, idle_drain_blocks_per_sec=1000.0,
+            busy_drain_blocks_per_sec=100.0, read_drain_extra_us=300,
+        )
+        random_write_costs(dev, 64)
+        clock, before = dev.now_us(), dev.snapshot_state()
+        with pytest.raises(DeviceError) as expected:
+            check_alignment(dev, lba, size)
+        with pytest.raises(DeviceError) as raised:
+            getattr(dev, op)(lba, size)
+        assert type(raised.value) is DeviceError
+        assert str(raised.value) == str(expected.value)
+        assert dev.now_us() == clock
+        assert dev.snapshot_state() == before
 
     def test_sequential_write_steady_cost_no_erase_amplification(self):
         dev = fresh()
@@ -235,7 +265,11 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_any_op_sequence_deterministic_and_consistent(self, ops):
         def apply(dev):
-            out = []
+            # a full device rewritten in part, so that reclamation copies
+            # survivors before and during the drawn ops
+            for lba in range(0, dev.capacity, 128 * KB):
+                dev.write(lba, 128 * KB)
+            out = random_write_costs(dev, 48, seed=11)
             for op, slot, size in ops:
                 lba = (slot * 32 * KB) % (dev.capacity - size)
                 lba -= lba % 512
@@ -249,14 +283,15 @@ class TestInvariants:
 
         for granularity in (None, 8 * KB):
             prof = SimProfile(
-                capacity=16 * MB, free_block_pool=2, gc_mode="deferred",
+                capacity=2 * MB, free_block_pool=2, gc_mode="deferred", gc_batch_blocks=2,
                 idle_drain_blocks_per_sec=1000.0, busy_drain_blocks_per_sec=100.0,
-                read_drain_extra_us=50, map_granularity=granularity,
+                read_drain_extra_us=50, map_granularity=granularity, spare_blocks=6,
             )
             d1, d2 = SimulatedDevice(prof), SimulatedDevice(prof)
             assert apply(d1) == apply(d2)
             d1.check_consistency()
             assert d1.snapshot_state() == d2.snapshot_state()
+            assert d1.wear_stats()["gc_copies"] > 0
 
     def test_consistency_check_sees_frontier_and_pool_slots(self):
         # reclamation writes a frontier's slots from its fill on, and a
@@ -279,13 +314,53 @@ class TestInvariants:
             dev.check_consistency()
 
     def test_map_consistency_after_mixed_workload(self):
-        dev = fresh(free_block_pool=4)
-        for i in range(200):
+        # 2 MB written over about three times: reclamation copies survivors
+        dev = fresh(capacity=2 * MB, free_block_pool=4, gc_batch_blocks=2, spare_blocks=8)
+        for i in range(300):
             if i % 3 == 0:
                 dev.read((i * 17 % 1000) * 512, 2048)
             else:
-                dev.write(uniform_index(3, i, 512) * 32 * KB, 32 * KB)
+                dev.write(uniform_index(3, i, 64) * 32 * KB, 32 * KB)
         dev.check_consistency()
+        assert dev.wear_stats()["gc_copies"] > 0
+
+    @pytest.mark.parametrize("first", ["snapshot", "check"])
+    def test_queued_retirements_applied_before_reading(self, first):
+        # writes after the last reclamation leave their overwritten slots
+        # queued; a snapshot and a consistency check apply the queue first
+        prof = builtin_profile("highend-ssd", capacity=16 * MB)
+        dev, oracle = SimulatedDevice(prof), GreedyOracle(prof)
+        for d in (dev, oracle):
+            enforce_random_state(d, seed=3)
+            random_write_costs(d, 300)
+        assert dev.wear_stats()["gc_copies"] > 0
+        assert max(dev._retired) >= 0
+        if first == "check":
+            dev.check_consistency()
+        assert dev.snapshot_state() == oracle.snapshot_state()
+        dev.check_consistency()
+
+    def test_stalled_write_leaves_its_unit_unmapped(self):
+        # a full device whose reclamation target then rises past what its
+        # spare blocks allow: a one-unit write retires its unit, then stalls
+        prof = SimProfile(
+            capacity=16 * 2 * KB, page_size=512, pages_per_block=4, write_cache_blocks=0,
+            free_block_pool=0, gc_batch_blocks=1, stream_slots=0, spare_blocks=3,
+        )
+        dev = SimulatedDevice(prof)
+        for lba in range(0, prof.capacity, 2 * KB):
+            dev.write(lba, 2 * KB)
+        dev.profile = replace(prof, gc_batch_blocks=4)
+        rng = random.Random(1)
+        with pytest.raises(SimulationStall):
+            while True:
+                lba = rng.randrange(prof.capacity // 512) * 512
+                dev.write(lba, 512)
+        dev.check_consistency()
+        # the same unit again: its old slot is not retired a second time
+        dev.write(lba, 512)
+        dev.check_consistency()
+        assert min(dev._valid) >= 0
 
     def test_wear_conservation(self):
         dev = fresh(free_block_pool=4)
@@ -377,8 +452,8 @@ def concrete(capacity, ops):
 def in_step(devices, ops):
     """Apply each op to every device; after each, the results (a stall's
     type and message) and the snapshots must agree.  Returns False at the
-    first stall: a write that stalls leaves its unit retired but still
-    mapped, so no later op is defined."""
+    first stall, after checking the first device's maps: a stalled op of
+    any kind, a write included, leaves them consistent."""
     dev = devices[0]
     for op in ops:
         kind, lba, size = op
@@ -397,8 +472,7 @@ def in_step(devices, ops):
                 # the credit paid for the blocks freed before the stall
                 earned = credit + size * dev.profile.idle_drain_blocks_per_sec / 1e6
                 assert dev._drain_credit == earned - (len(dev._pool) - pool)
-            if kind != "write":
-                dev.check_consistency()
+            dev.check_consistency()
             return False
     return True
 
@@ -482,6 +556,81 @@ class TestVictimSelection:
         assert SimulatedDevice(prof)._scores.itemsize == 2
         assert runs[0] == runs[1]
         assert runs[0][1]["gc_copies"] > 0
+
+
+def stream_ops(rng, prof, n):
+    """n writes from up to stream_slots + 2 interleaved forward and
+    backward streams, and repeated writes inside one cache block."""
+    cap, block = prof.capacity, prof.block_size
+    streams = [
+        (rng.randrange(cap // 512) * 512, rng.random() < 0.5)
+        for _ in range(rng.randint(1, prof.stream_slots + 2))
+    ]
+    hot = rng.randrange(cap // block) * block
+    ops = []
+    for _ in range(n):
+        i = rng.randrange(len(streams) + 1)
+        if i == len(streams):
+            off = rng.randrange(block // 512) * 512
+            ops.append(("write", hot + off, rng.randint(1, (block - off) // 512) * 512))
+            continue
+        # a forward stream's next write starts at its cursor, a backward
+        # one's ends there
+        at, forward = streams[i]
+        size = rng.randint(1, 2 * block // 512) * 512
+        if forward:
+            lba = at if at + size <= cap else 0
+            streams[i] = (lba + size, True)
+        else:
+            lba = at - size if at >= size else cap - size
+            streams[i] = (lba, False)
+        ops.append(("write", lba, size))
+    return ops
+
+
+def recognition_cases(dev, lba, size):
+    """The stream and cache cases a write of (lba, size) meets on dev."""
+    p, end = dev.profile, lba + size
+    cases = set()
+    streams = list(zip(dev._stream_starts, dev._stream_ends))
+    for i, (start, prev_end) in enumerate(streams):
+        if lba == prev_end or (p.detect_reverse_stream and end == start):
+            cases.add("forward hit" if lba == prev_end else "reverse hit")
+            if i > 0:
+                cases.add("hit past the first stream")
+            break
+    regions = set(range(lba // p.block_size, (end - 1) // p.block_size + 1))
+    if len(regions) > 1:
+        cases.add("two regions")
+    if p.write_cache_blocks and len(regions | set(dev._cached_regions)) > p.write_cache_blocks:
+        cases.add("cache eviction")
+    return cases
+
+
+class TestStreamRecognition:
+    @given(small_profiles(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_costs_and_snapshots_match_the_oracle(self, prof, rng):
+        # the oracle recognizes streams by a scan over (start, end) pairs
+        ops = stream_ops(rng, prof, 80)
+        in_step((SimulatedDevice(prof), GreedyOracle(prof)), ops)
+
+    def test_reaches_every_case(self):
+        prof = SimProfile(
+            capacity=48 * 8 * KB, page_size=512, pages_per_block=16, map_granularity=1024,
+            write_cache_blocks=4, free_block_pool=2, gc_batch_blocks=2, stream_slots=3,
+            detect_reverse_stream=True, spare_blocks=8,
+        )
+        dev, oracle = SimulatedDevice(prof), GreedyOracle(prof)
+        seen = set()
+        for op in stream_ops(random.Random(5), prof, 400):
+            seen |= recognition_cases(dev, *op[1:])
+            assert in_step((dev, oracle), [op])
+        assert seen == {
+            "forward hit", "reverse hit", "hit past the first stream",
+            "two regions", "cache eviction",
+        }
+        assert dev.wear_stats()["gc_copies"] > 0
 
 
 def pinned_mix(capacity, seed=5):
