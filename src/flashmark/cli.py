@@ -117,6 +117,10 @@ class CampaignConfig:
     def sim_state_path(self) -> Path:
         return self.output_dir / "device_state.bin"
 
+    @property
+    def device_profile_path(self) -> Path:
+        return self.output_dir / "device_profile.json"
+
     def sim_profile(self) -> SimProfile:
         """The simulator profile: the JSON file of a name ending in .json,
         otherwise a built-in profile name."""
@@ -170,6 +174,11 @@ class CampaignConfig:
                 pending = 0
 
         return journal, commit
+
+    def device_profile(self) -> DeviceProfile:
+        """The profile `calibrate` wrote, or the default before it ran."""
+        path = self.device_profile_path
+        return load(DeviceProfile, path) if path.exists() else DeviceProfile()
 
     def plan(self, capacity: int, profile: DeviceProfile) -> BenchmarkPlan:
         """The suite's plan on a device of `capacity` bytes, as `plan`
@@ -270,14 +279,22 @@ def _require(journal: Journal, step: str) -> None:
 
 
 def _load_plan(cfg: CampaignConfig, journal: Journal) -> tuple[BenchmarkPlan, str]:
-    """plan.json and its SHA-256; a validation error naming both hashes if
-    the journal records that `run` began on another plan."""
+    """plan.json and its SHA-256.  A validation error naming both hashes if
+    the journal records that `run` began on another plan, and one if the
+    config and device profile no longer build plan.json: `run` seeds state
+    resets, and `report` sizes baseline costs, from the config."""
     path = cfg.output_dir / "plan.json"
     plan_hash = hashlib.sha256(path.read_bytes()).hexdigest()
     begun = journal.last("run")
     if begun is not None and begun["plan"] != plan_hash:
         raise ValueError(f"plan.json is {plan_hash}, but run began on plan {begun['plan']}")
-    return load_plan(path), plan_hash
+    plan = load_plan(path)
+    if cfg.plan(plan.capacity, cfg.device_profile()) != plan:
+        raise ValueError(
+            "plan.json is not the plan that the config and device_profile.json build: "
+            "the config changed, or calibrate ran, after plan"
+        )
+    return plan, plan_hash
 
 
 def _check_trace(path: Path, trace_bytes: int, io_count: int) -> None:
@@ -387,7 +404,7 @@ def cmd_calibrate(config_path: str) -> None:
     pause = calibrate_pause(dev, cfg.calibration, cfg.seed)
     profile = replace(profile, inter_run_pause_us=pause.pause_us)
     cfg.plan(dev.capacity, profile)  # with the counts `plan` will use
-    out = cfg.output_dir / "device_profile.json"
+    out = cfg.device_profile_path
     save(profile, out)
     commit("calibrate", 0, end=True, status="done")  # snapshots the calibrated device
     cfg.write_manifest(
@@ -417,9 +434,7 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
     dev = cfg.open_device(restore_state=False)
     capacity = dev.capacity
     dev.close()
-    profile_path = cfg.output_dir / "device_profile.json"
-    profile = load(DeviceProfile, profile_path) if profile_path.exists() else DeviceProfile()
-    plan = cfg.plan(capacity, profile)
+    plan = cfg.plan(capacity, cfg.device_profile())
     experiments = [s.experiment for s in plan.run_steps() if s.run_index == 0]
     if dry_run:
         for exp in experiments:

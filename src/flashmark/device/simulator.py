@@ -42,7 +42,8 @@ Model summary:
 
 Everything is deterministic: same profile, same request sequence, same
 response times, byte for byte.  The device keeps a virtual clock in
-microseconds; idling advances it without wall time.
+microseconds; idling advances it without wall time.  A snapshot restores
+all or nothing, its maps copied into the live arrays and their views.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class SimulatedDevice:
         "_pages_programmed", "_gc_copies",
     )
     # Per-unit, per-slot and per-block maps, in snapshot order.
-    _ARRAYS = (("_direct", "q"), ("_inverse", "q"), ("_valid", "i"))
+    _ARRAYS = ("_direct", "_inverse", "_valid")
 
     def __init__(self, profile: SimProfile):
         self.profile = profile
@@ -246,7 +247,16 @@ class SimulatedDevice:
         self._gc_copies = 0
         # campaign journal entries this state reflects, kept in the snapshot
         self.journaled = 0
-        self._index_blocks()
+        self._direct_view = np.frombuffer(self._direct, dtype=np.int64)
+        self._inverse_view = np.frombuffer(self._inverse, dtype=np.int64)
+        self._inverse_blocks = self._inverse_view.reshape(self._n_blocks, self._ups)
+        self._valid_view = np.frombuffer(self._valid, dtype=np.int32)
+        self._block_slots = np.arange(self._ups)
+        self._held = self._held_blocks()
+        # little-endian scores (valid + held <= 2 * ups + 1), searched by _ranked
+        dtype = np.min_scalar_type(2 * self._ups + 1).newbyteorder("<")
+        self._score_bytes = bytearray(self._n_blocks * dtype.itemsize)
+        self._scores = np.frombuffer(self._score_bytes, dtype=dtype)
 
     # ------------------------------------------------------------------ IO
 
@@ -330,12 +340,12 @@ class SimulatedDevice:
         return cost
 
     def idle(self, duration_us: int) -> int:
-        """Rest; deferred reclamation drains its backlog at full speed."""
+        """Rest, at least 0 us; deferred reclamation drains its backlog at full speed."""
+        duration_us = max(0, duration_us)
         reclaimed = 0
         if self.profile.gc_mode == "deferred":
-            self._drain_credit += duration_us * self.profile.idle_drain_blocks_per_sec / 1e6
-            reclaimed = self._drain(0.0)
-        self._clock_us += max(0, duration_us)
+            reclaimed = self._drain(duration_us * self.profile.idle_drain_blocks_per_sec / 1e6)
+        self._clock_us += duration_us
         return reclaimed
 
     def now_us(self) -> int:
@@ -455,9 +465,7 @@ class SimulatedDevice:
             reach = room  # survivors the frontier blocks so far can take
             victims: list[int] = []
             opened: list[int] = []
-            released: list[int] = []
             copies = 0
-            have = len(pool)
             nearest = None  # least (score, block) among released blocks
             for score, b in self._ranked(low):
                 if nearest is not None and (score, b) > nearest:
@@ -471,15 +479,12 @@ class SimulatedDevice:
                         key = (int(valid[frontier]) + room if frontier == first else ups, frontier)
                         if nearest is None or key < nearest:
                             nearest = key
-                        released.append(frontier)
                     frontier = pool.popleft()
                     opened.append(frontier)
                     reach += ups
-                else:
-                    have += 1
-                    if per_block:
-                        rounds = 0
-                if have >= pool_target or rounds >= n_blocks:
+                elif per_block:
+                    rounds = 0
+                if len(pool) >= pool_target or rounds >= n_blocks:
                     break
 
             # Apply the chunk: erase the victims, then copy their survivors
@@ -497,11 +502,13 @@ class SimulatedDevice:
                 self._inverse_view[slots] = units
                 gc[0], gc[1] = frontier, fill + copies - ups * len(opened)
                 if opened:
+                    # release the first frontier and every opened block but the last
                     if first >= 0:
                         valid[first] += room
+                        held[first] = 0
                     valid[opened] = ups
                     valid[frontier] = gc[1]
-                    held[released] = 0
+                    held[opened[:-1]] = 0
                 else:
                     valid[first] += copies
             k = len(victims)
@@ -538,32 +545,14 @@ class SimulatedDevice:
                     yield score, pos // width
                 pos = buf.find(pattern, pos + 1)
 
-    def _held_blocks(self) -> np.ndarray:
-        """Per block, ups + 1 for a pool block or one open at a frontier,
-        else 0: victim selection's penalty, derived from the pool and the
-        frontiers."""
+    def _held_blocks(self, pool=None, frontiers=None) -> np.ndarray:
+        """Victim selection's penalty: ups + 1 for each block in pool or open
+        at one of frontiers (the device's own by default), else 0."""
+        if pool is None:
+            pool, frontiers = self._pool, (self._host, self._gc)
         held = np.zeros(self._n_blocks, dtype=np.int32)
-        held[list(self._pool)] = self._ups + 1
-        for block, _ in (self._host, self._gc):
-            if block >= 0:
-                held[block] = self._ups + 1
+        held[[*pool, *(block for block, _ in frontiers if block >= 0)]] = self._ups + 1
         return held
-
-    def _index_blocks(self) -> None:
-        """Derive the reclamation kernel's arrays: numpy views of the maps
-        and the held-block penalty, which write and _reclaim keep current
-        after that."""
-        self._direct_view = np.frombuffer(self._direct, dtype=np.int64)
-        self._inverse_view = np.frombuffer(self._inverse, dtype=np.int64)
-        self._inverse_blocks = self._inverse_view.reshape(self._n_blocks, self._ups)
-        self._valid_view = np.frombuffer(self._valid, dtype=np.int32)
-        self._block_slots = np.arange(self._ups)
-        self._held = self._held_blocks()
-        # scores (valid + held, at most 2 * ups + 1) little-endian in a
-        # bytearray, which _ranked searches
-        dtype = np.min_scalar_type(2 * self._ups + 1).newbyteorder("<")
-        self._score_bytes = bytearray(self._n_blocks * dtype.itemsize)
-        self._scores = np.frombuffer(self._score_bytes, dtype=dtype)
 
     # ------------------------------------------------------------ inspection
 
@@ -617,35 +606,44 @@ class SimulatedDevice:
             "cached_regions": list(self._cached_regions),
         }
         head = json.dumps(header, sort_keys=True).encode()
-        arrays = [getattr(self, name).tobytes() for name, _ in self._ARRAYS]
+        arrays = [getattr(self, name).tobytes() for name in self._ARRAYS]
         return b"".join([len(head).to_bytes(8, "little"), head, *arrays])
 
     def restore_state(self, blob: bytes) -> None:
+        """Load a snapshot_state blob, all or nothing: one that does not fit
+        raises DeviceError, and a whole, checked snapshot is assigned, its
+        maps by copying their bytes into the live arrays."""
         n = int.from_bytes(blob[:8], "little")
-        header = json.loads(blob[8 : 8 + n].decode())
-        if header.get("version") != _SNAPSHOT_VERSION:
-            raise DeviceError(f"snapshot version mismatch: {header.get('version')}")
-        if header["profile"] != self.profile.fingerprint():
+        try:
+            header = json.loads(blob[8 : 8 + n])
+            version = header.get("version")
+        except (ValueError, AttributeError):
+            raise DeviceError("snapshot header is not a JSON object") from None
+        if version != _SNAPSHOT_VERSION:
+            raise DeviceError(f"snapshot version mismatch: {version}")
+        if header.get("profile") != self.profile.fingerprint():
             raise DeviceError("snapshot was taken with a different profile")
-        for name in self._SCALARS:
-            setattr(self, name, header["scalars"][name])
-        self.journaled = header["journaled"]
-        self._pool = deque(header["pool"])
-        self._stream_starts = [s for s, _ in header["streams"]]
-        self._stream_ends = [e for _, e in header["streams"]]
-        self._cached_regions = {r: None for r in header["cached_regions"]}
-
-        off = 8 + n
-        for name, code in self._ARRAYS:
-            nbytes = len(getattr(self, name)) * array(code).itemsize
-            if len(blob) < off + nbytes:
-                raise DeviceError("snapshot truncated or from another geometry")
-            arr = array(code)
-            arr.frombytes(blob[off : off + nbytes])
-            setattr(self, name, arr)
-            off += nbytes
+        try:
+            state = {name: header["scalars"][name] for name in self._SCALARS}
+            streams = header["streams"]
+            state.update(
+                journaled=header["journaled"], _pool=deque(header["pool"]),
+                _stream_starts=[s for s, _ in streams], _stream_ends=[e for _, e in streams],
+                _cached_regions=dict.fromkeys(header["cached_regions"]),
+            )
+            held = self._held_blocks(state["_pool"], (state["_host"], state["_gc"]))
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise DeviceError(f"snapshot header malformed: {exc!r}") from None
+        data = memoryview(blob)[8 + n :]
+        maps = [memoryview(getattr(self, name)).cast("B") for name in self._ARRAYS]
+        if len(data) != sum(m.nbytes for m in maps):
+            raise DeviceError("snapshot truncated or from another geometry")
+        for name, value in state.items():
+            setattr(self, name, value)
+        for m in maps:
+            m[:], data = data[: m.nbytes], data[m.nbytes :]
         del self._retired[:]
-        self._index_blocks()
+        self._held[:] = held
 
     def save_state(self, path: str | Path) -> None:
         write_atomic(path, self.snapshot_state())

@@ -432,6 +432,63 @@ class TestPipeline:
         assert f"plan.json is {replaced}, but run began on plan {begun}" in r.output
         assert (out / "report" / "summary.json").read_bytes() == summary
 
+    def test_report_refuses_a_config_that_no_longer_builds_the_plan(self, campaign):
+        # report would take the baseline costs at the new base_io_size; the
+        # alignment sweep makes the plan depend on it
+        config_path, out = campaign
+        edit_config(config_path, lambda c: c["suite"].update(micros=["granularity", "alignment"]))
+        for cmd in ("format", "calibrate", "plan", "run", "report"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        report = {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()}
+        edit_config(config_path, lambda c: c["suite"].update(base_io_size=64 * 1024))
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert PLAN_DRIFT in r.output
+        assert {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()} == report
+
+    def test_run_refuses_a_seed_that_no_longer_builds_the_plan(self, campaign, monkeypatch):
+        # run would seed the state resets from the new seed
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        edit_config(config_path, lambda c: c.update(seed=4))
+        assert_run_refuses_the_plan(config_path, out, monkeypatch)
+
+    def test_run_refuses_a_plan_written_before_calibrate(self, campaign, monkeypatch):
+        # plan took the default IO counts; calibrate then recommends 125 more
+        # RW IOs for the highend start-up
+        config_path, out = campaign
+        profile_path = config_path.parent / "highend.json"
+        profile_path.write_text(builtin_profile("highend-ssd", capacity=64 * MB).to_json())
+        edit_config(config_path, lambda c: c.update(
+            device={"simulator_profile": str(profile_path)}, suite={"micros": ["alignment"]}
+        ))
+        for cmd in ("format", "plan", "calibrate"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        assert json.loads((out / "device_profile.json").read_text())["startup"]["RW"] > 0
+        assert_run_refuses_the_plan(config_path, out, monkeypatch)
+
+
+def assert_run_refuses_the_plan(config_path, out, monkeypatch):
+    """run exits 2 on plan drift, before any device IO."""
+    state = (out / "device_state.bin").read_bytes()
+    ios = record_device_ios(monkeypatch)
+    r = invoke(["run", "--config", str(config_path)])
+    assert r.exit_code == 2, r.output
+    assert PLAN_DRIFT in r.output
+    assert ios == []
+    assert not (out / "traces").exists()
+    assert (out / "device_state.bin").read_bytes() == state
+
+
+PLAN_DRIFT = "plan.json is not the plan that the config and device_profile.json build"
+
+
+def edit_config(config_path, edit):
+    config = json.loads(config_path.read_text())
+    edit(config)
+    config_path.write_text(json.dumps(config))
+
 
 # Config and simulator-profile inputs that must stop a command with exit 2
 # before it touches the device: (edit of config, profile, raw file path;

@@ -156,6 +156,17 @@ class TestIdleAndDeferredDrain:
         assert dev.idle(0) == 0
         assert dev.wear_stats()["free_pool"] == before
 
+    def test_negative_duration_is_no_rest(self):
+        # the drain credit and the clock read the same rest, clamped at 0
+        dev, twin = self._deferred(), self._deferred()
+        random_write_costs(dev, 64)
+        random_write_costs(twin, 64)
+        assert dev.wear_stats()["free_pool"] < 8
+        before = dev.snapshot_state()
+        assert dev.idle(-5_000_000) == 0
+        assert dev.snapshot_state() == before
+        assert dev.idle(1_000_000) == twin.idle(1_000_000) > 0
+
     def test_reads_inflated_and_draining_while_debt_pending(self):
         dev = self._deferred()
         random_write_costs(dev, 64)
@@ -177,6 +188,13 @@ class TestIdleAndDeferredDrain:
         dev2.restore_state(before)
         dev2.read(0, 32 * KB)
         assert dev2.snapshot_state() == after
+
+
+def with_header(blob, header):
+    """blob, a snapshot, with its header replaced by header (JSON unless bytes)."""
+    n = int.from_bytes(blob[:8], "little")
+    head = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    return len(head).to_bytes(8, "little") + head + blob[8 + n :]
 
 
 class TestSnapshot:
@@ -216,6 +234,28 @@ class TestSnapshot:
         head = json.dumps(header, sort_keys=True).encode()
         with pytest.raises(DeviceError, match="version"):
             fresh().restore_state(len(head).to_bytes(8, "little") + head + blob[8 + n :])
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob, header: blob[:-100],
+        lambda blob, header: with_header(blob, {k: v for k, v in header.items() if k != "pool"}),
+        lambda blob, header: with_header(blob, b"{not json"),
+        lambda blob, header: with_header(blob, {**header, "version": 2}),
+        lambda blob, header: with_header(blob, {**header, "profile": "0" * 16}),
+        lambda blob, header: with_header(blob, {**header, "pool": [10**9]}),
+    ], ids=["truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range"])
+    def test_failed_restore_changes_nothing(self, damage):
+        prof = builtin_profile("highend-ssd", capacity=16 * MB)
+        source, dev = SimulatedDevice(prof), SimulatedDevice(prof)
+        random_write_costs(source, 1500, io_size=4 * KB)
+        random_write_costs(dev, 500, io_size=4 * KB, seed=9)
+        blob = source.snapshot_state()
+        n = int.from_bytes(blob[:8], "little")
+        before, clock = dev.snapshot_state(), dev.now_us()
+        with pytest.raises(DeviceError):
+            dev.restore_state(damage(blob, json.loads(blob[8 : 8 + n])))
+        assert dev.snapshot_state() == before
+        assert dev.now_us() == clock
+        dev.check_consistency()
 
     def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         path = tmp_path / "device_state.bin"

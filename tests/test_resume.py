@@ -20,6 +20,7 @@ from flashmark.microbench import StateReset
 from flashmark.runner import trace_relpath
 from flashmark.serialization import load_plan
 from test_cli import record_device_ios
+from test_device_sim import with_header
 
 MB = 1024 * 1024
 STAGES = ("format", "calibrate", "plan", "run", "report")
@@ -247,6 +248,25 @@ class TestResume:
         assert r.exit_code == 3
         assert "snapshot version mismatch: 2" in r.output
         assert (out / "journal.jsonl").read_bytes() == journal
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-pool"])
+    def test_unusable_snapshot_exits_three_and_changes_nothing(self, tmp_path, damage):
+        config_path = write_campaign(tmp_path, "highend-ssd")
+        out = tmp_path / "out"
+        assert invoke("format", config_path).exit_code == 0
+        blob = (out / "device_state.bin").read_bytes()
+        if damage == "truncated":
+            blob = blob[:-100]
+        else:
+            header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
+            blob = with_header(blob, {k: v for k, v in header.items() if k != "pool"})
+        (out / "device_state.bin").write_bytes(blob)
+        journal = (out / "journal.jsonl").read_bytes()
+        r = invoke("calibrate", config_path)
+        assert r.exit_code == 3, r.output
+        assert (out / "device_state.bin").read_bytes() == blob
+        assert (out / "journal.jsonl").read_bytes() == journal
+        assert not (out / "device_profile.json").exists()
 
     def test_run_against_a_replanned_suite_exits_two(self, tmp_path):
         config_path = write_campaign(tmp_path, "lowend-usb")
