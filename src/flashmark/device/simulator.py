@@ -23,11 +23,11 @@ Model summary:
 * A write places its units in runs that fit the open block, as slice
   copies, and queues the slots it overwrites instead of unmapping them
   one by one.  The queue is applied (the slots unmapped and their blocks'
-  valid counts lowered) before anything reads the inverse map or the
-  valid counts: at the start of every reclamation event, a snapshot and
-  a consistency check.  A queued slot cannot be reused before that,
-  because slots come back only through erases, and erases happen only
-  inside a reclamation event.
+  valid counts lowered) where the inverse map and the valid counts are
+  read: at the start of every reclamation event and of a consistency
+  check.  A queued slot cannot be reused before that, because slots come
+  back only through erases, and erases happen only inside a reclamation
+  event.
 * A write is *absorbed* when it continues a recognized sequential
   stream or falls entirely inside recently written block-aligned
   regions (``write_cache_blocks``).  Absorbed writes cost bare page
@@ -42,8 +42,8 @@ Model summary:
 
 Everything is deterministic: same profile, same request sequence, same
 response times, byte for byte.  The device keeps a virtual clock in
-microseconds; idling advances it without wall time.  A snapshot restores
-all or nothing, its maps copied into the live arrays and their views.
+microseconds; idling advances it without wall time.  A snapshot holds
+the direct map only: restore derives the inverse map and valid counts.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import hashlib
 import json
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ from . import SECTOR, DeviceError, check_alignment
 KB = 1024
 MB = 1024 * 1024
 
-_SNAPSHOT_VERSION = 3
+_SNAPSHOT_VERSION = 4
 
 
 class SimulationStall(DeviceError):
@@ -97,6 +97,14 @@ class SimProfile:
     name: str = "sim"
 
     def __post_init__(self):
+        # sizes, the batch and the page and erase latencies are at least 1,
+        # every other count, latency and drain rate at least 0 (NaN fails)
+        positive = ("capacity", "page_size", "pages_per_block", "map_granularity",
+                    "gc_batch_blocks", "read_page_us", "program_page_us", "erase_block_us")
+        for f in fields(self):
+            value, least = getattr(self, f.name), int(f.name in positive)
+            if type(value) in (int, float) and not value >= least:
+                raise ValueError(f"{f.name} must be at least {least}, not {value}")
         block = self.page_size * self.pages_per_block
         unit = self.unit_size
         if self.capacity % block:
@@ -105,9 +113,6 @@ class SimProfile:
             raise ValueError("map_granularity must divide the flash block and be page-aligned")
         if self.gc_mode not in ("synchronous", "deferred"):
             raise ValueError(f"unknown gc_mode: {self.gc_mode}")
-        for f in ("read_page_us", "program_page_us", "erase_block_us"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive")
 
     @property
     def block_size(self) -> int:
@@ -200,8 +205,6 @@ class SimulatedDevice:
         "_host", "_gc", "_erases", "_clock_us", "_drain_credit",
         "_pages_programmed", "_gc_copies",
     )
-    # Per-unit, per-slot and per-block maps, in snapshot order.
-    _ARRAYS = ("_direct", "_inverse", "_valid")
 
     def __init__(self, profile: SimProfile):
         self.profile = profile
@@ -565,20 +568,26 @@ class SimulatedDevice:
             "free_pool": len(self._pool),
         }
 
+    def _derived_maps(self, direct: np.ndarray, error=DeviceError) -> tuple[np.ndarray, ...]:
+        """The inverse map and per-block valid counts that direct determines
+        (built with one extra last slot, which the -1 of unmapped units hits);
+        raises error when a unit maps outside the flash slots or two to one."""
+        inverse = np.full(self._inverse_view.size + 1, -1, dtype=np.int64)
+        if not -1 <= direct.min() <= direct.max() < inverse.size - 1:
+            raise error("a logical unit maps outside the flash slots")
+        inverse[direct] = np.frombuffer(self._ids, dtype=np.int64)[: direct.size]
+        mapped = inverse[:-1] >= 0
+        if np.count_nonzero(mapped) != np.count_nonzero(direct >= 0):
+            raise error("two logical units map to the same slot")
+        return inverse[:-1], mapped.reshape(self._n_blocks, self._ups).sum(axis=1, dtype=np.int32)
+
     def check_consistency(self) -> None:
         """Full-scan structural check of the maps, the held-block penalty,
         the open frontiers and the pool."""
         self._retire()
-        direct, inverse = self._direct_view, self._inverse_view
-        units = np.flatnonzero(direct >= 0)
-        slots = direct[units]
-        if slots.size != np.unique(slots).size:
-            raise AssertionError("two logical units map to the same slot")
-        if np.any(inverse[slots] != units):
+        inverse, valid = self._derived_maps(self._direct_view, AssertionError)
+        if not np.array_equal(inverse, self._inverse_view):
             raise AssertionError("inverse map disagrees with the direct map")
-        if np.count_nonzero(inverse >= 0) != units.size:
-            raise AssertionError("inverse map holds a retired slot")
-        valid = np.bincount(slots // self._ups, minlength=self._n_blocks)
         if not np.array_equal(valid, self._valid_view):
             raise AssertionError("per-block valid counts inconsistent")
         if not np.array_equal(self._held, self._held_blocks()):
@@ -595,7 +604,6 @@ class SimulatedDevice:
     # -------------------------------------------------------------- snapshot
 
     def snapshot_state(self) -> bytes:
-        self._retire()
         header = {
             "version": _SNAPSHOT_VERSION,
             "profile": self.profile.fingerprint(),
@@ -606,13 +614,11 @@ class SimulatedDevice:
             "cached_regions": list(self._cached_regions),
         }
         head = json.dumps(header, sort_keys=True).encode()
-        arrays = [getattr(self, name).tobytes() for name in self._ARRAYS]
-        return b"".join([len(head).to_bytes(8, "little"), head, *arrays])
+        return b"".join([len(head).to_bytes(8, "little"), head, self._direct.tobytes()])
 
     def restore_state(self, blob: bytes) -> None:
-        """Load a snapshot_state blob, all or nothing: one that does not fit
-        raises DeviceError, and a whole, checked snapshot is assigned, its
-        maps by copying their bytes into the live arrays."""
+        """Load a snapshot_state blob, deriving the inverse map and valid counts
+        from its direct map: one that does not fit raises DeviceError, unloaded."""
         n = int.from_bytes(blob[:8], "little")
         try:
             header = json.loads(blob[8 : 8 + n])
@@ -634,14 +640,13 @@ class SimulatedDevice:
             held = self._held_blocks(state["_pool"], (state["_host"], state["_gc"]))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DeviceError(f"snapshot header malformed: {exc!r}") from None
-        data = memoryview(blob)[8 + n :]
-        maps = [memoryview(getattr(self, name)).cast("B") for name in self._ARRAYS]
-        if len(data) != sum(m.nbytes for m in maps):
+        if len(blob) - 8 - n != self._direct_view.nbytes:
             raise DeviceError("snapshot truncated or from another geometry")
+        direct = np.frombuffer(blob, dtype=np.int64, offset=8 + n)
+        inverse, valid = self._derived_maps(direct)
         for name, value in state.items():
             setattr(self, name, value)
-        for m in maps:
-            m[:], data = data[: m.nbytes], data[m.nbytes :]
+        self._direct_view[:], self._inverse_view[:], self._valid_view[:] = direct, inverse, valid
         del self._retired[:]
         self._held[:] = held
 

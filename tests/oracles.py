@@ -48,6 +48,14 @@ def oracle_lba(spec: PatternSpec, i: int) -> int:
     raise AssertionError(loc)
 
 
+def device_state(dev: SimulatedDevice) -> tuple[bytes, bytes, bytes]:
+    """The whole simulator state: the snapshot, which holds the direct map
+    only, then the inverse map and valid counts with the queued
+    retirements applied."""
+    dev._retire()
+    return dev.snapshot_state(), dev._inverse.tobytes(), dev._valid.tobytes()
+
+
 def oracle_victim(dev: SimulatedDevice) -> int | None:
     """Victim selection recomputed from scratch: copy the per-block valid
     counts, close every pool block and open frontier block, take the

@@ -634,6 +634,30 @@ class TestValidation:
         journal = out / "journal.jsonl"
         assert not journal.exists() or '"format"' not in journal.read_text()
 
+    @pytest.mark.parametrize("field, value", [
+        ("page_size", 0), ("gc_batch_blocks", 0), ("controller_overhead_us", -100),
+    ])
+    def test_out_of_range_profile_value_exits_two_before_any_io(self, tmp_path, field, value):
+        # these failed with a ZeroDivisionError, failed with an IndexError
+        # once format's writes had begun, and were accepted, in that order
+        profile = builtin_profile("lowend-usb", capacity=16 * MB, spare_blocks=40)
+        profile = json.loads(profile.to_json())
+        profile[field] = value
+        profile_path = tmp_path / "lowend.json"
+        profile_path.write_text(json.dumps(profile))
+        out = tmp_path / "out"
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "device": {"simulator_profile": str(profile_path)},
+            "output_dir": str(out),
+            "suite": {"micros": ["order"]},
+        }))
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert f"{field} must be at least" in r.output
+        assert not (out / "journal.jsonl").exists()
+        assert not (out / "device_state.bin").exists()
+
     def test_missing_simulator_profile_file_named(self, tmp_path):
         missing = tmp_path / "prof" / "missing.json"
         config_path = tmp_path / "c.json"

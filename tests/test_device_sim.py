@@ -21,7 +21,7 @@ from flashmark.device.simulator import SimulationStall
 from flashmark.methodology import enforce_random_state
 from flashmark.patterns import uniform_index
 from flashmark.serialization import from_data
-from oracles import GreedyOracle
+from oracles import GreedyOracle, device_state
 
 KB = 1024
 MB = 1024 * 1024
@@ -80,7 +80,7 @@ class TestCostModel:
             busy_drain_blocks_per_sec=100.0, read_drain_extra_us=300,
         )
         random_write_costs(dev, 64)
-        clock, before = dev.now_us(), dev.snapshot_state()
+        clock, before = dev.now_us(), device_state(dev)
         with pytest.raises(DeviceError) as expected:
             check_alignment(dev, lba, size)
         with pytest.raises(DeviceError) as raised:
@@ -88,7 +88,7 @@ class TestCostModel:
         assert type(raised.value) is DeviceError
         assert str(raised.value) == str(expected.value)
         assert dev.now_us() == clock
-        assert dev.snapshot_state() == before
+        assert device_state(dev) == before
 
     def test_sequential_write_steady_cost_no_erase_amplification(self):
         dev = fresh()
@@ -162,9 +162,9 @@ class TestIdleAndDeferredDrain:
         random_write_costs(dev, 64)
         random_write_costs(twin, 64)
         assert dev.wear_stats()["free_pool"] < 8
-        before = dev.snapshot_state()
+        before = device_state(dev)
         assert dev.idle(-5_000_000) == 0
-        assert dev.snapshot_state() == before
+        assert device_state(dev) == before
         assert dev.idle(1_000_000) == twin.idle(1_000_000) > 0
 
     def test_reads_inflated_and_draining_while_debt_pending(self):
@@ -182,12 +182,12 @@ class TestIdleAndDeferredDrain:
         [dev.write(i * 32 * KB, 32 * KB) for i in range(16)]
         before = dev.snapshot_state()
         dev.read(0, 32 * KB)
-        after = dev.snapshot_state()
+        after = device_state(dev)
         # identical except the clock advanced
         dev2 = fresh()
         dev2.restore_state(before)
         dev2.read(0, 32 * KB)
-        assert dev2.snapshot_state() == after
+        assert device_state(dev2) == after
 
 
 def with_header(blob, header):
@@ -195,6 +195,33 @@ def with_header(blob, header):
     n = int.from_bytes(blob[:8], "little")
     head = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
     return len(head).to_bytes(8, "little") + head + blob[8 + n :]
+
+
+def with_direct(blob, direct):
+    """blob, a snapshot, with its direct map replaced by direct."""
+    n = int.from_bytes(blob[:8], "little")
+    return blob[: 8 + n] + direct.tobytes()
+
+
+def past_the_last_slot(blob, header, source):
+    direct = source._direct_view.copy()
+    direct[-1] = source._inverse_view.size
+    return with_direct(blob, direct)
+
+
+def two_units_one_slot(blob, header, source):
+    direct = source._direct_view.copy()
+    first, second = np.flatnonzero(direct >= 0)[:2]
+    direct[second] = direct[first]
+    return with_direct(blob, direct)
+
+
+def format_three(blob, header, source):
+    """The blob as format 3 wrote it: the header, the direct map, then the
+    inverse map and valid counts with the queue applied."""
+    source._retire()
+    three = with_header(blob, {**header, "version": 3})
+    return three + source._inverse.tobytes() + source._valid.tobytes()
 
 
 class TestSnapshot:
@@ -205,6 +232,21 @@ class TestSnapshot:
         dev2 = fresh()
         dev2.restore_state(snap)
         assert dev2.snapshot_state() == snap
+        assert device_state(dev2) == device_state(dev)
+
+    def test_round_trip_with_retirements_queued(self):
+        # a snapshot holds the direct map only and leaves the queue queued;
+        # restore derives the inverse map and valid counts the queue implies
+        prof = builtin_profile("highend-ssd", capacity=16 * MB)
+        dev, restored = SimulatedDevice(prof), SimulatedDevice(prof)
+        enforce_random_state(dev, seed=3)
+        random_write_costs(dev, 300)
+        restored.restore_state(dev.snapshot_state())
+        assert max(dev._retired) >= 0
+        restored.check_consistency()
+        dev._retire()
+        assert restored._inverse == dev._inverse
+        assert restored._valid == dev._valid
 
     def test_restored_device_behaves_identically(self):
         dev = fresh()
@@ -236,13 +278,22 @@ class TestSnapshot:
             fresh().restore_state(len(head).to_bytes(8, "little") + head + blob[8 + n :])
 
     @pytest.mark.parametrize("damage", [
-        lambda blob, header: blob[:-100],
-        lambda blob, header: with_header(blob, {k: v for k, v in header.items() if k != "pool"}),
-        lambda blob, header: with_header(blob, b"{not json"),
-        lambda blob, header: with_header(blob, {**header, "version": 2}),
-        lambda blob, header: with_header(blob, {**header, "profile": "0" * 16}),
-        lambda blob, header: with_header(blob, {**header, "pool": [10**9]}),
-    ], ids=["truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range"])
+        lambda blob, header, source: blob[:-100],
+        lambda blob, header, source: with_header(
+            blob, {k: v for k, v in header.items() if k != "pool"}
+        ),
+        lambda blob, header, source: with_header(blob, b"{not json"),
+        lambda blob, header, source: with_header(blob, {**header, "version": 2}),
+        lambda blob, header, source: with_header(blob, {**header, "profile": "0" * 16}),
+        lambda blob, header, source: with_header(blob, {**header, "pool": [10**9]}),
+        past_the_last_slot,
+        two_units_one_slot,
+        lambda blob, header, source: blob[:-8],
+        format_three,
+    ], ids=[
+        "truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range",
+        "map-entry-past-the-last-slot", "two-units-one-slot", "map-8-bytes-short", "format-3",
+    ])
     def test_failed_restore_changes_nothing(self, damage):
         prof = builtin_profile("highend-ssd", capacity=16 * MB)
         source, dev = SimulatedDevice(prof), SimulatedDevice(prof)
@@ -250,10 +301,10 @@ class TestSnapshot:
         random_write_costs(dev, 500, io_size=4 * KB, seed=9)
         blob = source.snapshot_state()
         n = int.from_bytes(blob[:8], "little")
-        before, clock = dev.snapshot_state(), dev.now_us()
+        before, clock = device_state(dev), dev.now_us()
         with pytest.raises(DeviceError):
-            dev.restore_state(damage(blob, json.loads(blob[8 : 8 + n])))
-        assert dev.snapshot_state() == before
+            dev.restore_state(damage(blob, json.loads(blob[8 : 8 + n]), source))
+        assert device_state(dev) == before
         assert dev.now_us() == clock
         dev.check_consistency()
 
@@ -330,7 +381,7 @@ class TestInvariants:
             d1, d2 = SimulatedDevice(prof), SimulatedDevice(prof)
             assert apply(d1) == apply(d2)
             d1.check_consistency()
-            assert d1.snapshot_state() == d2.snapshot_state()
+            assert device_state(d1) == device_state(d2)
             assert d1.wear_stats()["gc_copies"] > 0
 
     def test_consistency_check_sees_frontier_and_pool_slots(self):
@@ -367,7 +418,8 @@ class TestInvariants:
     @pytest.mark.parametrize("first", ["snapshot", "check"])
     def test_queued_retirements_applied_before_reading(self, first):
         # writes after the last reclamation leave their overwritten slots
-        # queued; a snapshot and a consistency check apply the queue first
+        # queued; a consistency check applies the queue first, and a
+        # snapshot, which holds the direct map only, leaves it queued
         prof = builtin_profile("highend-ssd", capacity=16 * MB)
         dev, oracle = SimulatedDevice(prof), GreedyOracle(prof)
         for d in (dev, oracle):
@@ -377,7 +429,11 @@ class TestInvariants:
         assert max(dev._retired) >= 0
         if first == "check":
             dev.check_consistency()
-        assert dev.snapshot_state() == oracle.snapshot_state()
+            assert not dev._retired
+        else:
+            assert dev.snapshot_state() == oracle.snapshot_state()
+            assert max(dev._retired) >= 0
+        assert device_state(dev) == device_state(oracle)
         dev.check_consistency()
 
     def test_stalled_write_leaves_its_unit_unmapped(self):
@@ -491,7 +547,7 @@ def concrete(capacity, ops):
 
 def in_step(devices, ops):
     """Apply each op to every device; after each, the results (a stall's
-    type and message) and the snapshots must agree.  Returns False at the
+    type and message) and the whole states must agree.  Returns False at the
     first stall, after checking the first device's maps: a stalled op of
     any kind, a write included, leaves them consistent."""
     dev = devices[0]
@@ -505,8 +561,8 @@ def in_step(devices, ops):
             except SimulationStall as exc:
                 results.append((type(exc), str(exc)))
         assert all(r == results[0] for r in results)
-        snapshot = dev.snapshot_state()
-        assert all(d.snapshot_state() == snapshot for d in devices[1:])
+        state = device_state(dev)
+        assert all(device_state(d) == state for d in devices[1:])
         if isinstance(results[0], tuple):
             if kind == "idle":
                 # the credit paid for the blocks freed before the stall
@@ -546,7 +602,7 @@ class TestVictimSelection:
             restored = overcommitted(SimulatedDevice, prof, *extra)
             restored.load_state(path)
         restored.check_consistency()
-        assert restored.snapshot_state() == dev.snapshot_state()
+        assert device_state(restored) == device_state(dev)
         if in_step((dev, oracle, restored), ops[half:]):
             dev.check_consistency()
             restored.check_consistency()
@@ -568,7 +624,7 @@ class TestVictimSelection:
             enforce_random_state(dev, seed=3)
             costs = random_write_costs(dev, 2000)
             freed = dev.idle(2_000_000)
-            runs.append((costs, freed, dev.wear_stats(), dev.snapshot_state()))
+            runs.append((costs, freed, dev.wear_stats(), device_state(dev)))
         assert runs[0] == runs[1]
         assert runs[0][2]["gc_copies"] > 0
         if prof.gc_mode == "deferred":
@@ -592,7 +648,7 @@ class TestVictimSelection:
         runs = []
         for cls in (SimulatedDevice, GreedyOracle):
             dev = cls(prof)
-            runs.append((apply_ops(dev, ops), dev.wear_stats(), dev.snapshot_state()))
+            runs.append((apply_ops(dev, ops), dev.wear_stats(), device_state(dev)))
         assert SimulatedDevice(prof)._scores.itemsize == 2
         assert runs[0] == runs[1]
         assert runs[0][1]["gc_copies"] > 0
@@ -779,6 +835,22 @@ class TestProfiles:
             SimProfile(map_granularity=3000)
         with pytest.raises(ValueError):
             SimProfile(gc_mode="lazy")
+
+    @pytest.mark.parametrize("field, bad, least", [
+        ("capacity", 0, 1), ("page_size", 0, 1), ("pages_per_block", 0, 1),
+        ("map_granularity", 0, 1), ("gc_batch_blocks", 0, 1), ("read_page_us", 0, 1),
+        ("program_page_us", 0, 1), ("erase_block_us", 0, 1),
+        ("controller_overhead_us", -100, 0), ("write_cache_blocks", -3, 0),
+        ("free_block_pool", -5, 0), ("stream_slots", -1, 0), ("write_miss_penalty_us", -1, 0),
+        ("idle_drain_blocks_per_sec", -0.5, 0), ("busy_drain_blocks_per_sec", float("nan"), 0),
+        ("read_drain_extra_us", -1, 0), ("spare_blocks", -1, 0),
+    ])
+    def test_out_of_range_value_named(self, field, bad, least):
+        base = builtin_profile("lowend-usb", capacity=16 * MB, spare_blocks=40)
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, not"):
+            replace(base, **{field: bad})
+        if least == 0:
+            assert getattr(replace(base, **{field: 0}), field) == 0
 
 
 class TestRawBackend:

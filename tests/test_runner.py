@@ -32,6 +32,7 @@ from flashmark.runner import (
     trace_relpath,
     write_trace_csv,
 )
+from oracles import device_state
 
 KB = 1024
 MB = KB * KB
@@ -212,7 +213,7 @@ class TestOneWorkerLoop:
             assert loop.error == heap.error, key
             assert (loop.error is not None) == (key == "failing"), key
             assert loop_dev.now_us() == heap_dev.now_us(), key
-            assert loop_dev.snapshot_state() == heap_dev.snapshot_state(), key
+            assert device_state(loop_dev) == device_state(heap_dev), key
 
 
 class TestParallel:
