@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,10 +198,25 @@ def with_header(blob, header):
     return len(head).to_bytes(8, "little") + head + blob[8 + n :]
 
 
-def with_direct(blob, direct):
-    """blob, a snapshot, with its direct map replaced by direct."""
+def with_map(blob, data):
+    """blob, a snapshot, with the bytes after its header replaced by data."""
     n = int.from_bytes(blob[:8], "little")
-    return blob[: 8 + n] + direct.tobytes()
+    return blob[: 8 + n] + data
+
+
+def with_direct(blob, direct):
+    """blob, a snapshot, with its direct map replaced by direct, encoded as
+    format 5 encodes it: successive differences, compressed with zlib."""
+    return with_map(blob, zlib.compress(np.diff(direct, prepend=0).tobytes()))
+
+
+def remapped_unit_zero(slot):
+    """A damage that maps the source's unit 0 to the slot slot(source) names."""
+    def damage(blob, header, source):
+        direct = source._direct_view.copy()
+        direct[0] = slot(source)
+        return with_direct(blob, direct)
+    return damage
 
 
 def past_the_last_slot(blob, header, source):
@@ -290,9 +306,18 @@ class TestSnapshot:
         two_units_one_slot,
         lambda blob, header, source: blob[:-8],
         format_three,
+        remapped_unit_zero(lambda source: source._pool[-1] * source._ups),
+        remapped_unit_zero(lambda source: source._host[0] * source._ups + source._host[1]),
+        lambda blob, header, source: with_map(blob, b"not a zlib stream"),
+        lambda blob, header, source: blob[:-4],  # the stream's checksum cut off
+        lambda blob, header, source: blob + b"\0",
+        lambda blob, header, source: with_direct(blob, source._direct_view[:-1]),
+        lambda blob, header, source: with_direct(blob, np.append(source._direct_view, -1)),
     ], ids=[
         "truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range",
         "map-entry-past-the-last-slot", "two-units-one-slot", "map-8-bytes-short", "format-3",
+        "unit-in-a-pool-block", "unit-past-the-host-fill", "map-not-zlib", "map-checksum-cut",
+        "bytes-after-the-map", "map-one-unit-short", "map-one-unit-long",
     ])
     def test_failed_restore_changes_nothing(self, damage):
         prof = builtin_profile("highend-ssd", capacity=16 * MB)
@@ -307,6 +332,30 @@ class TestSnapshot:
         assert device_state(dev) == before
         assert dev.now_us() == clock
         dev.check_consistency()
+
+    def test_saved_snapshot_header_reads_as_the_ci_kill_step_reads_it(self, tmp_path):
+        # the killed-run CI step polls device_state.bin for "journaled": an
+        # 8-byte little-endian header length, then a JSON header
+        dev = SimulatedDevice(builtin_profile("highend-ssd", capacity=16 * MB))
+        enforce_random_state(dev, seed=3)
+        dev.journaled = 7
+        path = tmp_path / "device_state.bin"
+        dev.save_state(path)
+        with path.open("rb") as fp:
+            header = json.loads(fp.read(int.from_bytes(fp.read(8), "little")))
+            deltas = zlib.decompress(fp.read())
+        assert header["journaled"] == 7
+        assert header["version"] == 5
+        assert np.array_equal(np.cumsum(np.frombuffer(deltas, dtype=np.int64)), dev._direct_view)
+
+    def test_enforced_snapshot_map_is_compressed(self):
+        # host writes place units in runs, so the map's differences are
+        # mostly 1 and compress far below the map's 8 bytes per unit
+        dev = SimulatedDevice(builtin_profile("highend-ssd", capacity=16 * MB))
+        enforce_random_state(dev, seed=3)
+        blob = dev.snapshot_state()
+        n = int.from_bytes(blob[:8], "little")
+        assert len(blob) - 8 - n < dev._direct_view.size  # under 1 byte per unit
 
     def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         path = tmp_path / "device_state.bin"
