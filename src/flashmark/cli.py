@@ -467,6 +467,9 @@ def cmd_run(config_path: str) -> None:
     done = journal.done_steps()
     traces_root = cfg.output_dir / "traces"
     device = cfg.device_label()
+    # the trace directories, made once: an experiment's runs share one
+    for step in {s.experiment.experiment_id: s for s in plan.run_steps()}.values():
+        (traces_root / trace_relpath(step, device)).parent.mkdir(parents=True, exist_ok=True)
     executed = 0
     skipped = 0
     for i, step in enumerate(plan.steps):

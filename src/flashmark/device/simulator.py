@@ -44,6 +44,14 @@ Everything is deterministic: same profile, same request sequence, same
 response times, byte for byte.  The device keeps a virtual clock in
 microseconds; idling advances it without wall time.
 
+A schedule is issued in one call, ``issue``, over its columns (gaps,
+addresses, sizes and write flags): one loop idles each gap, then costs
+and places each IO, and the clock advances by exactly each gap and each
+IO's cost, so an IO's response time is its cost.  ``read`` and ``write``
+are one-row calls of that loop, so the cost model and placement exist
+once.  The loop keeps the device's maps and counters in local names; a
+failing IO ends the call, with the state it leaves stored back.
+
 A snapshot (format 5) is an 8-byte little-endian header length, a JSON
 header (the scalars, frontiers included, the journaled count, the pool,
 streams and cached regions), then the direct map alone, as the int64
@@ -273,83 +281,176 @@ class SimulatedDevice:
     # ------------------------------------------------------------------ IO
 
     def read(self, lba: int, size: int) -> int:
-        end = lba + size
-        if lba % SECTOR or size % SECTOR or size <= 0 or lba < 0 or end > self.capacity:
-            check_alignment(self, lba, size)
-        p = self.profile
-        page = self._page
-        cost = p.controller_overhead_us + (-(end // -page) - lba // page) * p.read_page_us
-        if p.gc_mode == "deferred" and self._deficit() > 0:
-            cost += p.read_drain_extra_us
-            self._drain(cost * p.busy_drain_blocks_per_sec / 1e6)
-        self._clock_us += cost
-        return cost
+        return self._one(lba, size, False)
 
     def write(self, lba: int, size: int) -> int:
-        end = lba + size
-        if lba % SECTOR or size % SECTOR or size <= 0 or lba < 0 or end > self.capacity:
-            check_alignment(self, lba, size)
+        return self._one(lba, size, True)
+
+    # runner.issuer hands a schedule to issue only while the device's read
+    # and write are these one-row calls of it: a subclass or a patch that
+    # replaces either (an oracle, a fault injector) gets its IOs one by one
+    read.issue_row = write.issue_row = True
+
+    def _one(self, lba: int, size: int, write: bool) -> int:
+        """A one-IO schedule: its response time, or its failure raised."""
+        _, rts, failure = self.issue((0,), (lba,), (size,), (write,))
+        if failure is not None:
+            raise failure
+        return rts[0]
+
+    def issue(self, gaps, lbas, sizes, writes) -> tuple[list[int], list[int], DeviceError | None]:
+        """Issue a schedule, given as columns (see patterns.Schedule), in
+        order on the virtual clock: before each IO, idle for its gap when
+        that is positive; then read or write it.
+
+        Returns the IOs' submit times, counted from the clock at the call,
+        their response times, and the DeviceError of the IO the schedule
+        stopped at (None when every IO was served).  An IO's response time
+        is its cost, and the clock advances by exactly that cost and by
+        each gap; a failed IO advances it by nothing.  A failure raised by
+        an idle propagates.
+        """
         p = self.profile
-        absorbed = self._note_write(lba, size)
-
-        u = lba // self._unit
-        top = (end - 1) // self._unit + 1  # one past the last unit written
-        g, page = self._g, self._page
-        amplified = (top - u) * g
-        payload = -(end // -page) - lba // page
-        cost = (
-            p.controller_overhead_us
-            + amplified * p.program_page_us
-            + (amplified - payload) * p.read_page_us
+        capacity, page, unit, g, ups, block_size = (
+            self.capacity, self._page, self._unit, self._g, self._ups, self._block
         )
-        if not absorbed:
-            cost += p.write_miss_penalty_us
-
-        # Place the units at the host frontier in runs that fit the open
-        # block: queue the run's old slots for _retire, then map the run
-        # onto the next slots.  At a block boundary the frontier takes a
-        # pool block, after a reclamation event if the pool is empty; the
-        # full block stays held until then.  The unit that meets the
-        # boundary is queued and unmapped before that event, which applies
-        # the queue, so a stalled write leaves it retired and unmapped.
-        ups = self._ups
+        overhead, read_us, program_us = (
+            p.controller_overhead_us, p.read_page_us, p.program_page_us
+        )
+        miss_us, hide_stream_gc, batch = (
+            p.write_miss_penalty_us, p.hide_stream_gc, p.gc_batch_blocks
+        )
+        deferred, pool_target = p.gc_mode == "deferred", p.free_block_pool
+        drain_extra_us, busy_rate = p.read_drain_extra_us, p.busy_drain_blocks_per_sec
+        reverse, stream_slots, cache_blocks = (
+            p.detect_reverse_stream, p.stream_slots, p.write_cache_blocks
+        )
+        starts, ends, cached = self._stream_starts, self._stream_ends, self._cached_regions
         direct, inverse, ids, retired = self._direct, self._inverse, self._ids, self._retired
-        valid, pool, host = self._valid, self._pool, self._host
-        block = host[0]
-        slot = block * ups + host[1]
-        stop = block * ups + ups  # one past the open block's last slot
-        gc_cost = 0
-        while True:
-            k = top - u
-            if k > stop - slot:
-                k = stop - slot
-            if k:
-                retired += direct[u : u + k]
-                direct[u : u + k] = ids[slot : slot + k]
-                inverse[slot : slot + k] = ids[u : u + k]
-                valid[block] += k
-                self._pages_programmed += k * g
-                u += k
-                slot += k
-            if u == top:
-                break
-            retired.append(direct[u])
-            direct[u] = -1
-            host[1] = ups
-            if not pool:
-                gc_cost += self._reclaim(p.gc_batch_blocks)
-            if block >= 0:
-                self._held[block] = 0
-            # a pool block stays held while it is open
-            block = host[0] = pool.popleft()
-            slot = block * ups
-            stop = slot + ups
-        host[1] = slot - block * ups
-        if not (absorbed and p.hide_stream_gc):
-            cost += gc_cost
+        valid, pool, host, held = self._valid, self._pool, self._host, self._held
+        submits: list[int] = []
+        rts: list[int] = []
+        start = clock = self._clock_us
+        programmed = 0
+        try:
+            for gap, lba, size, write in zip(gaps, lbas, sizes, writes):
+                if gap > 0:
+                    self._clock_us = clock
+                    self.idle(gap)
+                    clock = self._clock_us
+                end = lba + size
+                try:
+                    if lba % SECTOR or size % SECTOR or size <= 0 or lba < 0 or end > capacity:
+                        check_alignment(self, lba, size)
+                    if not write:
+                        cost = overhead + (-(end // -page) - lba // page) * read_us
+                        if deferred and len(pool) < pool_target:
+                            cost += drain_extra_us
+                            self._drain(cost * busy_rate / 1e6)
+                        submits.append(clock - start)
+                        rts.append(cost)
+                        clock += cost
+                        continue
 
-        self._clock_us += cost
-        return cost
+                    # Stream recognition: the write continues the least
+                    # recent stream it ends (forward) or, with
+                    # detect_reverse_stream, starts (backward) next to; that
+                    # stream moves to most recent.  Another write opens a
+                    # stream, the least recent dropping out past
+                    # stream_slots.  Else it is absorbed when every flash
+                    # block it touches is among the write_cache_blocks most
+                    # recently written, which it then refreshes.
+                    n = len(ends)
+                    i = ends.index(lba) if lba in ends else n
+                    if reverse and end in starts:
+                        i = min(i, starts.index(end))
+                    absorbed = i < n
+                    if absorbed:
+                        del starts[i], ends[i]
+                    if stream_slots > 0:
+                        starts.append(lba)
+                        ends.append(end)
+                        if len(ends) > stream_slots:
+                            del starts[0], ends[0]
+                    if cache_blocks > 0:
+                        first, last = lba // block_size, (end - 1) // block_size
+                        if first == last:
+                            absorbed = absorbed or first in cached
+                            cached.pop(first, None)
+                            cached[first] = None
+                        else:
+                            regions = range(first, last + 1)
+                            if not absorbed:
+                                absorbed = all(r in cached for r in regions)
+                            for r in regions:
+                                cached.pop(r, None)
+                                cached[r] = None
+                        while len(cached) > cache_blocks:
+                            cached.pop(next(iter(cached)))
+
+                    u = lba // unit
+                    top = (end - 1) // unit + 1  # one past the last unit written
+                    amplified = (top - u) * g
+                    payload = -(end // -page) - lba // page
+                    cost = overhead + amplified * program_us + (amplified - payload) * read_us
+                    if not absorbed:
+                        cost += miss_us
+
+                    # Place the units at the host frontier in runs that fit
+                    # the open block: queue the run's old slots for _retire,
+                    # then map the run onto the next slots.  At a block
+                    # boundary the frontier takes a pool block, after a
+                    # reclamation event if the pool is empty; the full block
+                    # stays held until then.  The unit that meets the
+                    # boundary is queued and unmapped before that event,
+                    # which applies the queue, so a stalled write leaves it
+                    # retired and unmapped.
+                    block = host[0]
+                    slot = block * ups + host[1]
+                    stop = block * ups + ups  # one past the open block's last slot
+                    gc_cost = 0
+                    while True:
+                        k = top - u
+                        if k > stop - slot:
+                            k = stop - slot
+                        if k:
+                            if k == 1:  # scalar stores cost less than one-item slices
+                                retired.append(direct[u])
+                                direct[u] = slot
+                                inverse[slot] = u
+                            else:
+                                retired += direct[u : u + k]
+                                direct[u : u + k] = ids[slot : slot + k]
+                                inverse[slot : slot + k] = ids[u : u + k]
+                            valid[block] += k
+                            programmed += k * g
+                            u += k
+                            slot += k
+                        if u == top:
+                            break
+                        retired.append(direct[u])
+                        direct[u] = -1
+                        host[1] = ups
+                        if not pool:
+                            gc_cost += self._reclaim(batch)
+                        if block >= 0:
+                            held[block] = 0
+                        # a pool block stays held while it is open
+                        block = host[0] = pool.popleft()
+                        slot = block * ups
+                        stop = slot + ups
+                    host[1] = slot - block * ups
+                    if not (absorbed and hide_stream_gc):
+                        cost += gc_cost
+                except DeviceError as exc:
+                    return submits, rts, exc
+                submits.append(clock - start)
+                rts.append(cost)
+                clock += cost
+            return submits, rts, None
+        finally:
+            self._clock_us = clock
+            self._pages_programmed += programmed
 
     def idle(self, duration_us: int) -> int:
         """Rest, at least 0 us; deferred reclamation drains its backlog at full speed."""
@@ -365,49 +466,6 @@ class SimulatedDevice:
 
     def close(self) -> None:
         pass
-
-    # ------------------------------------------------------- write plumbing
-
-    def _note_write(self, lba: int, size: int) -> bool:
-        """Update stream/cache recognition; True when the write is absorbed.
-
-        A write continues the least recent stream it ends (forward) or, with
-        detect_reverse_stream, starts (backward) next to; that stream moves
-        to most recent.  Another write opens a stream, the least recent
-        dropping out past stream_slots."""
-        p = self.profile
-        end = lba + size
-        starts, ends = self._stream_starts, self._stream_ends
-        n = len(ends)
-        i = ends.index(lba) if lba in ends else n
-        if p.detect_reverse_stream and end in starts:
-            i = min(i, starts.index(end))
-        hit = i < n
-        if hit:
-            del starts[i], ends[i]
-        if p.stream_slots > 0:
-            starts.append(lba)
-            ends.append(end)
-            if len(ends) > p.stream_slots:
-                del starts[0], ends[0]
-
-        if p.write_cache_blocks > 0:
-            cached = self._cached_regions
-            first, last = lba // self._block, (end - 1) // self._block
-            if first == last:
-                hit = hit or first in cached
-                cached.pop(first, None)
-                cached[first] = None
-            else:
-                regions = range(first, last + 1)
-                if not hit:
-                    hit = all(r in cached for r in regions)
-                for r in regions:
-                    cached.pop(r, None)
-                    cached[r] = None
-            while len(cached) > p.write_cache_blocks:
-                cached.pop(next(iter(cached)))
-        return hit
 
     # ---------------------------------------------------------- reclamation
 
@@ -598,6 +656,22 @@ class SimulatedDevice:
             raise error("a pool block holds mapped slots")
         return inverse[:-1], mapped.sum(axis=1, dtype=np.int32)
 
+    def _check_blocks(self, pool, frontiers) -> None:
+        """Raise DeviceError unless pool holds distinct blocks and each of
+        frontiers is a [block, fill] pair: an open block in neither pool nor
+        another frontier (or -1 for none) and a fill in [0, ups]."""
+        n = self._n_blocks
+        taken = set(pool)
+        if len(taken) < len(pool) or not all(type(b) is int and 0 <= b < n for b in pool):
+            raise DeviceError("snapshot pool holds a block out of range or twice")
+        for block, fill in frontiers:
+            if type(block) is not int or not -1 <= block < n or block in taken:
+                raise DeviceError(f"snapshot frontier block {block!r} is out of range or taken")
+            if block >= 0:
+                taken.add(block)
+            if type(fill) is not int or not 0 <= fill <= self._ups:
+                raise DeviceError(f"snapshot frontier fill {fill!r} is outside [0, {self._ups}]")
+
     def check_consistency(self) -> None:
         """Full-scan structural check of the maps, the held-block penalty,
         the open frontiers and the pool."""
@@ -653,6 +727,7 @@ class SimulatedDevice:
                 _cached_regions=dict.fromkeys(header["cached_regions"]),
             )
             frontiers = (state["_host"], state["_gc"])
+            self._check_blocks(state["_pool"], frontiers)
             held = self._held_blocks(state["_pool"], frontiers)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DeviceError(f"snapshot header malformed: {exc!r}") from None

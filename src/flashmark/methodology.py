@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .patterns import (
     derive_seed,
     uniform_indices,
 )
-from .runner import execute_run
+from .runner import execute_run, issuer
 
 KB = 1024
 MB = 1024 * 1024
@@ -171,29 +172,42 @@ def enforce_random_state(
     The write sequence is a pure function of the seed, which makes the
     process resumable: the first start_io writes are replayed into the
     bitmap without touching the device.  progress(coverage, ios) is called
-    after each written IO whose count is a multiple of every.
+    after each written IO whose count is a multiple of every.  The writes
+    go to the device in chunks (see runner.issuer), which end where
+    progress is called and at start_io; the bitmap is updated per chunk.
     """
     cap = device.capacity
     covered = np.zeros(cap // 512, dtype=bool)
+    issue = issuer(device)
     t0 = device.now_us()
 
     written = 0
     ios = 0
 
+    def cover(lbas: list[int], sizes: list[int]) -> None:
+        for lba, size in zip(lbas, sizes):
+            covered[lba // 512 : (lba + size) // 512] = True
+
     def write_all(lbas: list[int], sizes: list[int]) -> None:
         nonlocal written, ios
-        for lba, size in zip(lbas, sizes):
+        j = 0
+        while j < len(lbas):
             live = ios >= start_io
+            k = len(lbas) if live else min(len(lbas), j + start_io - ios)
+            if live and progress:
+                k = min(k, j + every - ios % every)
             if live:
-                try:
-                    device.write(lba, size)
-                except DeviceError as exc:
+                _, rts, failure = issue(repeat(0), lbas[j:k], sizes[j:k], repeat(True))
+                if failure is not None:
+                    cover(lbas[j : j + len(rts)], sizes[j : j + len(rts)])
                     raise EnforcementError(
-                        f"format write {ios} failed: {exc}", coverage=float(covered.mean())
-                    ) from exc
-            covered[lba // 512 : (lba + size) // 512] = True
-            written += size
-            ios += 1
+                        f"format write {ios + len(rts)} failed: {failure}",
+                        coverage=float(covered.mean()),
+                    ) from failure
+            cover(lbas[j:k], sizes[j:k])
+            written += sum(sizes[j:k])
+            ios += k - j
+            j = k
             if live and progress and ios % every == 0:
                 progress(float(covered.mean()), ios)
 

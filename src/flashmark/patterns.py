@@ -10,18 +10,18 @@ writes RW) use consecutive timing and a sequential or random location
 function.
 
 Generation is pure: a fully parameterized spec plus its seed determines
-the schedule byte for byte.  A schedule is its rows: each IO carries the
-gap the runner inserts between the previous IO's completion and its own
-submission, so submission times follow from measured response times,
-which only the runner knows.
+the schedule byte for byte.  A schedule is held as columns, one entry
+per IO: the gap the runner inserts between the previous IO's completion
+and its own submission, the address, the size and whether it writes.
+Submission times follow from measured response times, which only the
+runner knows.  Iterating a schedule gives its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -161,6 +161,32 @@ class IORequest(NamedTuple):
     lba: int
     size: int
     mode: Mode
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A schedule's columns, one entry per IO in issue order: the gap
+    before it (see IORequest), its address, its size and whether it
+    writes (else it reads).  Its length is its IO count; indexing and
+    iteration give IORequest rows."""
+
+    gaps: list[int]
+    lbas: list[int]
+    sizes: list[int]
+    writes: list[bool]
+
+    def __len__(self) -> int:
+        return len(self.lbas)
+
+    def __getitem__(self, i: int) -> IORequest:
+        return IORequest(self.gaps[i], self.lbas[i], self.sizes[i], _MODES[self.writes[i]])
+
+    def __iter__(self) -> Iterator[IORequest]:
+        modes = map(_MODES.__getitem__, self.writes)
+        return map(IORequest, self.gaps, self.lbas, self.sizes, modes)
+
+
+_MODES = (Mode.READ, Mode.WRITE)  # indexed by a schedule's write flag
 
 
 @dataclass(frozen=True)
@@ -385,14 +411,14 @@ def _gaps(spec: PatternSpec) -> list[int]:
     return gaps.tolist()
 
 
-def generate_schedule(spec: PatternSpec) -> list[IORequest]:
+def generate_schedule(spec: PatternSpec) -> Schedule:
     """Expand a pattern spec into its full, deterministic IO schedule."""
     n = spec.io_count
     lbas = _lbas(spec, np.arange(n, dtype=np.int64)).tolist()
-    return list(map(IORequest, _gaps(spec), lbas, repeat(spec.io_size, n), repeat(spec.mode, n)))
+    return Schedule(_gaps(spec), lbas, [spec.io_size] * n, [spec.mode is Mode.WRITE] * n)
 
 
-def interleave_mix(mix: MixSpec) -> list[IORequest]:
+def interleave_mix(mix: MixSpec) -> Schedule:
     """Deterministic round-robin interleaving of two baseline patterns.
 
     ratio IOs from `first`, then one from `second`, repeating; each
@@ -406,11 +432,12 @@ def interleave_mix(mix: MixSpec) -> list[IORequest]:
     lbas = np.empty(n, dtype=np.int64)
     lbas[from_first] = _lbas(first, np.arange(n_first, dtype=np.int64))
     lbas[~from_first] = _lbas(second, np.arange(n - n_first, dtype=np.int64))
-    sub = (second, first)
-    return [
-        IORequest(0, lba, sub[f].io_size, sub[f].mode)
-        for lba, f in zip(lbas.tolist(), from_first.tolist())
-    ]
+    return Schedule(
+        [0] * n,
+        lbas.tolist(),
+        np.where(from_first, first.io_size, second.io_size).tolist(),
+        np.where(from_first, first.mode is Mode.WRITE, second.mode is Mode.WRITE).tolist(),
+    )
 
 
 def split_parallel(par: ParallelSpec) -> list[PatternSpec]:

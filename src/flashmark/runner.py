@@ -1,15 +1,23 @@
 """Run execution: submit schedules to a device and record per-IO traces.
 
 Timing semantics: an IO is submitted as soon as its predecessor
-completes, plus the gap its schedule row carries (0 for consecutive
-timing); its trace index is its position in its worker's schedule.
+completes, plus the gap its schedule carries (0 for consecutive
+timing); its trace index is its position in its worker's schedule, and
+its submit time is counted from the device clock when the run starts.
 Every pattern runs as one or more workers, one per schedule: a plain or
-mixed pattern is one worker, a parallel pattern one per degree.  A
-worker issues its schedule in order through one loop.  Several workers
-on the simulator are interleaved on its serialized virtual timeline
-(ties broken by worker id); on a raw device they are real threads
-released together by a barrier.  Response time is completion minus
-submission, which for queued simulator workers includes time spent
+mixed pattern is one worker, a parallel pattern one per degree.
+
+A worker hands its whole schedule, as columns, to one call (issuer):
+the simulator's own `issue`, which serves it in one loop on the virtual
+clock, so an IO's response time is its cost and no harness time falls
+between IOs; or, on a device without that call (a raw device), the
+per-IO loop _run_worker, which reads the device clock before each IO and
+records the time the IO call took.  The trace rows are then built from
+the returned columns in one pass.  Several workers on the simulator are
+interleaved IO by IO on its serialized virtual timeline (ties broken by
+worker id), each IO a one-row call of that same call; on a raw device
+they are real threads released together by a barrier.  Response time is completion
+minus submission, which for queued simulator workers includes time spent
 waiting for the device.
 
 A trace is its rows: one TraceRecord per IO, whose fields are the trace
@@ -22,17 +30,18 @@ import heapq
 import io
 import threading
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Callable, NamedTuple
 
 from .device import BlockDevice, DeviceError
 from .microbench import RunStep
 from .patterns import (
-    IORequest,
     MixSpec,
-    Mode,
     ParallelSpec,
     PatternSpec,
+    Schedule,
     generate_schedule,
     interleave_mix,
     split_parallel,
@@ -97,7 +106,7 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
         schedules = [generate_schedule(pattern)]
     trace = Trace()
     if len(schedules) == 1:
-        trace.error = _run_worker(device, 0, schedules[0], trace.records)
+        trace.error = _run_one(issuer(device), 0, schedules[0], trace.records)
     elif getattr(device, "virtual_timeline", False):
         _run_virtual(device, schedules, trace)
     else:
@@ -105,42 +114,65 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
     return trace
 
 
+Issue = Callable[..., "tuple[list[int], list[int], DeviceError | None]"]
+
+
+def issuer(device: BlockDevice) -> Issue:
+    """The call that issues a schedule's columns (gaps, lbas, sizes,
+    writes) on device and returns (submit offsets, response times,
+    failure): the device's own `issue` (SimulatedDevice.issue) while its
+    read and write are marked as one-row calls of it, else _run_worker,
+    which issues IO by IO through read and write."""
+    issue = getattr(device, "issue", None)
+    if issue is not None and all(getattr(op, "issue_row", False)
+                                 for op in (device.read, device.write)):
+        return issue
+    return partial(_run_worker, device)
+
+
+_record = partial(tuple.__new__, TraceRecord)  # a TraceRecord from one tuple, in C
+_MODE_NAMES = ("read", "write")  # indexed by a schedule's write flag
+
+
+def _run_one(issue: Issue, w: int, schedule: Schedule, rows: list[TraceRecord]) -> str | None:
+    """Issue worker w's schedule in one call, appending one record per IO
+    served to rows; the failure of the IO it stopped at, or None."""
+    submits, rts, failure = issue(schedule.gaps, schedule.lbas, schedule.sizes, schedule.writes)
+    rows += map(_record, zip(
+        range(len(rts)), submits, rts, schedule.lbas, schedule.sizes,
+        map(_MODE_NAMES.__getitem__, schedule.writes), repeat(w),
+    ))
+    return None if failure is None else _failure(w, len(rts), failure)
+
+
 def _failure(worker: int, i: int, exc: DeviceError) -> str:
     return f"worker {worker} IO {i} failed: {exc}"
 
 
-def _run_worker(device: BlockDevice, w: int, schedule: Sequence[IORequest],
-                rows: list[TraceRecord]) -> str | None:
-    """Issue worker w's schedule in order, appending one record per IO to
-    rows; the failure of the IO it stopped at, or None.
-
-    Alone on the simulator this gives the records of the interleaver below
-    with one worker: the simulator's clock advances by exactly the cost an
-    IO returns and by exactly an idle's duration.
-    """
-    now_us, idle, read, write = device.now_us, device.idle, device.read, device.write
-    append = rows.append
-    read_mode = Mode.READ  # an enum attribute lookup costs more than the test
-    record = tuple.__new__  # a TraceRecord without its Python-level __new__
+def _run_worker(device: BlockDevice, gaps, lbas, sizes, writes
+                ) -> tuple[list[int], list[int], DeviceError | None]:
+    """issuer's call for a device without its own: idle each positive
+    gap, then take the submit time and issue the IO.  A device that only
+    writes (a replay stub) needs no read or idle for a write-only,
+    gapless schedule."""
+    now_us = device.now_us
+    submits: list[int] = []
+    rts: list[int] = []
     run_start = now_us()
-    for i, (gap, lba, size, mode) in enumerate(schedule):
+    for gap, lba, size, write in zip(gaps, lbas, sizes, writes):
         if gap > 0:
-            idle(gap)
+            device.idle(gap)
         submit = now_us()
         try:
-            if mode is read_mode:
-                rt = read(lba, size)
-                name = "read"
-            else:
-                rt = write(lba, size)
-                name = "write"
+            rt = device.write(lba, size) if write else device.read(lba, size)
         except DeviceError as exc:
-            return _failure(w, i, exc)
-        append(record(TraceRecord, (i, submit - run_start, rt, lba, size, name, w)))
-    return None
+            return submits, rts, exc
+        submits.append(submit - run_start)
+        rts.append(rt)
+    return submits, rts, None
 
 
-def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
+def _run_virtual(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
     """Interleave workers on the simulator's serialized timeline.
 
     Each worker is synchronous: its next IO becomes ready when its
@@ -148,10 +180,8 @@ def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: T
     one IO at a time in ready-time order (ties to the lowest worker id);
     response time includes any wait behind other workers.
     """
-    now_us, idle, read, write = device.now_us, device.idle, device.read, device.write
+    now_us, idle, issue = device.now_us, device.idle, issuer(device)
     append = trace.records.append
-    read_mode = Mode.READ
-    record = tuple.__new__
     run_start = now_us()
     # (ready time, worker, position in its schedule); the heap's head is
     # the worker the device serves next
@@ -159,38 +189,33 @@ def _run_virtual(device: BlockDevice, schedules: list[list[IORequest]], trace: T
     while ready:
         submit, w, i = ready[0]
         schedule = schedules[w]
-        _, lba, size, mode = schedule[i]
+        lba, size, is_write = schedule.lbas[i], schedule.sizes[i], schedule.writes[i]
         now = now_us()
         if now < submit:
             idle(submit - now)
-        try:
-            if mode is read_mode:
-                read(lba, size)
-                name = "read"
-            else:
-                write(lba, size)
-                name = "write"
-        except DeviceError as exc:
-            trace.error = _failure(w, i, exc)
+        failure = issue((0,), (lba,), (size,), (is_write,))[2]
+        if failure is not None:
+            trace.error = _failure(w, i, failure)
             return
         completion = now_us()
-        append(record(TraceRecord,
-                      (i, submit - run_start, completion - submit, lba, size, name, w)))
+        append(_record((i, submit - run_start, completion - submit, lba, size,
+                        _MODE_NAMES[is_write], w)))
         i += 1
         if i < len(schedule):
-            heapq.heapreplace(ready, (completion + schedule[i].gap_us, w, i))
+            heapq.heapreplace(ready, (completion + schedule.gaps[i], w, i))
         else:
             heapq.heappop(ready)
 
 
-def _run_threads(device: BlockDevice, schedules: list[list[IORequest]], trace: Trace) -> None:
+def _run_threads(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
     """One thread per worker, released together by a barrier."""
     barrier = threading.Barrier(len(schedules))
     rows: list[list[TraceRecord]] = [[] for _ in schedules]
+    issue = issuer(device)
 
-    def work(w: int, schedule: Sequence[IORequest]) -> None:
+    def work(w: int, schedule: Schedule) -> None:
         barrier.wait()
-        error = _run_worker(device, w, schedule, rows[w])
+        error = _run_one(issue, w, schedule, rows[w])
         if error:
             trace.error = error
 
@@ -231,8 +256,8 @@ def read_trace_csv(fp: IO[str]) -> Trace:
 
 
 def save_trace(trace: Trace, path: Path) -> int:
-    """Write the trace CSV atomically; returns its size in bytes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the trace CSV atomically into an existing directory; returns
+    its size in bytes."""
     text = io.StringIO()
     write_trace_csv(trace, text)
     data = text.getvalue().encode()

@@ -232,6 +232,14 @@ def two_units_one_slot(blob, header, source):
     return with_direct(blob, direct)
 
 
+def with_scalar(name, value):
+    """A damage that sets the header scalar name to value(header's value)."""
+    def damage(blob, header, source):
+        scalars = {**header["scalars"], name: value(header["scalars"][name])}
+        return with_header(blob, {**header, "scalars": scalars})
+    return damage
+
+
 def format_three(blob, header, source):
     """The blob as format 3 wrote it: the header, the direct map, then the
     inverse map and valid counts with the queue applied."""
@@ -313,11 +321,23 @@ class TestSnapshot:
         lambda blob, header, source: blob + b"\0",
         lambda blob, header, source: with_direct(blob, source._direct_view[:-1]),
         lambda blob, header, source: with_direct(blob, np.append(source._direct_view, -1)),
+        lambda blob, header, source: with_header(blob, {**header, "pool": [-2]}),
+        lambda blob, header, source: with_header(
+            blob, {**header, "pool": header["pool"] + header["pool"][:1]}
+        ),
+        with_scalar("_host", lambda host: [host[0], -1]),
+        with_scalar("_host", lambda host: [host[0], 40]),
+        with_scalar("_gc", lambda gc: [gc[0], 17]),
+        lambda blob, header, source: with_header(blob, {
+            **header, "scalars": {**header["scalars"], "_host": [header["pool"][0], 0]},
+        }),
     ], ids=[
         "truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range",
         "map-entry-past-the-last-slot", "two-units-one-slot", "map-8-bytes-short", "format-3",
         "unit-in-a-pool-block", "unit-past-the-host-fill", "map-not-zlib", "map-checksum-cut",
         "bytes-after-the-map", "map-one-unit-short", "map-one-unit-long",
+        "pool-block-negative", "pool-block-repeated", "host-fill-negative", "host-fill-40",
+        "gc-fill-past-ups", "host-block-in-the-pool",
     ])
     def test_failed_restore_changes_nothing(self, damage):
         prof = builtin_profile("highend-ssd", capacity=16 * MB)

@@ -146,7 +146,7 @@ class TestGenerateSchedule:
     def test_sequential_write_schedule(self):
         spec = make_spec(io_count=4, io_size=32768)
         sched = generate_schedule(spec)
-        assert sched == [
+        assert list(sched) == [
             IORequest(gap_us=0, lba=lba, size=32768, mode=Mode.WRITE)
             for lba in (0, 32768, 65536, 98304)
         ]
@@ -428,7 +428,9 @@ class TestSeedStreams:
             IORequest(reference_gap(spec, i), lba_at(spec, i), spec.io_size, spec.mode)
             for i in range(spec.io_count)
         ]
-        assert generate_schedule(spec) == want
+        schedule = generate_schedule(spec)
+        assert len(schedule) == spec.io_count
+        assert list(schedule) == want
         assert [r.lba for r in want] == [oracle_lba(spec, i) for i in range(spec.io_count)]
 
     @given(
@@ -447,7 +449,9 @@ class TestSeedStreams:
             target_offset=8 * KB * KB, seed=seed ^ 1,
         )
         mix = MixSpec(first=first, second=second, ratio=ratio)
-        assert interleave_mix(mix) == reference_mix(mix)
+        schedule = interleave_mix(mix)
+        assert len(schedule) == mix.io_count
+        assert list(schedule) == reference_mix(mix)
 
     @pytest.mark.parametrize("incr", [-3, -1, 1, 2, 64, 10**15])
     def test_ordered_out_of_range_names_the_first_index(self, incr):

@@ -1,9 +1,13 @@
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashmark.analysis import aggregate
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
+from flashmark.device.simulator import SimulationStall
 from flashmark.methodology import enforce_random_state
 from flashmark.microbench import ExperimentSpec, Micro, RunStep
 from flashmark.patterns import (
@@ -15,6 +19,7 @@ from flashmark.patterns import (
     PatternSpec,
     Pause,
     Random,
+    Schedule,
     Sequential,
     generate_schedule,
     interleave_mix,
@@ -24,8 +29,10 @@ from flashmark.runner import (
     EmptySummaryError,
     Trace,
     TraceRecord,
+    _run_one,
     _run_virtual,
     execute_run,
+    issuer,
     read_trace_csv,
     save_trace,
     summarize,
@@ -33,6 +40,7 @@ from flashmark.runner import (
     write_trace_csv,
 )
 from oracles import device_state
+from test_device_sim import overcommitted, small_profiles
 
 KB = 1024
 MB = KB * KB
@@ -169,9 +177,64 @@ class TestExecuteRun:
         assert len(trace.records) == 2
 
 
+def mixed_schedule(rng, capacity, n, timing, bad_at=None):
+    """n IOs of mixed sizes and modes over the device, with a pattern's
+    gaps: none, a pause before every IO but the first, or one before every
+    third IO.  IO bad_at, if any, lies past the device end."""
+    pause = rng.randrange(1, 50_000)
+    gaps = [0 if i == 0 or timing == "none" or (timing == "burst" and i % 3) else pause
+            for i in range(n)]
+    sizes = [min(rng.randint(1, 64) * 512, capacity) for _ in range(n)]
+    lbas = [rng.randrange((capacity - size) // 512 + 1) * 512 for size in sizes]
+    if bad_at is not None:
+        lbas[bad_at] = capacity
+    return Schedule(gaps, lbas, sizes, [rng.random() < 0.7 for _ in range(n)])
+
+
+def one_call_against_io_by_io(prof, extra, schedule, fill):
+    """Issue schedule on two copies of a prof device (over-committed by
+    extra, see overcommitted; fill its first writes IO by IO): in one
+    device call and through the interleaver.  Asserts that the records,
+    error text, clocks and whole states agree; returns how it ended."""
+    devices = []
+    for _ in range(2):
+        dev = overcommitted(SimulatedDevice, prof, *extra)
+        for lba in fill:
+            try:
+                dev.write(lba, prof.block_size)
+            except SimulationStall:
+                break
+        devices.append(dev)
+    one_dev, heap_dev = devices
+    assert issuer(one_dev) == one_dev.issue
+
+    def one_call(trace):
+        trace.error = _run_one(issuer(one_dev), 0, schedule, trace.records)
+
+    results = []
+    for run in (one_call, lambda trace: _run_virtual(heap_dev, [schedule], trace)):
+        trace = Trace()
+        try:
+            run(trace)
+            results.append((trace.records, trace.error))
+        except SimulationStall as exc:  # raised by an idle's drain
+            results.append(("idle stalled", str(exc)))
+    assert results[0] == results[1]
+    assert one_dev.now_us() == heap_dev.now_us()
+    assert device_state(one_dev) == device_state(heap_dev)
+    records, error = results[0]
+    if records == "idle stalled":
+        return "idle stalled"
+    assert error is None or error.startswith(f"worker 0 IO {len(records)} failed: ")
+    if error is None:
+        assert len(records) == len(schedule)
+        return "served"
+    return "stalled" if "reclamation" in error or "victim" in error else "out of range"
+
+
 class TestOneWorkerLoop:
-    """A run of one schedule goes through the per-worker loop, not the
-    interleaver; on the simulator the two must agree IO for IO, because its
+    """A run of one schedule goes to the simulator in one device call, not
+    through the interleaver; the two must agree IO for IO, because its
     clock advances by exactly the cost an IO returns and by exactly an
     idle's duration."""
 
@@ -214,6 +277,47 @@ class TestOneWorkerLoop:
             assert (loop.error is not None) == (key == "failing"), key
             assert loop_dev.now_us() == heap_dev.now_us(), key
             assert device_state(loop_dev) == device_state(heap_dev), key
+
+    @given(
+        small_profiles(),
+        st.sampled_from([(0, 0), (0, 0), (12, 0), (0, 12), (2, 60)]),
+        st.sampled_from(["none", "pause", "burst"]),
+        st.integers(1, 120),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_interleaver_io_by_io(self, prof, extra, timing, n, rng):
+        # an over-committed device is filled first, so that its raised
+        # reclamation targets can stall a write or an idle's drain
+        fill = range(0, prof.capacity, prof.block_size) if extra != (0, 0) else ()
+        bad_at = rng.randrange(n) if rng.random() < 0.2 else None
+        schedule = mixed_schedule(rng, prof.capacity, n, timing, bad_at)
+        one_call_against_io_by_io(prof, extra, schedule, fill)
+
+    def test_reaches_every_ending(self):
+        # both GC modes, cache on and off: served, stalled and out-of-range
+        # schedules all occur
+        endings = set()
+        rng = random.Random(4)
+        for deferred in (False, True):
+            for cache in (0, 3):
+                prof = SimProfile(
+                    capacity=24 * 8 * KB, page_size=512, pages_per_block=16,
+                    map_granularity=1024, write_cache_blocks=cache, free_block_pool=2,
+                    gc_mode="deferred" if deferred else "synchronous", gc_batch_blocks=2,
+                    stream_slots=2, idle_drain_blocks_per_sec=500.0 if deferred else 0.0,
+                    busy_drain_blocks_per_sec=100.0 if deferred else 0.0,
+                    read_drain_extra_us=20 if deferred else 0, spare_blocks=8,
+                )
+                fill = range(0, prof.capacity, prof.block_size)
+                ends = (((0, 0), None), ((0, 0), 40), ((12, 0), None), ((2, 60), None))
+                for extra, bad_at in ends:
+                    for timing in ("none", "pause", "burst"):
+                        schedule = mixed_schedule(rng, prof.capacity, 80, timing, bad_at)
+                        endings.add(one_call_against_io_by_io(
+                            prof, extra, schedule, fill if extra != (0, 0) else ()
+                        ))
+        assert {"served", "stalled", "out of range"} <= endings
 
 
 class TestParallel:
@@ -372,6 +476,7 @@ class TestTraceFiles:
         exp = make_experiment(make_pattern())
         rel = trace_relpath(RunStep(exp, 2), "sim")
         assert str(rel) == "sim/granularity/SR/io_size=32768/run2.csv"
+        (tmp_path / rel).parent.mkdir(parents=True)
         save_trace(make_trace([1]), tmp_path / rel)
         assert (tmp_path / rel).read_text() == (
             "index,actual_submit_us,response_time_us,lba,size,mode,worker\n0,0,1,0,512,read,0\n"
