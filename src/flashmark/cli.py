@@ -182,10 +182,13 @@ class CampaignConfig:
 
     def plan(self, capacity: int, profile: DeviceProfile) -> BenchmarkPlan:
         """The suite's plan on a device of `capacity` bytes, as `plan`
-        writes it; `format` and `calibrate` build it before any IO."""
-        suite = self.suite_config(capacity, profile)
-        experiments = expand_suite(suite, self.micros())
-        return build_plan(experiments, profile, capacity, base_offset=suite.base_target_offset)
+        writes it; `format` and `calibrate` build it before any IO.  The
+        IO counts the profile recommends stand in for the suite's default."""
+        overrides = self.suite_overrides()
+        if profile.io_count_recommendation:
+            overrides.setdefault("io_count_by_pattern", profile.io_count_recommendation)
+        suite = SuiteConfig.for_device(capacity, seed=self.seed, **overrides)
+        return build_plan(expand_suite(suite, self.micros()), profile, capacity, suite)
 
     def write_manifest(self, command: str, **extra) -> None:
         manifest = {
@@ -205,12 +208,6 @@ class CampaignConfig:
             raise SchemaError("CampaignConfig.suite: unknown key(s) ['seed']")
         decoded = _decode(SuiteConfig, options, "CampaignConfig.suite")
         return {k: getattr(decoded, k) for k in options}
-
-    def suite_config(self, capacity: int, profile: DeviceProfile) -> SuiteConfig:
-        overrides = self.suite_overrides()
-        if profile.io_count_recommendation:
-            overrides.setdefault("io_count_by_pattern", profile.io_count_recommendation)
-        return SuiteConfig.for_device(capacity, seed=self.seed, **overrides)
 
     def micros(self) -> list[Micro]:
         names = _decode(list[Micro], self.suite.get("micros", []), "CampaignConfig.suite.micros")
@@ -281,8 +278,10 @@ def _require(journal: Journal, step: str) -> None:
 def _load_plan(cfg: CampaignConfig, journal: Journal) -> tuple[BenchmarkPlan, str]:
     """plan.json and its SHA-256.  A validation error naming both hashes if
     the journal records that `run` began on another plan, and one if the
-    config and device profile no longer build plan.json: `run` seeds state
-    resets, and `report` sizes baseline costs, from the config."""
+    config and device profile no longer build plan.json.  `run` and
+    `report` take each reset's seed and the summary IO size from the plan,
+    so the rebuild refuses a config or profile change after `plan` that
+    would change what they read, and a plan.json edited by hand."""
     path = cfg.output_dir / "plan.json"
     plan_hash = hashlib.sha256(path.read_bytes()).hexdigest()
     begun = journal.last("run")
@@ -292,7 +291,7 @@ def _load_plan(cfg: CampaignConfig, journal: Journal) -> tuple[BenchmarkPlan, st
     if cfg.plan(plan.capacity, cfg.device_profile()) != plan:
         raise ValueError(
             "plan.json is not the plan that the config and device_profile.json build: "
-            "the config changed, or calibrate ran, after plan"
+            "the config changed, or calibrate ran, after plan, or plan.json was edited"
         )
     return plan, plan_hash
 
@@ -474,10 +473,7 @@ def cmd_run(config_path: str) -> None:
     skipped = 0
     for i, step in enumerate(plan.steps):
         if isinstance(step, StateReset):
-            # seeded by i plus the runs before it, the reset's index when a
-            # pause step preceded every run: the device history is unchanged
-            seed = derive_seed(cfg.seed, 0xF0, i + executed + skipped)
-            _enforce_state(dev, journal, commit, f"reset/{i}", seed)
+            _enforce_state(dev, journal, commit, f"reset/{i}", step.seed)
             continue
         step_id = step.step_id
         if step_id in done:
@@ -510,7 +506,6 @@ def cmd_report(config_path: str) -> None:
     traces_root = cfg.output_dir / "traces"
     th, dispersion_threshold = cfg.report_thresholds()
     device = cfg.device_label()
-    io_size = cfg.suite_config(plan.capacity, DeviceProfile()).base_io_size
 
     # A run counts only once it is journaled done: a failed or interrupted
     # run leaves a partial trace.  Its mean is the one `run` journaled, and
@@ -544,7 +539,7 @@ def cmd_report(config_path: str) -> None:
     outcomes = [aggregate(exp, means, dispersion_threshold) for exp, means in run_means.values()]
     report_dir = cfg.output_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    report = build_summary(outcomes, device=device, io_size=io_size, thresholds=th)
+    report = build_summary(outcomes, device=device, io_size=plan.io_size, thresholds=th)
     if unfinished:
         report.notes.append(
             f"{unfinished} of {len(plan.run_steps())} planned runs left out: not journaled done"

@@ -33,6 +33,7 @@ from .microbench import (
     PlanStep,
     RunStep,
     StateReset,
+    SuiteConfig,
     assign_target_offsets,
     check_at_least,
 )
@@ -332,26 +333,35 @@ def build_plan(
     experiments: Sequence[ExperimentSpec],
     profile: DeviceProfile,
     capacity: int,
-    base_offset: int = 0,
+    suite: SuiteConfig,
 ) -> BenchmarkPlan:
-    """Compile experiments into an executable step sequence.
+    """Compile experiments of the suite into an executable step sequence.
 
     Sequential-write-bearing experiments are grouped last within each
-    state epoch with pairwise disjoint target ranges; a state reset is
-    inserted only when their accumulated space would exceed the device.
-    The plan carries the calibrated inter-run pause that `run` idles
-    before every run, and every run's warm-up count is set from the
-    per-baseline start-up.
+    state epoch with pairwise disjoint target ranges, placed from the
+    suite's base_target_offset; a state reset is inserted only when their
+    accumulated space would exceed the device.  Every run's warm-up count
+    is set from the per-baseline start-up.  The plan carries each input
+    `run` and `report` take beyond the steps: the calibrated inter-run
+    pause that `run` idles before every run, each reset's enforcement
+    seed, drawn from the suite seed, and the suite's base_io_size, at
+    which `report` states baseline costs.
     """
-    ordered, resets = assign_target_offsets(list(experiments), capacity, base_offset)
+    ordered, resets = assign_target_offsets(list(experiments), capacity, suite.base_target_offset)
     pause = max(profile.inter_run_pause_us, MIN_INTER_RUN_PAUSE_US)
     steps: list[PlanStep] = []
+    runs = 0
     for pos, exp in enumerate(ordered):
         if pos in resets:
-            steps.append(StateReset())
+            # indexed by the reset's position plus the runs before it, which
+            # was its position when a pause step preceded every run (plan
+            # format 3): every reset keeps its seed, and the device its history
+            steps.append(StateReset(derive_seed(suite.seed, 0xF0, len(steps) + runs)))
         exp = exp.with_io_ignore(scaled_io_ignore(exp, profile))
         steps.extend(RunStep(exp, k) for k in range(exp.repetitions))
-    plan = BenchmarkPlan(steps=steps, capacity=capacity, inter_run_pause_us=pause)
+        runs += exp.repetitions
+    plan = BenchmarkPlan(steps=steps, capacity=capacity, io_size=suite.base_io_size,
+                         inter_run_pause_us=pause)
     verify_plan(plan)
     return plan
 

@@ -399,6 +399,9 @@ MIN_INTER_RUN_PAUSE_US = 1_000_000
 
 @dataclass(frozen=True)
 class StateReset:
+    """Re-enforce the random state, with the enforcement seeded by seed."""
+
+    seed: int
     kind = "state_reset"
 
 
@@ -420,6 +423,7 @@ PlanStep = StateReset | RunStep
 class BenchmarkPlan:
     steps: list[PlanStep]
     capacity: int
+    io_size: int  # the suite's base IO size, at which `report` states baseline costs
     inter_run_pause_us: int = MIN_INTER_RUN_PAUSE_US
 
     def run_steps(self) -> list[RunStep]:

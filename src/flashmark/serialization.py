@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .microbench import BenchmarkPlan
 
-PLAN_FORMAT_VERSION = 4
+PLAN_FORMAT_VERSION = 5
 
 
 class SchemaError(ValueError):

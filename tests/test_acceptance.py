@@ -273,11 +273,11 @@ def test_acceptance_7_plan_validity():
             base_target_size=rng.choice([32 * MB, 64 * MB]),
             seed=rng.getrandbits(32),
         )
-        plan = build_plan(expand_suite(cfg, micros), profile, 1 * GB)
+        plan = build_plan(expand_suite(cfg, micros), profile, 1 * GB, cfg)
         _independent_replay(plan)
 
     cfg32 = SuiteConfig.for_device(32 * GB)
-    plan32 = build_plan(expand_suite(cfg32), profile, 32 * GB)
+    plan32 = build_plan(expand_suite(cfg32), profile, 32 * GB, cfg32)
     resets = _independent_replay(plan32)
     assert resets == 0, f"default suite on 32 GB produced {resets} resets"
     ok(7, "12 randomized 1 GB plans replay cleanly; 32 GB default suite: zero resets")

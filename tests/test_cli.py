@@ -111,7 +111,7 @@ class TestPipeline:
         r = invoke(["plan", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["format_version"] == 4
+        assert plan["format_version"] == 5
 
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
@@ -433,8 +433,7 @@ class TestPipeline:
         assert (out / "report" / "summary.json").read_bytes() == summary
 
     def test_report_refuses_a_config_that_no_longer_builds_the_plan(self, campaign):
-        # report would take the baseline costs at the new base_io_size; the
-        # alignment sweep makes the plan depend on it
+        # the alignment sweep makes the plan's steps depend on base_io_size
         config_path, out = campaign
         edit_config(config_path, lambda c: c["suite"].update(micros=["granularity", "alignment"]))
         for cmd in ("format", "calibrate", "plan", "run", "report"):
@@ -446,8 +445,21 @@ class TestPipeline:
         assert PLAN_DRIFT in r.output
         assert {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()} == report
 
+    def test_report_refuses_an_io_size_the_plan_was_not_built_with(self, campaign):
+        # the granularity sweep's sizes do not depend on base_io_size, but
+        # the plan holds the size at which report states baseline costs
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan", "run", "report"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        report = {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()}
+        edit_config(config_path, lambda c: c["suite"].update(base_io_size=64 * 1024))
+        r = invoke(["report", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert PLAN_DRIFT in r.output
+        assert {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()} == report
+
     def test_run_refuses_a_seed_that_no_longer_builds_the_plan(self, campaign, monkeypatch):
-        # run would seed the state resets from the new seed
+        # the plan's reset seeds, like its pattern seeds, come from the old seed
         config_path, out = campaign
         for cmd in ("format", "calibrate", "plan"):
             assert invoke([cmd, "--config", str(config_path)]).exit_code == 0

@@ -354,10 +354,7 @@ class TestBuildPlan:
     def test_a_built_plan_stays_inside_the_device(self, device_suite):
         capacity, micros, suite = device_suite
         try:
-            plan = build_plan(
-                expand_suite(suite, micros), profile_with(), capacity,
-                base_offset=suite.base_target_offset,
-            )
+            plan = build_plan(expand_suite(suite, micros), profile_with(), capacity, suite)
         except (CapacityError, PlanError):
             event("refused")
             return
@@ -367,14 +364,14 @@ class TestBuildPlan:
                 assert suite.base_target_offset <= offset and offset + size <= capacity, step.step_id
 
     def test_empty_experiment_list(self):
-        plan = build_plan([], profile_with(), capacity=1 * GB)
+        plan = build_plan([], profile_with(), 1 * GB, SuiteConfig())
         assert plan.steps == []
         verify_plan(plan)
 
     def test_io_ignore_set_from_startup(self):
         cfg = SuiteConfig(io_count_by_pattern={"SR": 512, "RR": 512, "SW": 512, "RW": 512})
         exps = expand(Micro.GRANULARITY, cfg)
-        plan = build_plan(exps, profile_with(startup_rw=128), capacity=32 * GB)
+        plan = build_plan(exps, profile_with(startup_rw=128), 32 * GB, cfg)
         for step in plan.run_steps():
             base = step.experiment.baseline
             want = 128 if base == "RW" else 0
@@ -401,7 +398,7 @@ class TestBuildPlan:
         )
         exps = expand(Micro.GRANULARITY, cfg)  # SW spans up to 2048*256K = 512M > cap
         with pytest.raises(Exception):
-            build_plan(exps, profile_with(), capacity=256 * MB)
+            build_plan(exps, profile_with(), 256 * MB, cfg)
 
         cfg2 = SuiteConfig(
             io_count_by_pattern={"SR": 1024, "RR": 1024, "SW": 1024, "RW": 1024},
@@ -409,7 +406,7 @@ class TestBuildPlan:
             max_target_size=64 * MB,
         )
         exps2 = expand(Micro.ALIGNMENT, cfg2)  # 7 SW experiments, 32 MB each
-        plan = build_plan(exps2, profile_with(), capacity=128 * MB)
+        plan = build_plan(exps2, profile_with(), 128 * MB, cfg2)
         resets = [s for s in plan.steps if isinstance(s, StateReset)]
         assert len(resets) >= 1
         verify_plan(plan)
@@ -417,7 +414,7 @@ class TestBuildPlan:
     def test_default_suite_on_32gb_never_resets(self):
         cfg = SuiteConfig.for_device(32 * GB)
         exps = expand_suite(cfg)
-        plan = build_plan(exps, profile_with(startup_rw=128), capacity=32 * GB)
+        plan = build_plan(exps, profile_with(startup_rw=128), 32 * GB, cfg)
         assert not any(isinstance(s, StateReset) for s in plan.steps)
         verify_plan(plan)
 
@@ -428,9 +425,7 @@ class TestBuildPlan:
         )
         assert suite.max_target_size == capacity - 1 * MB
         assert suite.base_target_size == (capacity - 1 * MB) // 2
-        plan = build_plan(
-            expand_suite(suite), profile_with(), capacity, base_offset=suite.base_target_offset
-        )
+        plan = build_plan(expand_suite(suite), profile_with(), capacity, suite)
         for step in plan.run_steps():
             for offset, size in step.experiment.target_ranges:
                 assert 1 * MB <= offset and offset + size <= capacity, step.step_id
@@ -450,7 +445,7 @@ class TestBuildPlan:
                 RunStep(exp, 0),
                 RunStep(exp2, 0),
             ],
-            capacity=1 * GB,
+            capacity=1 * GB, io_size=32 * KB,
         )
         with pytest.raises(PlanError):
             verify_plan(plan)
@@ -474,7 +469,7 @@ class TestBuildPlan:
                 RunStep(exps[0], 0),
                 RunStep(exps[1], 0),
             ],
-            capacity=1 * GB,
+            capacity=1 * GB, io_size=32 * KB,
         )
         with pytest.raises(PlanError, match="overlaps"):
             verify_plan(plan)
@@ -485,7 +480,7 @@ class TestBuildPlan:
             micro=Micro.ALIGNMENT, baseline="SW", varying_name="io_shift",
             varying_value=512, pattern=replace(sw, target_size=2 * MB, io_shift=512),
         )
-        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=2 * MB)
+        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=2 * MB, io_size=32 * KB)
         with pytest.raises(PlanError, match="exceeds capacity"):
             verify_plan(plan)
 
@@ -498,7 +493,7 @@ class TestBuildPlan:
             varying_value=rr.target_size, pattern=rr,
         )
         assert not exp.sequential_write_bearing
-        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=32 * MB)
+        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=32 * MB, io_size=32 * KB)
         with pytest.raises(PlanError, match=r"\[1048576, 34603008\) exceeds capacity 33554432"):
             verify_plan(plan)
         verify_plan(replace(plan, capacity=33 * MB))
@@ -510,7 +505,7 @@ class TestBuildPlan:
             varying_value=100, pattern=sw,
         )
         plan = BenchmarkPlan(
-            steps=[RunStep(exp, 0)], capacity=1 * GB,
+            steps=[RunStep(exp, 0)], capacity=1 * GB, io_size=32 * KB,
             inter_run_pause_us=MIN_INTER_RUN_PAUSE_US - 1,
         )
         with pytest.raises(PlanError, match="inter-run pause 999999 us is below the minimum"):
@@ -520,7 +515,7 @@ class TestBuildPlan:
     def test_plan_json_round_trip(self):
         cfg = SuiteConfig(io_count_by_pattern={"SR": 64, "RR": 64, "SW": 64, "RW": 64})
         exps = expand(Micro.MIX, cfg)[:4] + expand(Micro.PARALLELISM, cfg)[:4]
-        plan = build_plan(exps, profile_with(), capacity=32 * GB)
+        plan = build_plan(exps, profile_with(), 32 * GB, cfg)
         again = plan_from_dict(json.loads(dumps(plan_to_dict(plan))))
         assert again.capacity == plan.capacity
         assert len(again.steps) == len(plan.steps)
@@ -549,11 +544,11 @@ PINNED_SUITES = {
 # SHA-256 of each suite's plan.json text.  A change to expansion, target
 # offsets, io_ignore scaling or the plan encoding shows here.
 PINNED_PLAN_DIGESTS = {
-    "perfbench-128m": "e2cc1c4c902ee49a7a48fe92a7ac3887c73165b601593f59096baa91672f45c0",
-    "acceptance8-256m": "55dd88ced80bfc22eaa0f7f0719d1d44e004c0e4f33523e1978d036bd01b472d",
-    "default-32g": "71535f47658d09042c3a555178c5d36b4c9b61049a37d83839678f866272d141",
-    "default-32g-offset-1g": "00c5c7af40d35c1766514a13100f4d726d6b86426cb7cb66491a458b1030f404",
-    "io16k-512m": "0b3dc141b15fcd5456ec4e6c39c87acfa3217121d570c7f870335bf94bb4a21c",
+    "perfbench-128m": "1725fefe17e65fb280ea11de9483b771b49c2c2b42fe7d8e049b38b46d042516",
+    "acceptance8-256m": "615d21e03470f6f5903cbe1465c5021ba05d0b8735679fbb13ad7fced5f661bf",
+    "default-32g": "9b076b79a2f0318e30470964254553013e0b5d90a8dd1619630ecae584f2b2d4",
+    "default-32g-offset-1g": "a0b68c2bb1ba9c5c0924755677798cba58ec60c5acc72fa4da03577774ac0ec4",
+    "io16k-512m": "a87c1f928a6366adc4608f5dc06059d6e6684c7ba8258de60bcee6e2d489d64f",
 }
 
 
@@ -568,9 +563,7 @@ class TestPlanBytes:
             period={"SR": 1, "RR": 1, "SW": 64, "RW": 16},
             inter_run_pause_us=2_000_000,
         )
-        plan = build_plan(
-            expand_suite(suite), profile, capacity, base_offset=suite.base_target_offset
-        )
+        plan = build_plan(expand_suite(suite), profile, capacity, suite)
         save_plan(plan, tmp_path / "plan.json")
         text = (tmp_path / "plan.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == PINNED_PLAN_DIGESTS[name]

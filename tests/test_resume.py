@@ -19,7 +19,7 @@ from flashmark.journal import Journal
 from flashmark.microbench import StateReset
 from flashmark.runner import trace_relpath
 from flashmark.serialization import load_plan
-from test_cli import record_device_ios
+from test_cli import assert_run_refuses_the_plan, record_device_ios
 from test_device_sim import with_header
 
 MB = 1024 * 1024
@@ -32,7 +32,8 @@ def invoke(stage, config_path):
 
 
 def write_campaign(root: Path, profile: str) -> Path:
-    """A 4 MB campaign whose plan holds state resets and 56 runs."""
+    """A 4 MB campaign whose plan holds state resets and 118 runs, mixed
+    and multi-worker ones among them."""
     root.mkdir(parents=True, exist_ok=True)
     profile_path = root / "profile.json"
     profile_path.write_text(builtin_profile(profile, capacity=4 * MB).to_json())
@@ -41,7 +42,7 @@ def write_campaign(root: Path, profile: str) -> Path:
         "output_dir": str(root / "out"),
         "seed": 5,
         "suite": {
-            "micros": ["granularity"],
+            "micros": ["granularity", "mix", "parallelism"],
             "io_count_by_pattern": {"SR": 16, "RR": 16, "SW": 16, "RW": 16},
             "repetitions": 1,
             "base_target_size": 2 * MB,
@@ -173,6 +174,35 @@ def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
     for config_path in configs.values():
         assert invoke("report", config_path).exit_code == 0
     assert artifacts(tmp_path / "killed" / "out") == artifacts(whole)
+
+
+def test_run_seeds_each_reset_from_the_plan(tmp_path, monkeypatch):
+    config_path = write_campaign(tmp_path, "lowend-usb")
+    for stage in ("format", "calibrate", "plan"):
+        assert invoke(stage, config_path).exit_code == 0
+    seeds = []
+    real_enforce = cli.enforce_random_state
+
+    def enforce(dev, seed, **kwargs):
+        seeds.append(seed)
+        return real_enforce(dev, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "enforce_random_state", enforce)
+    assert invoke("run", config_path).exit_code == 0
+    plan = load_plan(tmp_path / "out" / "plan.json")
+    assert seeds == [s.seed for s in plan.steps if isinstance(s, StateReset)]
+    assert len(set(seeds)) == len(seeds) > 1
+
+
+def test_run_refuses_a_plan_with_an_edited_reset_seed(tmp_path, monkeypatch):
+    config_path = write_campaign(tmp_path, "lowend-usb")
+    out = tmp_path / "out"
+    for stage in ("format", "calibrate", "plan"):
+        assert invoke(stage, config_path).exit_code == 0
+    plan = json.loads((out / "plan.json").read_text())
+    next(s for s in plan["steps"] if s["kind"] == "state_reset")["seed"] += 1
+    (out / "plan.json").write_text(json.dumps(plan))
+    assert_run_refuses_the_plan(config_path, out, monkeypatch)
 
 
 def test_rerun_of_a_finished_campaign_is_a_no_op(tmp_path, monkeypatch):

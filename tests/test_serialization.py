@@ -45,7 +45,7 @@ def small_plan() -> BenchmarkPlan:
         pattern=make_spec(timing=Burst(pause_us=1000, burst_count=4)),
     )
     return BenchmarkPlan(
-        steps=[StateReset(), RunStep(exp, 0)], capacity=64 * MB
+        steps=[StateReset(seed=11), RunStep(exp, 0)], capacity=64 * MB, io_size=32 * KB
     )
 
 
@@ -102,11 +102,20 @@ class TestStrictness:
         del d["steps"][1]["run_index"]
         with pytest.raises(SchemaError, match="run_index"):
             plan_from_dict(d)
-
-    def test_format_version_1_plan_rejected(self):
         d = plan_data()
-        d["format_version"] = 1
-        with pytest.raises(SchemaError, match="plan format 1"):
+        del d["steps"][0]["seed"]
+        with pytest.raises(SchemaError, match=r"StateReset: missing key\(s\) \['seed'\]"):
+            plan_from_dict(d)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_older_format_plan_rejected(self, version):
+        d = plan_data()
+        d["format_version"] = version
+        if version == 3:  # format 3 held a pause step before every run
+            d["steps"].insert(1, {"kind": "pause", "duration_us": 1_000_000})
+        if version == 4:  # format 4 held no reset seeds and no summary IO size
+            del d["steps"][0]["seed"], d["io_size"]
+        with pytest.raises(SchemaError, match=f"plan format {version} not supported"):
             plan_from_dict(d)
 
     def test_unknown_profile_key_rejected(self):
@@ -119,25 +128,11 @@ class TestStrictness:
         )
         assert from_data(DeviceProfile, {"flags": ["a"]}).flags == ("a",)
 
-    def test_format_version_2_plan_rejected(self):
-        d = plan_data()
-        d["format_version"] = 2
-        with pytest.raises(SchemaError, match="plan format 2"):
-            plan_from_dict(d)
-
-    def test_format_version_3_plan_rejected(self):
-        # format 3 held a pause step before every run
-        d = plan_data()
-        d["format_version"] = 3
-        d["steps"].insert(1, {"kind": "pause", "duration_us": 1_000_000})
-        with pytest.raises(SchemaError, match="plan format 3 not supported"):
-            plan_from_dict(d)
-
 
 class TestScalarTypes:
     def test_bool_for_int_field_rejected(self):
         with pytest.raises(SchemaError, match=r"BenchmarkPlan\.capacity"):
-            from_data(BenchmarkPlan, {"steps": [], "capacity": True})
+            from_data(BenchmarkPlan, {"steps": [], "capacity": True, "io_size": 32 * KB})
 
     def test_string_for_bool_field_rejected(self):
         with pytest.raises(SchemaError, match=r"SimProfile\.hide_stream_gc"):
