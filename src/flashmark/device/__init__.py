@@ -25,6 +25,11 @@ class UnsupportedError(DeviceError):
 
 
 class BlockDevice(Protocol):
+    """A backend may add issue(gaps, lbas, sizes, writes), serving a
+    schedule in one call (see runner.issuer), and issue_rows, serving a
+    parallel run's merged rows; one without issue is served IO by IO
+    through read, write and idle."""
+
     capacity: int
 
     def read(self, lba: int, size: int) -> int:

@@ -60,8 +60,6 @@ class RawDevice:
     read.
     """
 
-    virtual_timeline = False
-
     def __init__(self, path: str, write_seed: int = 0, require_direct: bool = True):
         if require_direct and not _O_DIRECT:
             raise UnsupportedError("platform lacks O_DIRECT; pass require_direct=False to override")

@@ -44,13 +44,15 @@ Everything is deterministic: same profile, same request sequence, same
 response times, byte for byte.  The device keeps a virtual clock in
 microseconds; idling advances it without wall time.
 
-A schedule is issued in one call, ``issue``, over its columns (gaps,
-addresses, sizes and write flags): one loop idles each gap, then costs
-and places each IO, and the clock advances by exactly each gap and each
-IO's cost, so an IO's response time is its cost.  ``read`` and ``write``
-are one-row calls of that loop, so the cost model and placement exist
-once.  The loop keeps the device's maps and counters in local names; a
-failing IO ends the call, with the state it leaves stored back.
+Every IO is served by one loop, ``issue_rows``, over (gap, address,
+size, write flag) rows read from an iterator: it idles each gap, then
+costs and places the IO, and the clock advances by exactly each gap and
+each IO's cost, so an IO's response time is its cost.  ``issue`` passes
+it a schedule's columns zipped, and a parallel run a generator that
+merges its workers (see runner), so a run is one call; ``read`` and
+``write`` are one-row calls of ``issue``.  The loop keeps the device's
+maps and counters in local names; a failing IO ends the call, with the
+state it leaves stored back.
 
 A snapshot (format 5) is an 8-byte little-endian header length, a JSON
 header (the scalars, frontiers included, the journaled count, the pool,
@@ -214,8 +216,6 @@ def builtin_profile(name: str, **overrides) -> SimProfile:
 class SimulatedDevice:
     """A block device backed by the FTL model above."""
 
-    virtual_timeline = True  # clock is simulated; idling costs no wall time
-
     # Scalar state, saved and restored by name.  A frontier is
     # [block, next free slot]; a full one takes a pool block before use.
     _SCALARS = (
@@ -286,11 +286,6 @@ class SimulatedDevice:
     def write(self, lba: int, size: int) -> int:
         return self._one(lba, size, True)
 
-    # runner.issuer hands a schedule to issue only while the device's read
-    # and write are these one-row calls of it: a subclass or a patch that
-    # replaces either (an oracle, a fault injector) gets its IOs one by one
-    read.issue_row = write.issue_row = True
-
     def _one(self, lba: int, size: int, write: bool) -> int:
         """A one-IO schedule: its response time, or its failure raised."""
         _, rts, failure = self.issue((0,), (lba,), (size,), (write,))
@@ -299,16 +294,23 @@ class SimulatedDevice:
         return rts[0]
 
     def issue(self, gaps, lbas, sizes, writes) -> tuple[list[int], list[int], DeviceError | None]:
-        """Issue a schedule, given as columns (see patterns.Schedule), in
-        order on the virtual clock: before each IO, idle for its gap when
-        that is positive; then read or write it.
+        """Issue a schedule's columns (see patterns.Schedule) by issue_rows:
+        (submit times, response times, the failure it stopped at or None)."""
+        submits: list[int] = []
+        rts: list[int] = []
+        return submits, rts, self.issue_rows(zip(gaps, lbas, sizes, writes), submits, rts)
 
-        Returns the IOs' submit times, counted from the clock at the call,
-        their response times, and the DeviceError of the IO the schedule
-        stopped at (None when every IO was served).  An IO's response time
-        is its cost, and the clock advances by exactly that cost and by
-        each gap; a failed IO advances it by nothing.  A failure raised by
-        an idle propagates.
+    def issue_rows(self, rows, submits: list[int], rts: list[int]) -> DeviceError | None:
+        """Serve (gap, lba, size, write) rows, taken one at a time from the
+        iterator rows, in order on the virtual clock: idle each positive
+        gap, then read or write the IO.  Its submit time, counted from the
+        clock at the call, goes to submits and its response time to rts
+        before the next row is taken, so rows may be computed from them.
+
+        Returns the DeviceError of the IO the rows stopped at, or None.  An
+        IO's response time is its cost, and the clock advances by exactly
+        that cost and by each gap; a failed IO advances it by nothing.  A
+        failure raised by an idle propagates.
         """
         p = self.profile
         capacity, page, unit, g, ups, block_size = (
@@ -328,12 +330,10 @@ class SimulatedDevice:
         starts, ends, cached = self._stream_starts, self._stream_ends, self._cached_regions
         direct, inverse, ids, retired = self._direct, self._inverse, self._ids, self._retired
         valid, pool, host, held = self._valid, self._pool, self._host, self._held
-        submits: list[int] = []
-        rts: list[int] = []
         start = clock = self._clock_us
         programmed = 0
         try:
-            for gap, lba, size, write in zip(gaps, lbas, sizes, writes):
+            for gap, lba, size, write in rows:
                 if gap > 0:
                     self._clock_us = clock
                     self.idle(gap)
@@ -443,11 +443,11 @@ class SimulatedDevice:
                     if not (absorbed and hide_stream_gc):
                         cost += gc_cost
                 except DeviceError as exc:
-                    return submits, rts, exc
+                    return exc
                 submits.append(clock - start)
                 rts.append(cost)
                 clock += cost
-            return submits, rts, None
+            return None
         finally:
             self._clock_us = clock
             self._pages_programmed += programmed

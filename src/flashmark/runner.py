@@ -7,18 +7,17 @@ its submit time is counted from the device clock when the run starts.
 Every pattern runs as one or more workers, one per schedule: a plain or
 mixed pattern is one worker, a parallel pattern one per degree.
 
-A worker hands its whole schedule, as columns, to one call (issuer):
-the simulator's own `issue`, which serves it in one loop on the virtual
-clock, so an IO's response time is its cost and no harness time falls
-between IOs; or, on a device without that call (a raw device), the
-per-IO loop _run_worker, which reads the device clock before each IO and
-records the time the IO call took.  The trace rows are then built from
-the returned columns in one pass.  Several workers on the simulator are
-interleaved IO by IO on its serialized virtual timeline (ties broken by
-worker id), each IO a one-row call of that same call; on a raw device
-they are real threads released together by a barrier.  Response time is completion
-minus submission, which for queued simulator workers includes time spent
-waiting for the device.
+There is one call path per clock.  On the simulator's virtual clock a
+run is one device call, whose loop leaves no harness time between IOs:
+a worker's schedule goes to `issue` as columns, and a parallel run's
+workers go to `issue_rows` as one generator that merges them on the
+device's serialized timeline (ties to the lowest worker id), taking
+each gap from the completion of the IO served before, so a queued
+worker's response time includes its wait for the device.  A device
+without `issue` (a raw device) is served IO by IO by _run_worker, which
+reads the device clock before each IO and records the time the IO call
+took; a parallel run's workers are real threads released together by a
+barrier.  The trace rows are built from what the calls return.
 
 A trace is its rows: one TraceRecord per IO, whose fields are the trace
 CSV's columns in order.
@@ -31,7 +30,7 @@ import io
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
 
@@ -107,8 +106,8 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
     trace = Trace()
     if len(schedules) == 1:
         trace.error = _run_one(issuer(device), 0, schedules[0], trace.records)
-    elif getattr(device, "virtual_timeline", False):
-        _run_virtual(device, schedules, trace)
+    elif hasattr(device, "issue_rows"):
+        _run_merged(device, schedules, trace)
     else:
         _run_threads(device, schedules, trace)
     return trace
@@ -120,14 +119,10 @@ Issue = Callable[..., "tuple[list[int], list[int], DeviceError | None]"]
 def issuer(device: BlockDevice) -> Issue:
     """The call that issues a schedule's columns (gaps, lbas, sizes,
     writes) on device and returns (submit offsets, response times,
-    failure): the device's own `issue` (SimulatedDevice.issue) while its
-    read and write are marked as one-row calls of it, else _run_worker,
-    which issues IO by IO through read and write."""
+    failure): the device's own `issue`, else _run_worker, which issues IO
+    by IO through read and write."""
     issue = getattr(device, "issue", None)
-    if issue is not None and all(getattr(op, "issue_row", False)
-                                 for op in (device.read, device.write)):
-        return issue
-    return partial(_run_worker, device)
+    return issue if issue is not None else partial(_run_worker, device)
 
 
 _record = partial(tuple.__new__, TraceRecord)  # a TraceRecord from one tuple, in C
@@ -172,39 +167,40 @@ def _run_worker(device: BlockDevice, gaps, lbas, sizes, writes
     return submits, rts, None
 
 
-def _run_virtual(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
-    """Interleave workers on the simulator's serialized timeline.
+def _run_merged(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
+    """Serve workers, merged on the device's timeline, in one issue_rows call.
 
     Each worker is synchronous: its next IO becomes ready when its
     previous one completes, plus the schedule's gap.  The device serves
     one IO at a time in ready-time order (ties to the lowest worker id);
-    response time includes any wait behind other workers.
+    an IO's submit time is its ready time, so its response time includes
+    any wait behind other workers.
     """
-    now_us, idle, issue = device.now_us, device.idle, issuer(device)
+    submits: list[int] = []
+    rts: list[int] = []
+    workers = [zip(count(), s.gaps, s.lbas, s.sizes, s.writes) for s in schedules]
+    # (ready time, worker, its next row); the heap's head is the IO the
+    # device serves next
+    ready = [(0, w, row) for w, row in enumerate(next(it, None) for it in workers) if row]
     append = trace.records.append
-    run_start = now_us()
-    # (ready time, worker, position in its schedule); the heap's head is
-    # the worker the device serves next
-    ready = [(run_start, w, 0) for w, s in enumerate(schedules) if s]
-    while ready:
-        submit, w, i = ready[0]
-        schedule = schedules[w]
-        lba, size, is_write = schedule.lbas[i], schedule.sizes[i], schedule.writes[i]
-        now = now_us()
-        if now < submit:
-            idle(submit - now)
-        failure = issue((0,), (lba,), (size,), (is_write,))[2]
-        if failure is not None:
-            trace.error = _failure(w, i, failure)
-            return
-        completion = now_us()
-        append(_record((i, submit - run_start, completion - submit, lba, size,
-                        _MODE_NAMES[is_write], w)))
-        i += 1
-        if i < len(schedule):
-            heapq.heapreplace(ready, (completion + schedule.gaps[i], w, i))
-        else:
-            heapq.heappop(ready)
+
+    def rows():
+        completion = 0  # of the IO served last, from the run's start
+        while ready:
+            at, w, (i, _, lba, size, write) = ready[0]
+            yield at - completion, lba, size, write
+            completion = submits[-1] + rts[-1]
+            append(_record((i, at, completion - at, lba, size, _MODE_NAMES[write], w)))
+            row = next(workers[w], None)
+            if row is None:
+                heapq.heappop(ready)
+            else:
+                heapq.heapreplace(ready, (completion + row[1], w, row))
+
+    failure = device.issue_rows(rows(), submits, rts)
+    if failure is not None:  # the head is the IO that failed
+        _, w, (i, *_) = ready[0]
+        trace.error = _failure(w, i, failure)
 
 
 def _run_threads(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:

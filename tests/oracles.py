@@ -2,15 +2,18 @@
 
 These deliberately re-derive expected values by different routes than
 the implementation: the partitioned walk is materialized round-robin,
-sequential/ordered addresses come from plain slot arithmetic, and the
-simulator's reclamation runs one victim and one unit at a time.  They must
-never import address logic from flashmark.patterns beyond the uniform
-draw primitive (which defines the random location function itself).
+sequential/ordered addresses come from plain slot arithmetic, the
+simulator's reclamation runs one victim and one unit at a time, and
+parallel workers are interleaved IO by IO.  They must never import
+address logic from flashmark.patterns beyond the uniform draw primitive
+(which defines the random location function itself).
 """
+
+import heapq
 
 import numpy as np
 
-from flashmark.device import check_alignment
+from flashmark.device import DeviceError, check_alignment
 from flashmark.device.simulator import SimulatedDevice, SimulationStall
 from flashmark.patterns import (
     Ordered,
@@ -20,6 +23,7 @@ from flashmark.patterns import (
     Sequential,
     uniform_index,
 )
+from flashmark.runner import TraceRecord
 
 
 def oracle_lba(spec: PatternSpec, i: int) -> int:
@@ -56,6 +60,44 @@ def device_state(dev: SimulatedDevice) -> tuple[bytes, bytes, bytes]:
     return dev.snapshot_state(), dev._inverse.tobytes(), dev._valid.tobytes()
 
 
+def interleave_io_by_io(device, schedules, trace) -> None:
+    """The reference interleaver: workers on the device's serialized
+    timeline, IO by IO through its read, write and idle.
+
+    Each worker is synchronous: its next IO becomes ready when its
+    previous one completes, plus the schedule's gap.  The device serves
+    one IO at a time in ready-time order (ties to the lowest worker id);
+    response time includes any wait behind other workers.  A failing IO
+    ends the run, named in trace.error.
+    """
+    run_start = device.now_us()
+    # (ready time, worker, position in its schedule); the heap's head is
+    # the worker the device serves next
+    ready = [(run_start, w, 0) for w, s in enumerate(schedules) if s]
+    while ready:
+        submit, w, i = ready[0]
+        schedule = schedules[w]
+        lba, size, write = schedule.lbas[i], schedule.sizes[i], schedule.writes[i]
+        now = device.now_us()
+        if now < submit:
+            device.idle(submit - now)
+        try:
+            (device.write if write else device.read)(lba, size)
+        except DeviceError as exc:
+            trace.error = f"worker {w} IO {i} failed: {exc}"
+            return
+        completion = device.now_us()
+        trace.records.append(TraceRecord(
+            i, submit - run_start, completion - submit, lba, size,
+            "write" if write else "read", w,
+        ))
+        i += 1
+        if i < len(schedule):
+            heapq.heapreplace(ready, (completion + schedule.gaps[i], w, i))
+        else:
+            heapq.heappop(ready)
+
+
 def oracle_victim(dev: SimulatedDevice) -> int | None:
     """Victim selection recomputed from scratch: copy the per-block valid
     counts, close every pool block and open frontier block, take the
@@ -80,8 +122,24 @@ class GreedyOracle(SimulatedDevice):
     streams recognized by a scan over (start, end) pairs.  The oracle keeps
     no held-block penalty and no retirement queue, so only its snapshot,
     costs and counters are comparable: they must equal SimulatedDevice's
-    after any op, a stalled one included.
+    after any op, a stalled one included.  Its issue calls serve their
+    rows IO by IO through its own read, write and idle, so a run or an
+    enforcement on the oracle never reaches the simulator's loop.
     """
+
+    def issue_rows(self, rows, submits, rts):
+        start = self._clock_us
+        for gap, lba, size, write in rows:
+            if gap > 0:
+                self.idle(gap)
+            submit = self._clock_us - start
+            try:
+                rt = self.write(lba, size) if write else self.read(lba, size)
+            except DeviceError as exc:
+                return exc
+            submits.append(submit)
+            rts.append(rt)
+        return None
 
     def _pages(self, lba: int, size: int) -> int:
         first = lba // self._page

@@ -13,10 +13,11 @@ from click.testing import CliRunner
 from flashmark.analysis import SummaryThresholds
 from flashmark import cli
 from flashmark.cli import CampaignConfig, DeviceConfig, main
-from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
+from flashmark.device import SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import CalibrationConfig
 from flashmark.microbench import SuiteConfig
 from flashmark.patterns import BASELINES
+from faults import failing_writes
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -57,28 +58,23 @@ def invoke(args):
 
 
 def record_device_ios(monkeypatch) -> list:
-    """The simulator reads, writes and idles issued from now on, in order."""
+    """The simulator's issue calls, each recorded as ("issue",) whether it
+    serves one schedule or a parallel run's merged workers, and its idles,
+    from now on, in order."""
     ios = []
-    for name in ("read", "write", "idle"):
-        def record(self, *args, _name=name, _real=getattr(SimulatedDevice, name)):
-            ios.append((_name, *args))
-            return _real(self, *args)
-        monkeypatch.setattr(SimulatedDevice, name, record)
+    issue_rows, idle = SimulatedDevice.issue_rows, SimulatedDevice.idle
+
+    def record_issue(self, *args):
+        ios.append(("issue",))
+        return issue_rows(self, *args)
+
+    def record_idle(self, duration_us):
+        ios.append(("idle", duration_us))
+        return idle(self, duration_us)
+
+    monkeypatch.setattr(SimulatedDevice, "issue_rows", record_issue)
+    monkeypatch.setattr(SimulatedDevice, "idle", record_idle)
     return ios
-
-
-def fail_simulator_write(monkeypatch, at):
-    """Make the at-th simulator write from now on raise a DeviceError."""
-    real_write = SimulatedDevice.write
-    count = [0]
-
-    def write(self, lba, size):
-        count[0] += 1
-        if count[0] == at:
-            raise DeviceError("injected write failure")
-        return real_write(self, lba, size)
-
-    monkeypatch.setattr(SimulatedDevice, "write", write)
 
 
 def edit_journal(out, step, edit):
@@ -193,8 +189,7 @@ class TestPipeline:
         assert invoke(["format", "--config", str(configs["whole"])]).exit_code == 0
 
         monkeypatch.setattr(cli, "COMMIT_IOS", 2048)
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=2500)
+        with failing_writes(2500):
             r = invoke(["format", "--config", str(configs["interrupted"])])
         assert r.exit_code == 3
         r = invoke(["format", "--config", str(configs["interrupted"])])
@@ -215,8 +210,7 @@ class TestPipeline:
             "suite": {"micros": ["pause"]},
         }))
         monkeypatch.setattr(cli, "COMMIT_IOS", 2048)
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=2500)
+        with failing_writes(2500):
             assert invoke(["format", "--config", str(config_path)]).exit_code == 3
         out = tmp_path / "out"
         state = (out / "device_state.bin").read_bytes()
@@ -261,8 +255,7 @@ class TestPipeline:
         config_path, out = campaign
         monkeypatch.setattr(cli, "CHECKPOINT_IOS", 64)
         monkeypatch.setattr(cli, "COMMIT_IOS", 1)
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=700)  # of 777: resumes at IO 640
+        with failing_writes(700):  # of 777: resumes at IO 640
             assert invoke(["format", "--config", str(config_path)]).exit_code == 3
         clock = iter(range(0, 10**6, 100))
         monkeypatch.setattr(cli, "time", SimpleNamespace(
@@ -298,8 +291,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "execute_run", execute_run)
         monkeypatch.setattr(cli, "COMMIT_IOS", 1)  # only the failed run is redone
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=20)
+        with failing_writes(20):
             assert invoke(["run", "--config", str(config_path)]).exit_code == 3
         resumed_at = len(events)
         r = invoke(["run", "--config", str(config_path)])
@@ -310,7 +302,7 @@ class TestPipeline:
         assert any(i > resumed_at for i in starts)
         for i in starts:
             assert events[i - 1] == ("idle", plan["inter_run_pause_us"])
-            assert events[i + 1][0] in ("read", "write")
+            assert events[i + 1] == ("issue",)
 
     def test_run_failure_keeps_partial_trace_and_resumes(self, campaign, monkeypatch):
         config_path, out = campaign
@@ -320,8 +312,7 @@ class TestPipeline:
         runs = [s for s in plan["steps"] if s["kind"] == "run"]
 
         monkeypatch.setattr(cli, "COMMIT_IOS", 1)
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=20)
+        with failing_writes(20):
             r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 3
         partial = Path(re.search(r"partial trace at (\S+)\)", r.output).group(1))
@@ -351,8 +342,7 @@ class TestPipeline:
             assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
         runs = len([s for s in json.loads((out / "plan.json").read_text())["steps"]
                     if s["kind"] == "run"])
-        with monkeypatch.context() as m:
-            fail_simulator_write(m, at=at)
+        with failing_writes(at):
             r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 3
         partial = Path(re.search(r"partial trace at (\S+)\)", r.output).group(1))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
+from flashmark.device import SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import (
     BenchmarkPlan,
     CalibrationConfig,
@@ -37,6 +37,7 @@ from flashmark.patterns import (
 )
 from flashmark.runner import execute_run, summarize
 from flashmark.serialization import dumps, from_data, plan_from_dict, plan_to_dict, save_plan
+from faults import failing_writes
 from oracles import device_state
 
 KB = 1024
@@ -61,30 +62,6 @@ def baseline_pattern(mode=Mode.READ, location=None, io_count=256, capacity=32 * 
         io_count=io_count,
         seed=seed,
     )
-
-
-class FailingAfter:
-    """Wraps a device; fails the n-th write exactly once."""
-
-    def __init__(self, inner, fail_at):
-        self.inner = inner
-        self.fail_at = fail_at
-        self.writes = 0
-        self.tripped = False
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    @property
-    def capacity(self):
-        return self.inner.capacity
-
-    def write(self, lba, size):
-        if not self.tripped and self.writes == self.fail_at:
-            self.tripped = True
-            raise DeviceError("injected failure")
-        self.writes += 1
-        return self.inner.write(lba, size)
 
 
 class TestEnforceRandomState:
@@ -127,21 +104,20 @@ class TestEnforceRandomState:
         assert abs(m1 - m2) / m1 < 0.10
 
     def test_failure_reports_coverage(self):
-        dev = FailingAfter(small_sim(), fail_at=40)
-        with pytest.raises(EnforcementError) as exc:
-            enforce_random_state(dev, seed=11)
+        with failing_writes(41), pytest.raises(EnforcementError) as exc:
+            enforce_random_state(small_sim(), seed=11)
         assert 0.0 < exc.value.coverage < 1.0
 
     def test_resume_matches_uninterrupted_run(self):
         full = small_sim()
         enforce_random_state(full, seed=11)
 
-        flaky = FailingAfter(small_sim(), fail_at=40)
-        with pytest.raises(EnforcementError):
+        flaky = small_sim()
+        with failing_writes(41), pytest.raises(EnforcementError):
             enforce_random_state(flaky, seed=11)
         resumed = enforce_random_state(flaky, seed=11, start_io=40)
         assert resumed.coverage == 1.0
-        assert device_state(flaky.inner) == device_state(full)
+        assert device_state(flaky) == device_state(full)
 
     def test_progress_reported(self):
         marks = []
@@ -233,8 +209,10 @@ class TestEnforcementBytes:
 
     @pytest.mark.parametrize("fail_at, coverage", [(300, 0.446136474609375), (640, 0.787994384765625)])
     def test_failure_coverage_pinned(self, fail_at, coverage):
-        dev = FailingAfter(WriteLog(32 * MB), fail_at=fail_at)
-        with pytest.raises(EnforcementError, match=f"format write {fail_at} failed") as exc:
+        dev = WriteLog(32 * MB)
+        with failing_writes(fail_at + 1), pytest.raises(
+            EnforcementError, match=f"format write {fail_at} failed"
+        ) as exc:
             enforce_random_state(dev, 41)
         assert exc.value.coverage == coverage
 

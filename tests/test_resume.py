@@ -2,7 +2,6 @@
 back to, and the property that a resumed campaign's artifacts equal an
 uninterrupted one's."""
 
-import contextlib
 import hashlib
 import json
 import tempfile
@@ -14,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashmark import cli
-from flashmark.device import DeviceError, SimulatedDevice, builtin_profile
+from flashmark.device import builtin_profile
 from flashmark.journal import Journal
 from flashmark.microbench import StateReset
 from flashmark.runner import trace_relpath
 from flashmark.serialization import load_plan
+from faults import failing_writes
 from test_cli import assert_run_refuses_the_plan, record_device_ios
 from test_device_sim import with_header
 
@@ -55,29 +55,11 @@ def write_campaign(root: Path, profile: str) -> Path:
     return config_path
 
 
-@contextlib.contextmanager
-def simulator_writes(fail_at=frozenset()):
-    """Counts the simulator writes issued in the block, in a one-item list;
-    those whose 1-based index is in fail_at raise."""
-    real_write = SimulatedDevice.write
-    count = [0]
-
-    def write(self, lba, size):
-        count[0] += 1
-        if count[0] in fail_at:
-            raise DeviceError("injected write failure")
-        return real_write(self, lba, size)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(SimulatedDevice, "write", write)
-        yield count
-
-
 def run_campaign(config_path: Path, fail_at=frozenset()) -> int:
     """Every stage, each re-run until it exits 0; the simulator writes
-    whose 1-based index (over the whole campaign) is in fail_at raise.
+    whose 1-based index (over the whole campaign) is in fail_at fail.
     Returns the number of writes issued."""
-    with simulator_writes(fail_at) as count:
+    with failing_writes(*fail_at) as count:
         for stage in STAGES:
             for _ in range(len(fail_at) + 1):
                 r = invoke(stage, config_path)
@@ -151,7 +133,7 @@ def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
     for config_path in configs.values():
         for stage in ("format", "calibrate", "plan"):
             assert invoke(stage, config_path).exit_code == 0
-    with simulator_writes() as run_writes:
+    with failing_writes() as run_writes:
         assert invoke("run", configs["whole"]).exit_code == 0
 
     whole = tmp_path / "whole" / "out"
@@ -163,9 +145,9 @@ def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
         for row in (whole / "traces" / trace_relpath(step, "lowend-usb")).read_text().splitlines()
     )
     # the reset's 20th write fails: the checkpoint at 16 IOs is journaled
-    with simulator_writes({writes_before + 20}):
+    with failing_writes(writes_before + 20):
         assert invoke("run", configs["killed"]).exit_code == 3
-    with simulator_writes() as resumed_writes:
+    with failing_writes() as resumed_writes:
         r = invoke("run", configs["killed"])
     assert r.exit_code == 0, r.output
     assert f"resuming reset/{reset} at IO 16" in r.output

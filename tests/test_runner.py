@@ -29,8 +29,8 @@ from flashmark.runner import (
     EmptySummaryError,
     Trace,
     TraceRecord,
+    _run_merged,
     _run_one,
-    _run_virtual,
     execute_run,
     issuer,
     read_trace_csv,
@@ -39,7 +39,7 @@ from flashmark.runner import (
     trace_relpath,
     write_trace_csv,
 )
-from oracles import device_state
+from oracles import GreedyOracle, device_state, interleave_io_by_io
 from test_device_sim import overcommitted, small_profiles
 
 KB = 1024
@@ -80,8 +80,6 @@ def make_trace(rts):
 
 class StubDevice:
     """Programmable response times; real device semantics not needed."""
-
-    virtual_timeline = True
 
     def __init__(self, costs):
         self.costs = list(costs)
@@ -153,22 +151,20 @@ class TestExecuteRun:
         modes = [r.mode for r in trace.records]
         assert modes == [Mode.READ] * 4 + [Mode.WRITE] + [Mode.READ] * 4 + [Mode.WRITE]
 
-    @pytest.mark.parametrize("virtual", [True, False])
-    def test_index_counts_each_workers_ios_from_zero(self, virtual):
+    def test_index_counts_each_workers_ios_from_zero(self):
         # a mix is one worker over the merged sequence, a parallel run one
-        # worker per degree; on either timeline
+        # worker per degree; in the simulator's one call and on threads
         first = make_pattern(location=Random(), io_count=9)
         second = make_pattern(
             location=Random(), mode=Mode.WRITE, io_count=3, target_offset=8 * KB * KB
         )
         par = ParallelSpec(base=make_pattern(mode=Mode.WRITE, io_count=14), parallel_degree=4)
         for pattern, per_worker in ((MixSpec(first, second, ratio=3), [12]), (par, [3] * 4)):
-            dev = StubDevice([100, 300, 200])
-            dev.virtual_timeline = virtual
-            trace = execute_run(dev, pattern)
-            assert trace.error is None
-            for w, n in enumerate(per_worker):
-                assert [r.index for r in trace.records if r.worker == w] == list(range(n))
+            for dev in (SimulatedDevice(SimProfile()), StubDevice([100, 300, 200])):
+                trace = execute_run(dev, pattern)
+                assert trace.error is None
+                for w, n in enumerate(per_worker):
+                    assert [r.index for r in trace.records if r.worker == w] == list(range(n))
 
     def test_error_truncates_trace(self):
         dev = StubDevice([100, 100, DeviceError("boom"), 100])
@@ -191,28 +187,32 @@ def mixed_schedule(rng, capacity, n, timing, bad_at=None):
     return Schedule(gaps, lbas, sizes, [rng.random() < 0.7 for _ in range(n)])
 
 
-def one_call_against_io_by_io(prof, extra, schedule, fill):
-    """Issue schedule on two copies of a prof device (over-committed by
-    extra, see overcommitted; fill its first writes IO by IO): in one
-    device call and through the interleaver.  Asserts that the records,
-    error text, clocks and whole states agree; returns how it ended."""
+def one_call_against_io_by_io(prof, extra, schedules, fill):
+    """Issue schedules, one per worker, on a prof device (over-committed by
+    extra, see overcommitted; fill its first writes IO by IO) in one
+    device call, as execute_run does, and on a GreedyOracle of it through
+    the reference interleaver.  Asserts that the records, error text,
+    clocks and whole states agree; returns how it ended."""
     devices = []
-    for _ in range(2):
-        dev = overcommitted(SimulatedDevice, prof, *extra)
+    for cls in (SimulatedDevice, GreedyOracle):
+        dev = overcommitted(cls, prof, *extra)
         for lba in fill:
             try:
                 dev.write(lba, prof.block_size)
             except SimulationStall:
                 break
         devices.append(dev)
-    one_dev, heap_dev = devices
+    one_dev, oracle = devices
     assert issuer(one_dev) == one_dev.issue
 
     def one_call(trace):
-        trace.error = _run_one(issuer(one_dev), 0, schedule, trace.records)
+        if len(schedules) == 1:
+            trace.error = _run_one(issuer(one_dev), 0, schedules[0], trace.records)
+        else:
+            _run_merged(one_dev, schedules, trace)
 
     results = []
-    for run in (one_call, lambda trace: _run_virtual(heap_dev, [schedule], trace)):
+    for run in (one_call, lambda trace: interleave_io_by_io(oracle, schedules, trace)):
         trace = Trace()
         try:
             run(trace)
@@ -220,23 +220,34 @@ def one_call_against_io_by_io(prof, extra, schedule, fill):
         except SimulationStall as exc:  # raised by an idle's drain
             results.append(("idle stalled", str(exc)))
     assert results[0] == results[1]
-    assert one_dev.now_us() == heap_dev.now_us()
-    assert device_state(one_dev) == device_state(heap_dev)
+    assert one_dev.now_us() == oracle.now_us()
+    assert device_state(one_dev) == device_state(oracle)
     records, error = results[0]
     if records == "idle stalled":
         return "idle stalled"
-    assert error is None or error.startswith(f"worker 0 IO {len(records)} failed: ")
     if error is None:
-        assert len(records) == len(schedule)
+        assert len(records) == sum(map(len, schedules))
         return "served"
+    w = int(error.split()[1])
+    assert error.startswith(f"worker {w} IO {sum(r.worker == w for r in records)} failed: ")
     return "stalled" if "reclamation" in error or "victim" in error else "out of range"
 
 
+def worker_schedules(rng, capacity, n, timing, workers, bad_at=None):
+    """workers mixed schedules (see mixed_schedule) of n IOs in all; the
+    last one's IO bad_at // workers, if any, lies past the device end."""
+    return [
+        mixed_schedule(rng, capacity, n // workers, timing,
+                       None if bad_at is None or w < workers - 1 else bad_at // workers)
+        for w in range(workers)
+    ]
+
+
 class TestOneWorkerLoop:
-    """A run of one schedule goes to the simulator in one device call, not
-    through the interleaver; the two must agree IO for IO, because its
-    clock advances by exactly the cost an IO returns and by exactly an
-    idle's duration."""
+    """A run, of one worker or of several merged, goes to the simulator in
+    one device call, not through the reference interleaver; the two must
+    agree IO for IO, because its clock advances by exactly the cost an IO
+    returns and by exactly an idle's duration."""
 
     @pytest.mark.parametrize("name, capacity", [("highend-ssd", 16 * MB), ("lowend-usb", 32 * MB)])
     def test_equals_the_interleaver_with_one_worker(self, name, capacity):
@@ -270,7 +281,7 @@ class TestOneWorkerLoop:
             heap_dev.restore_state(snapshot)
             loop_dev.restore_state(snapshot)
             heap = Trace()
-            _run_virtual(heap_dev, [schedules[key]], heap)
+            interleave_io_by_io(heap_dev, [schedules[key]], heap)
             loop = execute_run(loop_dev, pattern)
             assert loop.records == heap.records, key
             assert loop.error == heap.error, key
@@ -282,22 +293,24 @@ class TestOneWorkerLoop:
         small_profiles(),
         st.sampled_from([(0, 0), (0, 0), (12, 0), (0, 12), (2, 60)]),
         st.sampled_from(["none", "pause", "burst"]),
+        st.integers(1, 4),
         st.integers(1, 120),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_equals_the_interleaver_io_by_io(self, prof, extra, timing, n, rng):
+    def test_equals_the_interleaver_io_by_io(self, prof, extra, timing, workers, n, rng):
         # an over-committed device is filled first, so that its raised
         # reclamation targets can stall a write or an idle's drain
         fill = range(0, prof.capacity, prof.block_size) if extra != (0, 0) else ()
+        n = max(n, workers)
         bad_at = rng.randrange(n) if rng.random() < 0.2 else None
-        schedule = mixed_schedule(rng, prof.capacity, n, timing, bad_at)
-        one_call_against_io_by_io(prof, extra, schedule, fill)
+        schedules = worker_schedules(rng, prof.capacity, n, timing, workers, bad_at)
+        one_call_against_io_by_io(prof, extra, schedules, fill)
 
     def test_reaches_every_ending(self):
         # both GC modes, cache on and off: served, stalled and out-of-range
-        # schedules all occur
-        endings = set()
+        # runs all occur, of one worker and of three
+        endings = {1: set(), 3: set()}
         rng = random.Random(4)
         for deferred in (False, True):
             for cache in (0, 3):
@@ -313,11 +326,36 @@ class TestOneWorkerLoop:
                 ends = (((0, 0), None), ((0, 0), 40), ((12, 0), None), ((2, 60), None))
                 for extra, bad_at in ends:
                     for timing in ("none", "pause", "burst"):
-                        schedule = mixed_schedule(rng, prof.capacity, 80, timing, bad_at)
-                        endings.add(one_call_against_io_by_io(
-                            prof, extra, schedule, fill if extra != (0, 0) else ()
-                        ))
-        assert {"served", "stalled", "out of range"} <= endings
+                        for workers in endings:
+                            schedules = worker_schedules(
+                                rng, prof.capacity, 80, timing, workers, bad_at
+                            )
+                            endings[workers].add(one_call_against_io_by_io(
+                                prof, extra, schedules, fill if extra != (0, 0) else ()
+                            ))
+        for kinds in endings.values():
+            assert {"served", "stalled", "out of range"} <= kinds
+
+    def test_the_oracle_serves_its_own_writes(self):
+        # enforcement and runs of one and of four workers on GreedyOracle
+        # reach the oracle's own write, not the simulator's loop, and give
+        # the simulator's results
+        class CountingOracle(GreedyOracle):
+            writes = 0
+
+            def write(self, lba, size):
+                self.writes += 1
+                return super().write(lba, size)
+
+        profile = builtin_profile("lowend-usb", capacity=16 * MB, spare_blocks=40)
+        rw = make_pattern(location=Random(), mode=Mode.WRITE, io_count=48, target_size=8 * MB)
+        results = []
+        for dev in (SimulatedDevice(profile), CountingOracle(profile)):
+            enforced = enforce_random_state(dev, seed=2)
+            runs = [execute_run(dev, p) for p in (rw, ParallelSpec(base=rw, parallel_degree=4))]
+            results.append((enforced, [(t.records, t.error) for t in runs], device_state(dev)))
+        assert dev.writes == enforced.ios_issued + 2 * 48
+        assert results[0] == results[1]
 
 
 class TestParallel:
