@@ -151,20 +151,22 @@ class TestExecuteRun:
         modes = [r.mode for r in trace.records]
         assert modes == [Mode.READ] * 4 + [Mode.WRITE] + [Mode.READ] * 4 + [Mode.WRITE]
 
-    def test_index_counts_each_workers_ios_from_zero(self):
+    @pytest.mark.parametrize("virtual", [True, False])
+    def test_index_counts_each_workers_ios_from_zero(self, virtual):
         # a mix is one worker over the merged sequence, a parallel run one
-        # worker per degree; in the simulator's one call and on threads
+        # worker per degree; on the simulator's virtual clock (one device
+        # call) and on the real clock (threads over a stub)
         first = make_pattern(location=Random(), io_count=9)
         second = make_pattern(
             location=Random(), mode=Mode.WRITE, io_count=3, target_offset=8 * KB * KB
         )
         par = ParallelSpec(base=make_pattern(mode=Mode.WRITE, io_count=14), parallel_degree=4)
         for pattern, per_worker in ((MixSpec(first, second, ratio=3), [12]), (par, [3] * 4)):
-            for dev in (SimulatedDevice(SimProfile()), StubDevice([100, 300, 200])):
-                trace = execute_run(dev, pattern)
-                assert trace.error is None
-                for w, n in enumerate(per_worker):
-                    assert [r.index for r in trace.records if r.worker == w] == list(range(n))
+            dev = SimulatedDevice(SimProfile()) if virtual else StubDevice([100, 300, 200])
+            trace = execute_run(dev, pattern)
+            assert trace.error is None
+            for w, n in enumerate(per_worker):
+                assert [r.index for r in trace.records if r.worker == w] == list(range(n))
 
     def test_error_truncates_trace(self):
         dev = StubDevice([100, 100, DeviceError("boom"), 100])
@@ -234,11 +236,13 @@ def one_call_against_io_by_io(prof, extra, schedules, fill):
 
 
 def worker_schedules(rng, capacity, n, timing, workers, bad_at=None):
-    """workers mixed schedules (see mixed_schedule) of n IOs in all; the
-    last one's IO bad_at // workers, if any, lies past the device end."""
+    """workers mixed schedules (see mixed_schedule) of n // workers IOs
+    each; the last one's IO bad_at // workers, if any, lies past the device
+    end (its last IO, where n // workers IOs do not reach that far)."""
+    per = n // workers
+    last_bad = None if bad_at is None else min(bad_at // workers, per - 1)
     return [
-        mixed_schedule(rng, capacity, n // workers, timing,
-                       None if bad_at is None or w < workers - 1 else bad_at // workers)
+        mixed_schedule(rng, capacity, per, timing, last_bad if w == workers - 1 else None)
         for w in range(workers)
     ]
 
