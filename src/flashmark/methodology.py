@@ -369,11 +369,12 @@ def build_plan(
 def verify_plan(plan: BenchmarkPlan) -> None:
     """Replay the plan against what assign_target_offsets reserves.
 
-    Checks that the inter-run pause is at least the minimum, that every
-    run's target ranges lie inside the device, and, per state epoch, that
-    the ranges of sequential-write-bearing experiments never overlap.  A
-    range includes the io_shift overhang past the nominal target end, as
-    the allocator reserves it.
+    Checks that the inter-run pause is at least the minimum, that no two
+    runs share a step id (they would share a trace file and a journal
+    step), that every run's target ranges lie inside the device, and, per
+    state epoch, that the ranges of sequential-write-bearing experiments
+    never overlap.  A range includes the io_shift overhang past the
+    nominal target end, as the allocator reserves it.
     """
     if plan.inter_run_pause_us < MIN_INTER_RUN_PAUSE_US:
         raise PlanError(
@@ -382,10 +383,15 @@ def verify_plan(plan: BenchmarkPlan) -> None:
         )
     epoch_ranges: list[tuple[int, int]] = []
     seen_first_rep: set[str] = set()
+    step_ids: set[str] = set()
     for step in plan.steps:
         if isinstance(step, StateReset):
             epoch_ranges = []
             continue
+        if step.step_id in step_ids:
+            raise PlanError(f"{step.step_id}: repeated step id; two runs would share one trace "
+                            "and one journal step")
+        step_ids.add(step.step_id)
         exp = step.experiment
         for offset, size in exp.target_ranges:
             if offset + size > plan.capacity:

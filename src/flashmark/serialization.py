@@ -10,6 +10,10 @@ an unknown kind, an unknown or missing key, a value of the wrong JSON
 type, or a plan format mismatch raises SchemaError rather than guessing.
 A bool takes only true/false, an int only an integer, a float an integer
 or a float; ``X | None`` also takes null.
+
+``plan.json`` states each experiment once: the plan's run steps are
+written as references to its ``experiments`` list, by position, and
+decode to steps that share one ExperimentSpec per experiment.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import typing
 from enum import Enum
 from pathlib import Path
 
-from .microbench import BenchmarkPlan
+from .microbench import BenchmarkPlan, ExperimentSpec, RunStep, StateReset
 
-PLAN_FORMAT_VERSION = 5
+PLAN_FORMAT_VERSION = 6
 
 
 class SchemaError(ValueError):
@@ -155,7 +159,7 @@ def dumps(obj) -> str:
     return json.dumps(to_data(obj), indent=2, sort_keys=True)
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
+def write_atomic(path: str | Path, data: str | bytes | bytearray) -> None:
     """Replace the file at path through a temporary file, so a failed write
     leaves the previous bytes.  No fsync: a power loss can still lose it."""
     path = Path(path)
@@ -172,8 +176,36 @@ def load(cls, path: str | Path):
     return from_data(cls, json.loads(Path(path).read_text()))
 
 
+@dataclasses.dataclass(frozen=True)
+class RunRef:
+    """A run step as plan.json writes it: run run_index of the plan's
+    experiments[experiment]."""
+
+    experiment: int
+    run_index: int
+    kind = RunStep.kind
+
+
+@dataclasses.dataclass(kw_only=True)
+class PlanFile(BenchmarkPlan):
+    """plan.json's body: the plan with each experiment stated once, in the
+    order of its first run, and its run steps written as RunRefs."""
+
+    steps: list[StateReset | RunRef]
+    experiments: list[ExperimentSpec]
+
+
 def plan_to_dict(plan: BenchmarkPlan) -> dict:
-    return {"format_version": PLAN_FORMAT_VERSION, **to_data(plan)}
+    """plan's JSON values.  Experiments are deduplicated by value, so equal
+    plans encode alike whether or not their runs share spec objects."""
+    position: dict[ExperimentSpec, int] = {}
+    steps = [
+        RunRef(position.setdefault(s.experiment, len(position)), s.run_index)
+        if isinstance(s, RunStep) else s
+        for s in plan.steps
+    ]
+    body = PlanFile(**{**vars(plan), "steps": steps}, experiments=list(position))
+    return {"format_version": PLAN_FORMAT_VERSION, **to_data(body)}
 
 
 def plan_from_dict(d: dict) -> BenchmarkPlan:
@@ -183,12 +215,33 @@ def plan_from_dict(d: dict) -> BenchmarkPlan:
         raise SchemaError(
             f"plan format {version!r} not supported (expected {PLAN_FORMAT_VERSION})"
         )
-    return from_data(BenchmarkPlan, body)
+    file = from_data(PlanFile, body)
+    experiments = file.experiments
+    steps = []
+    named = set()
+    for i, step in enumerate(file.steps):
+        if isinstance(step, RunRef):
+            if not 0 <= step.experiment < len(experiments):
+                raise SchemaError(f"PlanFile.steps[{i}]: experiment {step.experiment} out of "
+                                  f"range ({len(experiments)} experiments)")
+            named.add(step.experiment)
+            step = RunStep(experiments[step.experiment], step.run_index)
+        steps.append(step)
+    if len(named) < len(experiments):
+        unnamed = min(set(range(len(experiments))) - named)
+        raise SchemaError(f"PlanFile.experiments[{unnamed}]: no run step names it")
+    scalars = {k: v for k, v in vars(file).items() if k != "experiments"}
+    return BenchmarkPlan(**{**scalars, "steps": steps})
 
 
 def save_plan(plan: BenchmarkPlan, path: str | Path) -> None:
-    # plan_to_dict already holds JSON values; dumps would copy them again
-    write_atomic(path, json.dumps(plan_to_dict(plan), indent=2, sort_keys=True))
+    # plan_to_dict already holds JSON values; dumps would copy them again.
+    # The indenting encoder yields a small string per token, and dumps
+    # would hold a list of them all, several times the file's size
+    text = bytearray()
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(plan_to_dict(plan)):
+        text += chunk.encode()
+    write_atomic(path, text)
 
 
 def load_plan(path: str | Path) -> BenchmarkPlan:

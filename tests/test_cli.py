@@ -17,6 +17,7 @@ from flashmark.device import SimProfile, SimulatedDevice, builtin_profile
 from flashmark.methodology import CalibrationConfig
 from flashmark.microbench import SuiteConfig
 from flashmark.patterns import BASELINES
+from flashmark.serialization import PLAN_FORMAT_VERSION
 from faults import failing_writes
 
 MB = 1024 * 1024
@@ -107,7 +108,7 @@ class TestPipeline:
         r = invoke(["plan", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
         plan = json.loads((out / "plan.json").read_text())
-        assert plan["format_version"] == 5
+        assert plan["format_version"] == PLAN_FORMAT_VERSION
 
         r = invoke(["run", "--config", str(config_path)])
         assert r.exit_code == 0, r.output
@@ -635,6 +636,29 @@ class TestValidation:
         assert not (out / "device_state.bin").exists()
         journal = out / "journal.jsonl"
         assert not journal.exists() or '"format"' not in journal.read_text()
+
+    @pytest.mark.parametrize("extra", [[4096], [1536, 1536]], ids=["sweep-point", "listed-twice"])
+    def test_repeated_step_ids_exit_two_before_device_io(self, campaign, extra):
+        # 4096 is already a point of the granularity sweep, and a size listed
+        # twice is swept twice: two experiments would share one id, so their
+        # runs would share trace files and journal steps
+        config_path, out = campaign
+        message = f"granularity/SR/io_size={extra[0]}/run0: repeated step id"
+        edit_config(config_path, lambda c: c["suite"].update(extra_io_sizes=extra))
+        r = invoke(["format", "--config", str(config_path)])
+        assert r.exit_code == 2, r.output
+        assert message in r.output
+        assert not (out / "device_state.bin").exists()
+
+        edit_config(config_path, lambda c: c["suite"].update(extra_io_sizes=[]))
+        assert invoke(["format", "--config", str(config_path)]).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        edit_config(config_path, lambda c: c["suite"].update(extra_io_sizes=extra))
+        for stage in ("calibrate", "plan"):
+            r = invoke([stage, "--config", str(config_path)])
+            assert r.exit_code == 2, r.output
+            assert message in r.output
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
     @pytest.mark.parametrize("field, value", [
         ("page_size", 0), ("gc_batch_blocks", 0), ("controller_overhead_us", -100),

@@ -514,7 +514,7 @@ PINNED_SUITES = {
     "default-32g-offset-1g": (32 * GB, 0, {"base_target_offset": 1 * GB}),
     "io16k-512m": (512 * MB, 7, {
         "base_io_size": 16 * KB,
-        "extra_io_sizes": (1024, 2560, 24 * KB),
+        "extra_io_sizes": (1536, 2560, 24 * KB),
         "repetitions": 2,
         "io_count_by_pattern": {"SR": 256, "RR": 320, "SW": 384, "RW": 768},
     }),
@@ -522,29 +522,49 @@ PINNED_SUITES = {
 # SHA-256 of each suite's plan.json text.  A change to expansion, target
 # offsets, io_ignore scaling or the plan encoding shows here.
 PINNED_PLAN_DIGESTS = {
-    "perfbench-128m": "1725fefe17e65fb280ea11de9483b771b49c2c2b42fe7d8e049b38b46d042516",
-    "acceptance8-256m": "615d21e03470f6f5903cbe1465c5021ba05d0b8735679fbb13ad7fced5f661bf",
-    "default-32g": "9b076b79a2f0318e30470964254553013e0b5d90a8dd1619630ecae584f2b2d4",
-    "default-32g-offset-1g": "a0b68c2bb1ba9c5c0924755677798cba58ec60c5acc72fa4da03577774ac0ec4",
-    "io16k-512m": "a87c1f928a6366adc4608f5dc06059d6e6684c7ba8258de60bcee6e2d489d64f",
+    "perfbench-128m": "6b2a691d2919cf500e448277cc3798a1b599b5a63002eefe108b8f7430e74d03",
+    "acceptance8-256m": "72e4ff9cbb20cb54881461f0fbfd5456801bd0ae915fe34ff46e3596e5ba7175",
+    "default-32g": "646af8306e6b11054534e25cc5b22cc98951847d438fb0430fdf87248bcb5be0",
+    "default-32g-offset-1g": "73d576f5749e3cb9877b8553941355434b96bfbcf27228a7354b71d9fa464a6e",
+    "io16k-512m": "79d75acdd1af8a011ed660f36c374ff8351ff30b85c365d7da8c189672205ef1",
 }
+# The perfbench-128m plan.json in plan format 5, which wrote an
+# experiment's whole spec into each of its run steps: 858 runs of 286
+# experiments in 650,659 bytes.
+FORMAT5_PERFBENCH_PLAN_BYTES = 650_659
+
+
+def pinned_plan(name: str) -> BenchmarkPlan:
+    capacity, seed, overrides = PINNED_SUITES[name]
+    suite = SuiteConfig.for_device(capacity, seed=seed, **overrides)
+    # nonzero start-ups on every baseline pin the mix io_ignore scaling
+    profile = DeviceProfile(
+        startup={"SR": 3, "RR": 5, "SW": 7, "RW": 128},
+        period={"SR": 1, "RR": 1, "SW": 64, "RW": 16},
+        inter_run_pause_us=2_000_000,
+    )
+    return build_plan(expand_suite(suite), profile, capacity, suite)
 
 
 class TestPlanBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_SUITES))
     def test_plan_json_digest_pinned(self, name, tmp_path):
-        capacity, seed, overrides = PINNED_SUITES[name]
-        suite = SuiteConfig.for_device(capacity, seed=seed, **overrides)
-        # nonzero start-ups on every baseline pin the mix io_ignore scaling
-        profile = DeviceProfile(
-            startup={"SR": 3, "RR": 5, "SW": 7, "RW": 128},
-            period={"SR": 1, "RR": 1, "SW": 64, "RW": 16},
-            inter_run_pause_us=2_000_000,
-        )
-        plan = build_plan(expand_suite(suite), profile, capacity, suite)
-        save_plan(plan, tmp_path / "plan.json")
+        save_plan(pinned_plan(name), tmp_path / "plan.json")
         text = (tmp_path / "plan.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == PINNED_PLAN_DIGESTS[name]
+
+    def test_plan_json_states_each_experiment_once(self, tmp_path):
+        # a plan.json that repeats an experiment's spec in each of its run
+        # steps makes encoding it the benchmark campaign's peak memory
+        plan = pinned_plan("perfbench-128m")
+        save_plan(plan, tmp_path / "plan.json")
+        text = (tmp_path / "plan.json").read_bytes()
+        written = [
+            f"{e['micro']}/{e['baseline']}/{e['varying_name']}={e['varying_value']}"
+            for e in json.loads(text)["experiments"]
+        ]
+        assert sorted(written) == sorted({s.experiment.experiment_id for s in plan.run_steps()})
+        assert len(text) <= 0.4 * FORMAT5_PERFBENCH_PLAN_BYTES
 
 
 class TestDeviceProfileSerialization:
