@@ -25,10 +25,10 @@ class UnsupportedError(DeviceError):
 
 
 class BlockDevice(Protocol):
-    """A backend may add issue(gaps, lbas, sizes, writes), serving a
-    schedule in one call (see runner.issuer), and issue_rows, serving a
-    parallel run's merged rows; one without issue is served IO by IO
-    through read, write and idle."""
+    """A backend may add its own IO loop, issue_rows(rows, submits, rts),
+    which serves (gap, lba, size, write) rows in one call (see
+    runner.issuer); one without it is served IO by IO through read, write
+    and idle by the runner's loop of the same shape."""
 
     capacity: int
 

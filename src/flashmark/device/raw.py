@@ -98,35 +98,26 @@ class RawDevice:
         return bufs
 
     def read(self, lba: int, size: int) -> int:
-        check_alignment(self, lba, size)
-        rbuf, _ = self._buffers(size)
-        view = memoryview(rbuf)[:size]
-        start = _now_us()
-        try:
-            pos = 0
-            while pos < size:
-                n = os.preadv(self._fd, [view[pos:]], lba + pos)
-                if n <= 0:
-                    raise DeviceError(f"short read at lba={lba}")
-                pos += n
-        except OSError as exc:
-            raise DeviceError(f"read failed at lba={lba}: {exc}") from exc
-        return max(1, _now_us() - start)
+        return self._transfer(lba, size, False)
 
     def write(self, lba: int, size: int) -> int:
+        return self._transfer(lba, size, True)
+
+    def _transfer(self, lba: int, size: int, write: bool) -> int:
+        """One synchronous IO, resumed after a short transfer; its time in us."""
         check_alignment(self, lba, size)
-        _, wbuf = self._buffers(size)
-        view = memoryview(wbuf)[:size]
+        call, what = (os.pwritev, "write") if write else (os.preadv, "read")
+        view = memoryview(self._buffers(size)[write])[:size]
         start = _now_us()
         try:
             pos = 0
             while pos < size:
-                n = os.pwritev(self._fd, [view[pos:]], lba + pos)
+                n = call(self._fd, [view[pos:]], lba + pos)
                 if n <= 0:
-                    raise DeviceError(f"short write at lba={lba}")
+                    raise DeviceError(f"short {what} at lba={lba}")
                 pos += n
         except OSError as exc:
-            raise DeviceError(f"write failed at lba={lba}: {exc}") from exc
+            raise DeviceError(f"{what} failed at lba={lba}: {exc}") from exc
         return max(1, _now_us() - start)
 
     def idle(self, duration_us: int) -> int:

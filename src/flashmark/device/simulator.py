@@ -47,12 +47,12 @@ microseconds; idling advances it without wall time.
 Every IO is served by one loop, ``issue_rows``, over (gap, address,
 size, write flag) rows read from an iterator: it idles each gap, then
 costs and places the IO, and the clock advances by exactly each gap and
-each IO's cost, so an IO's response time is its cost.  ``issue`` passes
-it a schedule's columns zipped, and a parallel run a generator that
-merges its workers (see runner), so a run is one call; ``read`` and
-``write`` are one-row calls of ``issue``.  The loop keeps the device's
-maps and counters in local names; a failing IO ends the call, with the
-state it leaves stored back.
+each IO's cost, so an IO's response time is its cost.  It takes the
+runner's rows: a schedule's columns zipped, or a generator that merges
+a parallel run's workers, so a run is one call; ``read`` and ``write``
+are one-row calls of it.  The loop keeps the device's maps and counters
+in local names; a failing IO ends the call, with the state it leaves
+stored back.
 
 A snapshot (format 5) is an 8-byte little-endian header length, a JSON
 header (the scalars, frontiers included, the journaled count, the pool,
@@ -287,18 +287,12 @@ class SimulatedDevice:
         return self._one(lba, size, True)
 
     def _one(self, lba: int, size: int, write: bool) -> int:
-        """A one-IO schedule: its response time, or its failure raised."""
-        _, rts, failure = self.issue((0,), (lba,), (size,), (write,))
+        """A one-row issue_rows call: its response time, or its failure raised."""
+        rts: list[int] = []
+        failure = self.issue_rows(((0, lba, size, write),), [], rts)
         if failure is not None:
             raise failure
         return rts[0]
-
-    def issue(self, gaps, lbas, sizes, writes) -> tuple[list[int], list[int], DeviceError | None]:
-        """Issue a schedule's columns (see patterns.Schedule) by issue_rows:
-        (submit times, response times, the failure it stopped at or None)."""
-        submits: list[int] = []
-        rts: list[int] = []
-        return submits, rts, self.issue_rows(zip(gaps, lbas, sizes, writes), submits, rts)
 
     def issue_rows(self, rows, submits: list[int], rts: list[int]) -> DeviceError | None:
         """Serve (gap, lba, size, write) rows, taken one at a time from the
@@ -311,6 +305,10 @@ class SimulatedDevice:
         IO's response time is its cost, and the clock advances by exactly
         that cost and by each gap; a failed IO advances it by nothing.  A
         failure raised by an idle propagates.
+
+        The rows must not read, snapshot or idle the device: the loop keeps
+        the clock and page count in local names until it returns, which is
+        why enforcement ends a call at each checkpoint.
         """
         p = self.profile
         capacity, page, unit, g, ups, block_size = (

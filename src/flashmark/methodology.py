@@ -140,12 +140,11 @@ def _hole_fill(covered: np.ndarray) -> tuple[list[int], list[int]]:
     """(lbas, sizes) of the targeted writes that cover every unwritten
     sector: each run of holes, in address order, cut from its start into
     chunks of at most HOLE_FILL_SECTORS sectors."""
-    hole = np.flatnonzero(~covered)
-    if not hole.size:
-        return [], []
-    breaks = np.flatnonzero(np.diff(hole) != 1) + 1
-    run_start = hole[np.r_[0, breaks]]
-    run_len = np.diff(np.r_[0, breaks, hole.size])
+    # runs start where covered falls to 0 and end where it rises; int8
+    # bounds keep the edges int8 (a Python int would widen them to int64)
+    edges = np.diff(covered.view(np.int8), prepend=np.int8(1), append=np.int8(1))
+    run_start = np.flatnonzero(edges == -1)
+    run_len = np.flatnonzero(edges == 1) - run_start
     pieces = -(-run_len // HOLE_FILL_SECTORS)
     # k: the chunk's place within its run
     k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -198,7 +197,8 @@ def enforce_random_state(
             if live and progress:
                 k = min(k, j + every - ios % every)
             if live:
-                _, rts, failure = issue(repeat(0), lbas[j:k], sizes[j:k], repeat(True))
+                rts: list[int] = []
+                failure = issue(zip(repeat(0), lbas[j:k], sizes[j:k], repeat(True)), [], rts)
                 if failure is not None:
                     cover(lbas[j : j + len(rts)], sizes[j : j + len(rts)])
                     raise EnforcementError(

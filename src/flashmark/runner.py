@@ -7,17 +7,17 @@ its submit time is counted from the device clock when the run starts.
 Every pattern runs as one or more workers, one per schedule: a plain or
 mixed pattern is one worker, a parallel pattern one per degree.
 
-There is one call path per clock.  On the simulator's virtual clock a
-run is one device call, whose loop leaves no harness time between IOs:
-a worker's schedule goes to `issue` as columns, and a parallel run's
-workers go to `issue_rows` as one generator that merges them on the
-device's serialized timeline (ties to the lowest worker id), taking
-each gap from the completion of the IO served before, so a queued
-worker's response time includes its wait for the device.  A device
-without `issue` (a raw device) is served IO by IO by _run_worker, which
-reads the device clock before each IO and records the time the IO call
-took; a parallel run's workers are real threads released together by a
-barrier.  The trace rows are built from what the calls return.
+Every IO loop serves (gap, lba, size, write) rows, appends each IO's
+submit and response time to two lists and returns the failure it
+stopped at, or None; there is one loop per clock.  The simulator's,
+`issue_rows`, serves a run in one call that leaves no harness time
+between IOs; a parallel run's rows come from a generator that merges its
+workers on the device's serialized timeline (ties to the lowest worker
+id), taking each gap from the completion of the IO served before, so a
+queued worker's response time includes its wait for the device.  A
+device without it (a raw device) is served by _run_worker, which reads
+the clock before each IO and records the time the IO call took, in one
+thread per worker, released together by a barrier.
 
 A trace is its rows: one TraceRecord per IO, whose fields are the trace
 CSV's columns in order.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, repeat
 from pathlib import Path
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 from .device import BlockDevice, DeviceError
 from .microbench import RunStep
@@ -113,15 +113,16 @@ def execute_run(device: BlockDevice, pattern: PatternSpec | MixSpec | ParallelSp
     return trace
 
 
-Issue = Callable[..., "tuple[list[int], list[int], DeviceError | None]"]
+Row = tuple[int, int, int, bool]  # (gap, lba, size, write)
+Issue = Callable[[Iterable[Row], list[int], list[int]], DeviceError | None]
 
 
 def issuer(device: BlockDevice) -> Issue:
-    """The call that issues a schedule's columns (gaps, lbas, sizes,
-    writes) on device and returns (submit offsets, response times,
-    failure): the device's own `issue`, else _run_worker, which issues IO
-    by IO through read and write."""
-    issue = getattr(device, "issue", None)
+    """The loop that serves rows on device, appending each IO's submit
+    offset and response time to submits and rts, and returns the failure
+    it stopped at, or None: the device's own `issue_rows`, else
+    _run_worker, which issues IO by IO through read and write."""
+    issue = getattr(device, "issue_rows", None)
     return issue if issue is not None else partial(_run_worker, device)
 
 
@@ -132,7 +133,9 @@ _MODE_NAMES = ("read", "write")  # indexed by a schedule's write flag
 def _run_one(issue: Issue, w: int, schedule: Schedule, rows: list[TraceRecord]) -> str | None:
     """Issue worker w's schedule in one call, appending one record per IO
     served to rows; the failure of the IO it stopped at, or None."""
-    submits, rts, failure = issue(schedule.gaps, schedule.lbas, schedule.sizes, schedule.writes)
+    submits: list[int] = []
+    rts: list[int] = []
+    failure = issue(zip(schedule.gaps, schedule.lbas, schedule.sizes, schedule.writes), submits, rts)
     rows += map(_record, zip(
         range(len(rts)), submits, rts, schedule.lbas, schedule.sizes,
         map(_MODE_NAMES.__getitem__, schedule.writes), repeat(w),
@@ -144,27 +147,25 @@ def _failure(worker: int, i: int, exc: DeviceError) -> str:
     return f"worker {worker} IO {i} failed: {exc}"
 
 
-def _run_worker(device: BlockDevice, gaps, lbas, sizes, writes
-                ) -> tuple[list[int], list[int], DeviceError | None]:
-    """issuer's call for a device without its own: idle each positive
+def _run_worker(device: BlockDevice, rows: Iterable[Row], submits: list[int], rts: list[int]
+                ) -> DeviceError | None:
+    """issuer's loop for a device without its own: idle each positive
     gap, then take the submit time and issue the IO.  A device that only
-    writes (a replay stub) needs no read or idle for a write-only,
-    gapless schedule."""
+    writes (a replay stub) needs no read or idle for write-only, gapless
+    rows."""
     now_us = device.now_us
-    submits: list[int] = []
-    rts: list[int] = []
     run_start = now_us()
-    for gap, lba, size, write in zip(gaps, lbas, sizes, writes):
+    for gap, lba, size, write in rows:
         if gap > 0:
             device.idle(gap)
         submit = now_us()
         try:
             rt = device.write(lba, size) if write else device.read(lba, size)
         except DeviceError as exc:
-            return submits, rts, exc
+            return exc
         submits.append(submit - run_start)
         rts.append(rt)
-    return submits, rts, None
+    return None
 
 
 def _run_merged(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
@@ -204,26 +205,34 @@ def _run_merged(device: BlockDevice, schedules: list[Schedule], trace: Trace) ->
 
 
 def _run_threads(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
-    """One thread per worker, released together by a barrier."""
+    """One thread per worker, released together by a barrier.  Once all
+    end, the lowest raising worker's exception is raised, else the lowest
+    failing worker's failure is the trace's error."""
     barrier = threading.Barrier(len(schedules))
     rows: list[list[TraceRecord]] = [[] for _ in schedules]
     issue = issuer(device)
+    ends: list[str | Exception | None] = [None] * len(schedules)
 
-    def work(w: int, schedule: Schedule) -> None:
+    def work(w: int) -> None:
         barrier.wait()
-        error = _run_one(issue, w, schedule, rows[w])
-        if error:
-            trace.error = error
+        try:
+            ends[w] = _run_one(issue, w, schedules[w], rows[w])
+        except Exception as exc:  # a thread's exception is otherwise lost
+            ends[w] = exc
 
     # the calling thread is worker 0
-    threads = [threading.Thread(target=work, args=ws) for ws in enumerate(schedules) if ws[0]]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, len(schedules))]
     for t in threads:
         t.start()
     try:
-        work(0, schedules[0])
+        work(0)
     finally:
         for t in threads:
             t.join()
+    raised = [e for e in ends if isinstance(e, Exception)]
+    if raised:
+        raise raised[0]
+    trace.error = next(filter(None, ends), None)
     trace.records = sorted(
         (r for worker_rows in rows for r in worker_rows),
         key=lambda r: (r.actual_submit_us, r.worker),

@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,12 @@ from flashmark.methodology import (
     CalibrationConfig,
     DeviceProfile,
     EnforcementError,
+    HOLE_FILL_SECTORS,
     MIN_INTER_RUN_PAUSE_US,
     PlanError,
     RunStep,
     StateReset,
+    _hole_fill,
     build_plan,
     calibrate_pause,
     calibrate_phases,
@@ -127,6 +130,23 @@ class TestEnforceRandomState:
         assert [n for n, _ in marks] == list(range(64, result.ios_issued + 1, 64))
         coverage = [f for _, f in marks]
         assert coverage == sorted(coverage) and 0.0 < coverage[0] and coverage[-1] <= 1.0
+
+    @pytest.mark.parametrize("holes, writes", [
+        ([], []),
+        ([(0, 1)], [(0, 1)]),
+        ([(999, 1)], [(999, 1)]),
+        ([(0, 3), (10, 1), (997, 3)], [(0, 3), (10, 1), (997, 3)]),
+        ([(100, HOLE_FILL_SECTORS)], [(100, HOLE_FILL_SECTORS)]),
+        ([(100, HOLE_FILL_SECTORS + 1)], [(100, HOLE_FILL_SECTORS), (100 + HOLE_FILL_SECTORS, 1)]),
+    ])
+    def test_hole_fill_cuts_each_hole_run_from_its_start(self, holes, writes):
+        # (first sector, sectors) of each unwritten run of a 1000-sector
+        # bitmap, and of each targeted write expected over them
+        covered = np.ones(1000, dtype=bool)
+        for start, n in holes:
+            covered[start : start + n] = False
+        lbas, sizes = _hole_fill(covered)
+        assert list(zip(lbas, sizes)) == [(start * 512, n * 512) for start, n in writes]
 
 
 class WriteLog:

@@ -1,5 +1,6 @@
 import io
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from flashmark.runner import (
     TraceRecord,
     _run_merged,
     _run_one,
+    _run_worker,
     execute_run,
     issuer,
     read_trace_csv,
@@ -175,6 +177,44 @@ class TestExecuteRun:
         assert len(trace.records) == 2
 
 
+class SliceFaults(StubDevice):
+    """Writes cost 100 us, except that a write into the MB slice s, for s
+    in faults, raises faults[s](f"slice {s}"); the writes served are kept
+    in served."""
+
+    def __init__(self, faults):
+        super().__init__([100])
+        self.faults = faults
+        self.served = []
+
+    def write(self, lba, size):
+        fault = self.faults.get(lba // MB)
+        if fault is not None:
+            raise fault(f"slice {lba // MB}")
+        self.served.append(lba)
+        return super().write(lba, size)
+
+
+class TestThreadedRun:
+    """A parallel run on a device without issue_rows runs one thread per
+    worker; worker w writes the MB slice w of the 4 MB target."""
+
+    PARALLEL = ParallelSpec(base=make_pattern(mode=Mode.WRITE, io_count=64), parallel_degree=4)
+
+    def test_a_workers_exception_is_raised_once_every_worker_ends(self):
+        dev = SliceFaults({2: RuntimeError, 3: ValueError})
+        with pytest.raises(RuntimeError, match="slice 2"):
+            execute_run(dev, self.PARALLEL)
+        assert len(dev.served) == 32  # workers 0 and 1, 16 writes each
+
+    def test_error_is_the_lowest_failing_workers(self):
+        for _ in range(5):
+            trace = execute_run(SliceFaults({1: DeviceError, 3: DeviceError}), self.PARALLEL)
+            assert trace.error == "worker 1 IO 0 failed: slice 1"
+            assert sorted({r.worker for r in trace.records}) == [0, 2]
+            assert len(trace.records) == 32
+
+
 def mixed_schedule(rng, capacity, n, timing, bad_at=None):
     """n IOs of mixed sizes and modes over the device, with a pattern's
     gaps: none, a pause before every IO but the first, or one before every
@@ -205,7 +245,7 @@ def one_call_against_io_by_io(prof, extra, schedules, fill):
                 break
         devices.append(dev)
     one_dev, oracle = devices
-    assert issuer(one_dev) == one_dev.issue
+    assert issuer(one_dev) == one_dev.issue_rows
 
     def one_call(trace):
         if len(schedules) == 1:
@@ -251,7 +291,8 @@ class TestOneWorkerLoop:
     """A run, of one worker or of several merged, goes to the simulator in
     one device call, not through the reference interleaver; the two must
     agree IO for IO, because its clock advances by exactly the cost an IO
-    returns and by exactly an idle's duration."""
+    returns and by exactly an idle's duration.  So must the per-IO loop
+    that serves a device without its own."""
 
     @pytest.mark.parametrize("name, capacity", [("highend-ssd", 16 * MB), ("lowend-usb", 32 * MB)])
     def test_equals_the_interleaver_with_one_worker(self, name, capacity):
@@ -281,17 +322,24 @@ class TestOneWorkerLoop:
             "failing": generate_schedule(patterns["failing"]),
         }
         for key, pattern in patterns.items():
-            heap_dev, loop_dev = SimulatedDevice(profile), SimulatedDevice(profile)
-            heap_dev.restore_state(snapshot)
-            loop_dev.restore_state(snapshot)
+            heap_dev, loop_dev, worker_dev = (SimulatedDevice(profile) for _ in range(3))
+            for dev in (heap_dev, loop_dev, worker_dev):
+                dev.restore_state(snapshot)
             heap = Trace()
             interleave_io_by_io(heap_dev, [schedules[key]], heap)
             loop = execute_run(loop_dev, pattern)
-            assert loop.records == heap.records, key
-            assert loop.error == heap.error, key
-            assert (loop.error is not None) == (key == "failing"), key
-            assert loop_dev.now_us() == heap_dev.now_us(), key
-            assert device_state(loop_dev) == device_state(heap_dev), key
+            # the per-IO loop a raw device gets, here through the
+            # simulator's read, write and idle
+            worker = Trace()
+            worker.error = _run_one(
+                partial(_run_worker, worker_dev), 0, schedules[key], worker.records
+            )
+            assert (heap.error is not None) == (key == "failing"), key
+            for trace, dev in ((loop, loop_dev), (worker, worker_dev)):
+                assert trace.records == heap.records, key
+                assert trace.error == heap.error, key
+                assert dev.now_us() == heap_dev.now_us(), key
+                assert device_state(dev) == device_state(heap_dev), key
 
     @given(
         small_profiles(),
