@@ -50,7 +50,7 @@ from .methodology import (
     verify_plan,
 )
 from .microbench import (
-    BenchmarkPlan, ExperimentSpec, Micro, RunStep, StateReset, SuiteConfig, expand_suite,
+    BenchmarkPlan, ExperimentSpec, Micro, StateReset, SuiteConfig, expand_suite,
 )
 from .patterns import BASELINES, PatternError, derive_seed
 from .runner import execute_run, read_trace_csv, save_trace, summarize, trace_relpath
@@ -434,17 +434,16 @@ def cmd_plan(config_path: str, dry_run: bool) -> None:
     capacity = dev.capacity
     dev.close()
     plan = cfg.plan(capacity, cfg.device_profile())
-    experiments = [s.experiment for s in plan.run_steps() if s.run_index == 0]
     if dry_run:
-        for exp in experiments:
+        for exp in plan.experiments:
             click.echo(exp.describe())
-        click.echo(f"{len(experiments)} experiments")
+        click.echo(f"{len(plan.experiments)} experiments")
         return
     out = cfg.output_dir / "plan.json"
     save_plan(plan, out)
-    cfg.write_manifest("plan", experiments=len(experiments), steps=len(plan.steps))
+    cfg.write_manifest("plan", experiments=len(plan.experiments), steps=len(plan.steps))
     click.echo(
-        f"plan written to {out}: {len(experiments)} experiments, "
+        f"plan written to {out}: {len(plan.experiments)} experiments, "
         f"{len(plan.run_steps())} runs, "
         f"{sum(isinstance(s, StateReset) for s in plan.steps)} state resets"
     )
@@ -467,27 +466,28 @@ def cmd_run(config_path: str) -> None:
     traces_root = cfg.output_dir / "traces"
     device = cfg.device_label()
     # the trace directories, made once: an experiment's runs share one
-    for step in {s.experiment.experiment_id: s for s in plan.run_steps()}.values():
-        (traces_root / trace_relpath(step, device)).parent.mkdir(parents=True, exist_ok=True)
+    for exp in plan.experiments:
+        trace_dir = (traces_root / trace_relpath(exp.run_id(0), device)).parent
+        trace_dir.mkdir(parents=True, exist_ok=True)
     executed = 0
     skipped = 0
     for i, step in enumerate(plan.steps):
         if isinstance(step, StateReset):
             _enforce_state(dev, journal, commit, f"reset/{i}", step.seed)
             continue
-        step_id = step.step_id
+        exp, step_id = plan.resolve(step)
         if step_id in done:
             skipped += 1
             continue
         dev.idle(plan.inter_run_pause_us)
-        trace = execute_run(dev, step.experiment.pattern)
-        path = traces_root / trace_relpath(step, device)
+        trace = execute_run(dev, exp.pattern)
+        path = traces_root / trace_relpath(step_id, device)
         trace_bytes = save_trace(trace, path)
         if trace.error:
             commit(step_id, None, status="failed", error=trace.error)
             _fail(EXIT_DEVICE, f"{step_id}: {trace.error} (partial trace at {path})")
         # the run's result, which `report` reads in place of the trace
-        mean_us = summarize(trace, step.experiment.io_ignore)
+        mean_us = summarize(trace, exp.io_ignore)
         commit(step_id, len(trace.records), end=i == len(plan.steps) - 1, status="done",
                mean_us=mean_us, trace_bytes=trace_bytes)
         executed += 1
@@ -514,26 +514,26 @@ def cmd_report(config_path: str) -> None:
     latest = journal.latest()
     unfinished = 0
     run_means: dict[str, tuple[ExperimentSpec, list[float]]] = {}
-    phase: RunStep | None = None
+    phase_exp: ExperimentSpec | None = None
     for step in plan.run_steps():
-        entry = latest.get(step.step_id, {})
+        exp, step_id = plan.resolve(step)
+        entry = latest.get(step_id, {})
         if entry.get("status") != "done":
             unfinished += 1
             continue
         if "mean_us" not in entry:
             raise ValueError(
-                f"{step.step_id} is journaled done without its mean_us: the journal was "
+                f"{step_id} is journaled done without its mean_us: the journal was "
                 f"written before runs journaled their results; run the campaign again "
                 f"in a new output_dir"
             )
-        exp = step.experiment
-        path = traces_root / trace_relpath(step, device)
+        path = traces_root / trace_relpath(step_id, device)
         _check_trace(path, entry["trace_bytes"], exp.io_count)
         run_means.setdefault(exp.experiment_id, (exp, []))[1].append(entry["mean_us"])
-        if exp.baseline == "RW" and (phase is None or exp.io_count > phase.experiment.io_count):
-            phase = step
-    if phase:
-        with (traces_root / trace_relpath(phase, device)).open() as fp:
+        if exp.baseline == "RW" and (phase_exp is None or exp.io_count > phase_exp.io_count):
+            phase_exp, phase_path = exp, path
+    if phase_exp:
+        with phase_path.open() as fp:
             phase_rts = read_trace_csv(fp).rts
 
     outcomes = [aggregate(exp, means, dispersion_threshold) for exp, means in run_means.values()]
@@ -548,8 +548,8 @@ def cmd_report(config_path: str) -> None:
     write_atomic(report_dir / "summary.txt", report.to_text() + "\n")
     plots = report_dir / "plots"
     emit_plot_data(outcomes, plots)
-    if phase:
-        emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase.experiment.io_ignore)
+    if phase_exp:
+        emit_phase_trace(plots / "phase_trace.tsv", phase_rts, phase_exp.io_ignore)
     cfg.write_manifest("report", experiments=len(run_means))
     click.echo(report.to_text())
     click.echo(f"report written to {report_dir}")

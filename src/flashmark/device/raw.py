@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import random
 import time
 
 from . import DeviceError, SECTOR, UnsupportedError, check_alignment
@@ -76,7 +77,7 @@ class RawDevice:
             self.capacity -= self.capacity % SECTOR
         # payload is pseudo-random so devices that compress or dedupe
         # constant data cannot cheat
-        self._payload = _pseudo_bytes(write_seed or 0x9E3779B97F4A7C15, 1024 * 1024)
+        self._payload = random.Random(write_seed).randbytes(1024 * 1024)
         self._bufs = self._allocate(len(self._payload))
         self._closed = False
 
@@ -131,18 +132,6 @@ class RawDevice:
         if not self._closed:
             self._closed = True
             os.close(self._fd)
-
-
-def _pseudo_bytes(seed: int, n: int) -> bytes:
-    # xorshift-filled buffer; cheap and reproducible
-    out = bytearray()
-    x = seed or 0x9E3779B9
-    while len(out) < n:
-        x ^= (x << 13) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 7
-        x ^= (x << 17) & 0xFFFFFFFFFFFFFFFF
-        out += x.to_bytes(8, "little")
-    return bytes(out[:n])
 
 
 def precision_sleep(duration_us: int) -> None:

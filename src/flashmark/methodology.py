@@ -349,18 +349,18 @@ def build_plan(
     """
     ordered, resets = assign_target_offsets(list(experiments), capacity, suite.base_target_offset)
     pause = max(profile.inter_run_pause_us, MIN_INTER_RUN_PAUSE_US)
+    experiments = [exp.with_io_ignore(scaled_io_ignore(exp, profile)) for exp in ordered]
     steps: list[PlanStep] = []
     runs = 0
-    for pos, exp in enumerate(ordered):
+    for pos, exp in enumerate(experiments):
         if pos in resets:
             # indexed by the reset's position plus the runs before it, which
             # was its position when a pause step preceded every run (plan
             # format 3): every reset keeps its seed, and the device its history
             steps.append(StateReset(derive_seed(suite.seed, 0xF0, len(steps) + runs)))
-        exp = exp.with_io_ignore(scaled_io_ignore(exp, profile))
-        steps.extend(RunStep(exp, k) for k in range(exp.repetitions))
+        steps.extend(RunStep(pos, k) for k in range(exp.repetitions))
         runs += exp.repetitions
-    plan = BenchmarkPlan(steps=steps, capacity=capacity, io_size=suite.base_io_size,
+    plan = BenchmarkPlan(experiments, steps, capacity=capacity, io_size=suite.base_io_size,
                          inter_run_pause_us=pause)
     verify_plan(plan)
     return plan
@@ -388,11 +388,11 @@ def verify_plan(plan: BenchmarkPlan) -> None:
         if isinstance(step, StateReset):
             epoch_ranges = []
             continue
-        if step.step_id in step_ids:
-            raise PlanError(f"{step.step_id}: repeated step id; two runs would share one trace "
+        exp, step_id = plan.resolve(step)
+        if step_id in step_ids:
+            raise PlanError(f"{step_id}: repeated step id; two runs would share one trace "
                             "and one journal step")
-        step_ids.add(step.step_id)
-        exp = step.experiment
+        step_ids.add(step_id)
         for offset, size in exp.target_ranges:
             if offset + size > plan.capacity:
                 raise PlanError(f"{exp.experiment_id}: target range [{offset}, "

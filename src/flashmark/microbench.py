@@ -4,9 +4,9 @@ A micro-benchmark is a family of experiments over the four baseline
 patterns (SR, RR, SW, RW) in which exactly one parameter is swept over
 its declared range while everything else stays at the suite's shared
 baseline values.  Expansion is pure; target offsets are assigned in a
-second pass once the device capacity is known.  The plan step types at
-the end, which methodology.build_plan compiles experiments into, live
-here so that the JSON codec can load a plan without the device layer.
+second pass once the device capacity is known.  The plan types at the
+end, which methodology.build_plan compiles experiments into, live here
+so that the JSON codec can load a plan without the device layer.
 """
 
 from __future__ import annotations
@@ -146,6 +146,10 @@ class ExperimentSpec:
     @property
     def experiment_id(self) -> str:
         return f"{self.micro.value}/{self.baseline}/{self.varying_name}={self.varying_value}"
+
+    def run_id(self, run_index: int) -> str:
+        """The step id of run run_index: its trace's name and journal step."""
+        return f"{self.experiment_id}/run{run_index}"
 
     @property
     def io_count(self) -> int:
@@ -407,13 +411,11 @@ class StateReset:
 
 @dataclass(frozen=True)
 class RunStep:
-    experiment: ExperimentSpec
+    """Run run_index of the plan's experiments[experiment]."""
+
+    experiment: int
     run_index: int
     kind = "run"
-
-    @property
-    def step_id(self) -> str:
-        return f"{self.experiment.experiment_id}/run{self.run_index}"
 
 
 PlanStep = StateReset | RunStep
@@ -421,6 +423,10 @@ PlanStep = StateReset | RunStep
 
 @dataclass
 class BenchmarkPlan:
+    """The plan as plan.json states it: each experiment once, in the order
+    of its first run, and the steps, whose runs name one by position."""
+
+    experiments: list[ExperimentSpec]
     steps: list[PlanStep]
     capacity: int
     io_size: int  # the suite's base IO size, at which `report` states baseline costs
@@ -428,3 +434,8 @@ class BenchmarkPlan:
 
     def run_steps(self) -> list[RunStep]:
         return [s for s in self.steps if isinstance(s, RunStep)]
+
+    def resolve(self, step: RunStep) -> tuple[ExperimentSpec, str]:
+        """The experiment step runs and the step's id."""
+        exp = self.experiments[step.experiment]
+        return exp, exp.run_id(step.run_index)

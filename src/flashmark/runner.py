@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, NamedTuple
 
 from .device import BlockDevice, DeviceError
-from .microbench import RunStep
 from .patterns import (
     MixSpec,
     ParallelSpec,
@@ -207,27 +206,33 @@ def _run_merged(device: BlockDevice, schedules: list[Schedule], trace: Trace) ->
 def _run_threads(device: BlockDevice, schedules: list[Schedule], trace: Trace) -> None:
     """One thread per worker, released together by a barrier.  Once all
     end, the lowest raising worker's exception is raised, else the lowest
-    failing worker's failure is the trace's error."""
+    failing worker's failure is the trace's error.  A thread that cannot
+    start releases and joins the started ones, then its error is raised."""
     barrier = threading.Barrier(len(schedules))
     rows: list[list[TraceRecord]] = [[] for _ in schedules]
     issue = issuer(device)
     ends: list[str | Exception | None] = [None] * len(schedules)
 
     def work(w: int) -> None:
-        barrier.wait()
         try:
+            barrier.wait()
             ends[w] = _run_one(issue, w, schedules[w], rows[w])
         except Exception as exc:  # a thread's exception is otherwise lost
             ends[w] = exc
 
     # the calling thread is worker 0
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, len(schedules))]
-    for t in threads:
-        t.start()
+    started = 0
     try:
-        work(0)
-    finally:
         for t in threads:
+            t.start()
+            started += 1
+        work(0)
+    except BaseException:
+        barrier.abort()  # frees the started workers when one could not start
+        raise
+    finally:
+        for t in threads[:started]:
             t.join()
     raised = [e for e in ends if isinstance(e, Exception)]
     if raised:
@@ -242,8 +247,8 @@ def _run_threads(device: BlockDevice, schedules: list[Schedule], trace: Trace) -
 # ----------------------------------------------------------------- files
 
 
-def trace_relpath(step: RunStep, device_label: str) -> Path:
-    return Path(device_label) / f"{step.step_id}.csv"
+def trace_relpath(step_id: str, device_label: str) -> Path:
+    return Path(device_label) / f"{step_id}.csv"
 
 
 def write_trace_csv(trace: Trace, fp: IO[str]) -> None:

@@ -11,9 +11,10 @@ type, or a plan format mismatch raises SchemaError rather than guessing.
 A bool takes only true/false, an int only an integer, a float an integer
 or a float; ``X | None`` also takes null.
 
-``plan.json`` states each experiment once: the plan's run steps are
-written as references to its ``experiments`` list, by position, and
-decode to steps that share one ExperimentSpec per experiment.
+``plan.json`` is a BenchmarkPlan under its format version.  The plan
+states each experiment once and its run steps name one by position, so
+decoding also refuses a run that names no experiment and an experiment
+that no run names.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import typing
 from enum import Enum
 from pathlib import Path
 
-from .microbench import BenchmarkPlan, ExperimentSpec, RunStep, StateReset
+from .microbench import BenchmarkPlan, RunStep
 
 PLAN_FORMAT_VERSION = 6
 
@@ -176,36 +177,8 @@ def load(cls, path: str | Path):
     return from_data(cls, json.loads(Path(path).read_text()))
 
 
-@dataclasses.dataclass(frozen=True)
-class RunRef:
-    """A run step as plan.json writes it: run run_index of the plan's
-    experiments[experiment]."""
-
-    experiment: int
-    run_index: int
-    kind = RunStep.kind
-
-
-@dataclasses.dataclass(kw_only=True)
-class PlanFile(BenchmarkPlan):
-    """plan.json's body: the plan with each experiment stated once, in the
-    order of its first run, and its run steps written as RunRefs."""
-
-    steps: list[StateReset | RunRef]
-    experiments: list[ExperimentSpec]
-
-
 def plan_to_dict(plan: BenchmarkPlan) -> dict:
-    """plan's JSON values.  Experiments are deduplicated by value, so equal
-    plans encode alike whether or not their runs share spec objects."""
-    position: dict[ExperimentSpec, int] = {}
-    steps = [
-        RunRef(position.setdefault(s.experiment, len(position)), s.run_index)
-        if isinstance(s, RunStep) else s
-        for s in plan.steps
-    ]
-    body = PlanFile(**{**vars(plan), "steps": steps}, experiments=list(position))
-    return {"format_version": PLAN_FORMAT_VERSION, **to_data(body)}
+    return {"format_version": PLAN_FORMAT_VERSION, **to_data(plan)}
 
 
 def plan_from_dict(d: dict) -> BenchmarkPlan:
@@ -215,23 +188,19 @@ def plan_from_dict(d: dict) -> BenchmarkPlan:
         raise SchemaError(
             f"plan format {version!r} not supported (expected {PLAN_FORMAT_VERSION})"
         )
-    file = from_data(PlanFile, body)
-    experiments = file.experiments
-    steps = []
+    plan = from_data(BenchmarkPlan, body)
+    count = len(plan.experiments)
     named = set()
-    for i, step in enumerate(file.steps):
-        if isinstance(step, RunRef):
-            if not 0 <= step.experiment < len(experiments):
-                raise SchemaError(f"PlanFile.steps[{i}]: experiment {step.experiment} out of "
-                                  f"range ({len(experiments)} experiments)")
+    for i, step in enumerate(plan.steps):
+        if isinstance(step, RunStep):
+            if not 0 <= step.experiment < count:
+                raise SchemaError(f"BenchmarkPlan.steps[{i}]: experiment {step.experiment} "
+                                  f"out of range ({count} experiments)")
             named.add(step.experiment)
-            step = RunStep(experiments[step.experiment], step.run_index)
-        steps.append(step)
-    if len(named) < len(experiments):
-        unnamed = min(set(range(len(experiments))) - named)
-        raise SchemaError(f"PlanFile.experiments[{unnamed}]: no run step names it")
-    scalars = {k: v for k, v in vars(file).items() if k != "experiments"}
-    return BenchmarkPlan(**{**scalars, "steps": steps})
+    if len(named) < count:
+        unnamed = min(set(range(count)) - named)
+        raise SchemaError(f"BenchmarkPlan.experiments[{unnamed}]: no run step names it")
+    return plan
 
 
 def save_plan(plan: BenchmarkPlan, path: str | Path) -> None:

@@ -240,7 +240,7 @@ def _independent_replay(plan):
         if isinstance(step, StateReset):
             epochs.append([])
         elif isinstance(step, RunStep) and step.run_index == 0:
-            exp = step.experiment
+            exp = plan.experiments[step.experiment]
             for spec in exp.pattern.components:
                 if spec.mode is Mode.WRITE and not isinstance(spec.location, Random):
                     epochs[-1].append((spec.target_offset, spec.target_offset + spec.target_size))

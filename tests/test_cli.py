@@ -449,6 +449,27 @@ class TestPipeline:
         assert PLAN_DRIFT in r.output
         assert {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()} == report
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["steps"][0].update(experiment=len(p["experiments"])), "out of range"),
+        (lambda p: p["steps"][0].update(experiment=-1), "experiment -1 out of range"),
+        (lambda p: p["experiments"].append(p["experiments"][0]), "no run step names it"),
+    ], ids=["out-of-range", "negative", "unnamed"])
+    def test_run_and_report_refuse_a_plan_with_a_bad_reference(self, campaign, monkeypatch,
+                                                               edit, message):
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        plan = json.loads((out / "plan.json").read_text())
+        edit(plan)
+        (out / "plan.json").write_text(json.dumps(plan))
+        ios = record_device_ios(monkeypatch)
+        for cmd in ("run", "report"):
+            r = invoke([cmd, "--config", str(config_path)])
+            assert r.exit_code == 2, r.output
+            assert message in r.output
+        assert ios == []
+        assert not (out / "traces").exists() and not (out / "report").exists()
+
     def test_run_refuses_a_seed_that_no_longer_builds_the_plan(self, campaign, monkeypatch):
         # the plan's reset seeds, like its pattern seeds, come from the old seed
         config_path, out = campaign

@@ -936,6 +936,21 @@ class TestRawBackend:
         finally:
             dev.close()
 
+    def test_write_payload_is_seeded_and_incompressible(self, tmp_path):
+        # a device that compresses or dedupes its data cannot cheat
+        written = []
+        for k, seed in enumerate((1, 1, 2)):
+            path = tmp_path / f"blob{k}"
+            path.write_bytes(b"\0" * MB)
+            dev = RawDevice(str(path), write_seed=seed, require_direct=False)
+            try:
+                dev.write(0, MB)
+            finally:
+                dev.close()
+            written.append(path.read_bytes())
+        assert written[0] == written[1] != written[2]
+        assert len(zlib.compress(written[0])) > MB
+
     def test_fresh_thread_io_allocates_no_buffer(self, tmp_path, monkeypatch):
         # buffers allocated inside a timed IO would add to the gap after it
         import mmap

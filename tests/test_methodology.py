@@ -39,7 +39,9 @@ from flashmark.patterns import (
     Sequential,
 )
 from flashmark.runner import execute_run, summarize
-from flashmark.serialization import dumps, from_data, plan_from_dict, plan_to_dict, save_plan
+from flashmark.serialization import (
+    dumps, from_data, load_plan, plan_from_dict, plan_to_dict, save_plan,
+)
 from faults import failing_writes
 from oracles import device_state
 
@@ -357,9 +359,10 @@ class TestBuildPlan:
             event("refused")
             return
         event("planned")
-        for step in plan.run_steps():
-            for offset, size in step.experiment.target_ranges:
-                assert suite.base_target_offset <= offset and offset + size <= capacity, step.step_id
+        for exp in plan.experiments:
+            for offset, size in exp.target_ranges:
+                inside = suite.base_target_offset <= offset and offset + size <= capacity
+                assert inside, exp.experiment_id
 
     def test_empty_experiment_list(self):
         plan = build_plan([], profile_with(), 1 * GB, SuiteConfig())
@@ -370,10 +373,9 @@ class TestBuildPlan:
         cfg = SuiteConfig(io_count_by_pattern={"SR": 512, "RR": 512, "SW": 512, "RW": 512})
         exps = expand(Micro.GRANULARITY, cfg)
         plan = build_plan(exps, profile_with(startup_rw=128), 32 * GB, cfg)
-        for step in plan.run_steps():
-            base = step.experiment.baseline
-            want = 128 if base == "RW" else 0
-            assert step.experiment.io_ignore == want
+        for exp in plan.experiments:
+            want = 128 if exp.baseline == "RW" else 0
+            assert exp.io_ignore == want
 
     def test_mix_io_ignore_scaled_by_share(self):
         first = baseline_pattern(mode=Mode.READ, io_count=512, seed=1)
@@ -424,9 +426,9 @@ class TestBuildPlan:
         assert suite.max_target_size == capacity - 1 * MB
         assert suite.base_target_size == (capacity - 1 * MB) // 2
         plan = build_plan(expand_suite(suite), profile_with(), capacity, suite)
-        for step in plan.run_steps():
-            for offset, size in step.experiment.target_ranges:
-                assert 1 * MB <= offset and offset + size <= capacity, step.step_id
+        for exp in plan.experiments:
+            for offset, size in exp.target_ranges:
+                assert 1 * MB <= offset and offset + size <= capacity, exp.experiment_id
 
     def test_verify_catches_overlap(self):
         sw = baseline_pattern(mode=Mode.WRITE, location=Sequential(), io_count=64, seed=5)
@@ -439,10 +441,7 @@ class TestBuildPlan:
             varying_value=64 * KB, pattern=sw,  # same range: overlap
         )
         plan = BenchmarkPlan(
-            steps=[
-                RunStep(exp, 0),
-                RunStep(exp2, 0),
-            ],
+            experiments=[exp, exp2], steps=[RunStep(0, 0), RunStep(1, 0)],
             capacity=1 * GB, io_size=32 * KB,
         )
         with pytest.raises(PlanError):
@@ -463,10 +462,7 @@ class TestBuildPlan:
         ]
         assert exps[0].target_ranges == [(0, 2 * MB + 512)]
         plan = BenchmarkPlan(
-            steps=[
-                RunStep(exps[0], 0),
-                RunStep(exps[1], 0),
-            ],
+            experiments=exps, steps=[RunStep(0, 0), RunStep(1, 0)],
             capacity=1 * GB, io_size=32 * KB,
         )
         with pytest.raises(PlanError, match="overlaps"):
@@ -478,7 +474,7 @@ class TestBuildPlan:
             micro=Micro.ALIGNMENT, baseline="SW", varying_name="io_shift",
             varying_value=512, pattern=replace(sw, target_size=2 * MB, io_shift=512),
         )
-        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=2 * MB, io_size=32 * KB)
+        plan = BenchmarkPlan([exp], [RunStep(0, 0)], capacity=2 * MB, io_size=32 * KB)
         with pytest.raises(PlanError, match="exceeds capacity"):
             verify_plan(plan)
 
@@ -491,7 +487,7 @@ class TestBuildPlan:
             varying_value=rr.target_size, pattern=rr,
         )
         assert not exp.sequential_write_bearing
-        plan = BenchmarkPlan(steps=[RunStep(exp, 0)], capacity=32 * MB, io_size=32 * KB)
+        plan = BenchmarkPlan([exp], [RunStep(0, 0)], capacity=32 * MB, io_size=32 * KB)
         with pytest.raises(PlanError, match=r"\[1048576, 34603008\) exceeds capacity 33554432"):
             verify_plan(plan)
         verify_plan(replace(plan, capacity=33 * MB))
@@ -503,7 +499,7 @@ class TestBuildPlan:
             varying_value=100, pattern=sw,
         )
         plan = BenchmarkPlan(
-            steps=[RunStep(exp, 0)], capacity=1 * GB, io_size=32 * KB,
+            [exp], [RunStep(0, 0)], capacity=1 * GB, io_size=32 * KB,
             inter_run_pause_us=MIN_INTER_RUN_PAUSE_US - 1,
         )
         with pytest.raises(PlanError, match="inter-run pause 999999 us is below the minimum"):
@@ -515,12 +511,7 @@ class TestBuildPlan:
         exps = expand(Micro.MIX, cfg)[:4] + expand(Micro.PARALLELISM, cfg)[:4]
         plan = build_plan(exps, profile_with(), 32 * GB, cfg)
         again = plan_from_dict(json.loads(dumps(plan_to_dict(plan))))
-        assert again.capacity == plan.capacity
-        assert len(again.steps) == len(plan.steps)
-        assert [s.kind for s in again.steps] == [s.kind for s in plan.steps]
-        ours = [s.experiment for s in plan.run_steps()]
-        theirs = [s.experiment for s in again.run_steps()]
-        assert ours == theirs
+        assert again == plan
 
 
 # Suites whose plan.json bytes are pinned: (capacity, seed, SuiteConfig
@@ -573,6 +564,15 @@ class TestPlanBytes:
         text = (tmp_path / "plan.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == PINNED_PLAN_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", sorted(PINNED_SUITES))
+    def test_loaded_plan_equals_the_built_one_and_saves_alike(self, name, tmp_path):
+        plan = pinned_plan(name)
+        save_plan(plan, tmp_path / "plan.json")
+        again = load_plan(tmp_path / "plan.json")
+        assert again == plan
+        save_plan(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "plan.json").read_bytes()
+
     def test_plan_json_states_each_experiment_once(self, tmp_path):
         # a plan.json that repeats an experiment's spec in each of its run
         # steps makes encoding it the benchmark campaign's peak memory
@@ -583,7 +583,8 @@ class TestPlanBytes:
             f"{e['micro']}/{e['baseline']}/{e['varying_name']}={e['varying_value']}"
             for e in json.loads(text)["experiments"]
         ]
-        assert sorted(written) == sorted({s.experiment.experiment_id for s in plan.run_steps()})
+        planned = {plan.resolve(s)[0].experiment_id for s in plan.run_steps()}
+        assert sorted(written) == sorted(planned)
         assert len(text) <= 0.4 * FORMAT5_PERFBENCH_PLAN_BYTES
 
 

@@ -141,8 +141,8 @@ def test_state_reset_resumes_at_its_checkpoint(tmp_path, monkeypatch):
     reset = next(i for i, s in enumerate(plan.steps) if isinstance(s, StateReset))
     writes_before = sum(
         row.split(",")[5] == "write"
-        for step in plan.steps[:reset]
-        for row in (whole / "traces" / trace_relpath(step, "lowend-usb")).read_text().splitlines()
+        for _, step_id in map(plan.resolve, plan.steps[:reset])
+        for row in (whole / "traces" / trace_relpath(step_id, "lowend-usb")).read_text().splitlines()
     )
     # the reset's 20th write fails: the checkpoint at 16 IOs is journaled
     with failing_writes(writes_before + 20):

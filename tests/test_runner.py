@@ -1,5 +1,6 @@
 import io
 import random
+import threading
 from functools import partial
 
 import pytest
@@ -10,7 +11,7 @@ from flashmark.analysis import aggregate
 from flashmark.device import DeviceError, SimProfile, SimulatedDevice, builtin_profile
 from flashmark.device.simulator import SimulationStall
 from flashmark.methodology import enforce_random_state
-from flashmark.microbench import ExperimentSpec, Micro, RunStep
+from flashmark.microbench import ExperimentSpec, Micro
 from flashmark.patterns import (
     Burst,
     Consecutive,
@@ -213,6 +214,28 @@ class TestThreadedRun:
             assert trace.error == "worker 1 IO 0 failed: slice 1"
             assert sorted({r.worker for r in trace.records}) == [0, 2]
             assert len(trace.records) == 32
+
+    def test_a_thread_that_cannot_start_frees_the_started_ones(self, monkeypatch):
+        started = []
+
+        class ThirdStartFails(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                # daemon, so that a worker left on the barrier cannot hang pytest
+                super().__init__(*args, daemon=True, **kwargs)
+
+            def start(self):
+                if len(started) == 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+                started.append(self)
+
+        monkeypatch.setattr(threading, "Thread", ThirdStartFails)
+        dev = SliceFaults({})
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            execute_run(dev, self.PARALLEL)
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
+        assert dev.served == []
 
 
 def mixed_schedule(rng, capacity, n, timing, bad_at=None):
@@ -564,7 +587,7 @@ class TestTraceFiles:
 
     def test_trace_path_scheme(self, tmp_path):
         exp = make_experiment(make_pattern())
-        rel = trace_relpath(RunStep(exp, 2), "sim")
+        rel = trace_relpath(exp.run_id(2), "sim")
         assert str(rel) == "sim/granularity/SR/io_size=32768/run2.csv"
         (tmp_path / rel).parent.mkdir(parents=True)
         save_trace(make_trace([1]), tmp_path / rel)

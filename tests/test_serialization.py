@@ -1,4 +1,3 @@
-import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -49,7 +48,8 @@ def small_plan() -> BenchmarkPlan:
         pattern=make_spec(timing=Burst(pause_us=1000, burst_count=4)),
     )
     return BenchmarkPlan(
-        steps=[StateReset(seed=11), RunStep(exp, 0)], capacity=64 * MB, io_size=32 * KB
+        experiments=[exp], steps=[StateReset(seed=11), RunStep(0, 0)],
+        capacity=64 * MB, io_size=32 * KB,
     )
 
 
@@ -139,11 +139,11 @@ class TestStrictness:
 
 def two_experiment_plan() -> BenchmarkPlan:
     """Two experiments of two runs each, the second after a state reset."""
-    first = small_plan().steps[1].experiment
+    first = small_plan().experiments[0]
     second = replace(first, varying_value=8, pattern=make_spec(io_count=8))
     return BenchmarkPlan(
-        steps=[RunStep(first, 0), RunStep(first, 1), StateReset(seed=5),
-               RunStep(second, 0), RunStep(second, 1)],
+        experiments=[first, second],
+        steps=[RunStep(0, 0), RunStep(0, 1), StateReset(seed=5), RunStep(1, 0), RunStep(1, 1)],
         capacity=64 * MB, io_size=32 * KB,
     )
 
@@ -158,35 +158,28 @@ class TestPlanReferences:
         assert [s.get("experiment") for s in d["steps"]] == [0, 0, None, 1, 1]
         again = plan_from_dict(json.loads(json.dumps(d)))
         assert again == plan
-        runs = again.run_steps()
-        assert runs[0].experiment is runs[1].experiment
-        assert runs[2].experiment is runs[3].experiment
-        assert runs[0].experiment is not runs[2].experiment
+        assert [again.resolve(s) for s in again.run_steps()] == [
+            (e, e.run_id(k)) for e in plan.experiments for k in (0, 1)
+        ]
 
     def test_equal_plans_encode_to_equal_bytes(self, tmp_path):
         cfg = SuiteConfig(io_count_by_pattern={"SR": 64, "RR": 64, "SW": 64, "RW": 64})
         plans = [build_plan(expand(Micro.MIX, cfg)[:4], DeviceProfile(), 32 * GB, cfg)
                  for _ in range(2)]
-        # equal specs that are distinct objects, one per run
-        plans.append(replace(plans[0], steps=[
-            RunStep(copy.deepcopy(s.experiment), s.run_index) if isinstance(s, RunStep) else s
-            for s in plans[0].steps
-        ]))
-        assert plans[2].run_steps()[0].experiment is not plans[2].run_steps()[1].experiment
         texts = []
         for k, plan in enumerate(plans):
             save_plan(plan, tmp_path / f"plan{k}.json")
             texts.append((tmp_path / f"plan{k}.json").read_bytes())
-        assert texts[0] == texts[1] == texts[2]
-        assert len(json.loads(texts[2])["experiments"]) == 4
+        assert texts[0] == texts[1]
+        assert len(json.loads(texts[0])["experiments"]) == 4
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda ref: ref.update(repeat=2), r"RunRef: unknown key\(s\) \['repeat'\]"),
-        (lambda ref: ref.pop("experiment"), r"RunRef: missing key\(s\) \['experiment'\]"),
+        (lambda ref: ref.update(repeat=2), r"RunStep: unknown key\(s\) \['repeat'\]"),
+        (lambda ref: ref.pop("experiment"), r"RunStep: missing key\(s\) \['experiment'\]"),
         (lambda ref: ref.update(experiment=2), r"steps\[3\]: experiment 2 out of range"),
         (lambda ref: ref.update(experiment=-1), r"steps\[3\]: experiment -1 out of range"),
-        (lambda ref: ref.update(experiment=True), r"RunRef\.experiment: expected int, got True"),
-        (lambda ref: ref.update(experiment="1"), r"RunRef\.experiment: expected int, got '1'"),
+        (lambda ref: ref.update(experiment=True), r"RunStep\.experiment: expected int, got True"),
+        (lambda ref: ref.update(experiment="1"), r"RunStep\.experiment: expected int, got '1'"),
     ], ids=["unknown-key", "missing-key", "out-of-range", "negative", "bool", "string"])
     def test_bad_run_reference_rejected(self, edit, message):
         d = json.loads(json.dumps(plan_to_dict(two_experiment_plan())))
@@ -210,7 +203,8 @@ class TestPlanReferences:
 class TestScalarTypes:
     def test_bool_for_int_field_rejected(self):
         with pytest.raises(SchemaError, match=r"BenchmarkPlan\.capacity"):
-            from_data(BenchmarkPlan, {"steps": [], "capacity": True, "io_size": 32 * KB})
+            from_data(BenchmarkPlan, {"experiments": [], "steps": [], "capacity": True,
+                                      "io_size": 32 * KB})
 
     def test_string_for_bool_field_rejected(self):
         with pytest.raises(SchemaError, match=r"SimProfile\.hide_stream_gc"):
