@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .microbench import ExperimentSpec
+from .microbench import LOCALITY_RANDOM_MULTIPLES, PARTITION_COUNTS, ExperimentSpec
 from .patterns import BASELINES
 from .serialization import write_atomic
 
@@ -288,17 +288,19 @@ def build_summary(
         report.locality_area = largest_within(
             [(size, mean) for size, mean in loc if size > io_size], sw, thresholds.locality_factor
         )
-        if len(loc) < 17:  # full declared sweep is 2^0..2^16 x io_size
+        declared = len(LOCALITY_RANDOM_MULTIPLES)
+        if len(loc) < declared:
             report.notes.append(
-                f"locality/RW sweep partial: {len(loc)} of 17 points "
+                f"locality/RW sweep partial: {len(loc)} of {declared} points "
                 f"(largest {max(s for s, _ in loc)} bytes)"
             )
 
     parts = sweep("partitioning", "SW")
     if parts and sw:
         report.partition_threshold = largest_within(parts, sw, thresholds.partition_factor)
-        if len(parts) < 9:  # full declared sweep is 2^0..2^8
-            report.notes.append(f"partitioning/SW sweep partial: {len(parts)} of 9 points")
+        declared = len(PARTITION_COUNTS)
+        if len(parts) < declared:
+            report.notes.append(f"partitioning/SW sweep partial: {len(parts)} of {declared} points")
 
     order = sweep("order", "SW")
     if order and sw and rw:

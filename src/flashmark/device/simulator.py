@@ -704,8 +704,10 @@ class SimulatedDevice:
         """Load a snapshot_state blob of this format and profile: inflate the
         direct map's differences (to exactly 8 bytes per map unit, with
         nothing after the stream) and sum them, then derive the inverse map
-        and valid counts and check the pool and frontiers against them.  A
-        blob that fails any of this raises DeviceError, nothing loaded."""
+        and valid counts and check the pool and frontiers against them.  Every
+        header value must have the type the device keeps: an int (not a
+        bool), or for the drain credit an int or a float.  A blob that fails
+        any of this raises DeviceError, nothing loaded."""
         n = int.from_bytes(blob[:8], "little")
         try:
             header = json.loads(blob[8 : 8 + n])
@@ -724,6 +726,14 @@ class SimulatedDevice:
                 _stream_starts=[s for s, _ in streams], _stream_ends=[e for _, e in streams],
                 _cached_regions=dict.fromkeys(header["cached_regions"]),
             )
+            counts = ("journaled", "_erases", "_clock_us", "_pages_programmed", "_gc_copies")
+            ints = [state[name] for name in counts] + state["_stream_starts"]
+            ints += [*state["_stream_ends"], *state["_cached_regions"]]
+            wrong = [v for v in ints if type(v) is not int]
+            if type(state["_drain_credit"]) not in (int, float):
+                wrong.append(state["_drain_credit"])
+            if wrong:
+                raise DeviceError(f"snapshot header value {wrong[0]!r} has the wrong type")
             frontiers = (state["_host"], state["_gc"])
             self._check_blocks(state["_pool"], frontiers)
             held = self._held_blocks(state["_pool"], frontiers)

@@ -37,7 +37,10 @@ class Journal:
         """Keep the first n entries, rewriting the file atomically."""
         if n > len(self.entries):
             raise ValueError(f"journal holds {len(self.entries)} entries, "
-                             f"but the device snapshot reflects {n}")
+                             f"but the device snapshot reflects {n}: the journal lost "
+                             "entries, as after a host crash, and no command resumes "
+                             "these files; start the campaign again from format in a "
+                             "new output_dir")
         del self.entries[n:]
         write_atomic(self.path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries))
 

@@ -201,6 +201,13 @@ def _pow2(lo: int, hi: int) -> list[int]:
     return [1 << k for k in range(lo, hi + 1)]
 
 
+# declared sweep points that the summary counts to flag a partial sweep:
+# locality's random targets, in base IO sizes, and partitioning's
+# partition counts
+LOCALITY_RANDOM_MULTIPLES = _pow2(0, 16)
+PARTITION_COUNTS = _pow2(0, 8)
+
+
 def expand(micro: Micro, cfg: SuiteConfig) -> list[ExperimentSpec]:
     """Expand one micro-benchmark into its experiment list."""
     try:
@@ -257,7 +264,7 @@ def _expand_locality(cfg: SuiteConfig) -> list[ExperimentSpec]:
         return _baseline_pattern(cfg, baseline, seed, target_size=target) if _fits(cfg, target) else None
 
     io = cfg.base_io_size
-    random = [m * io for m in _pow2(0, 16)]
+    random = [m * io for m in LOCALITY_RANDOM_MULTIPLES]
     sequential = [m * io for m in _pow2(0, 8)]
     return (
         _sweep(cfg, Micro.LOCALITY, "target_size", random, point, ("RR", "RW"))
@@ -279,7 +286,7 @@ def _expand_partitioning(cfg: SuiteConfig) -> list[ExperimentSpec]:
             location=Partitioned(partitions=partitions), target_size=slots * cfg.base_io_size,
         )
 
-    return _sweep(cfg, Micro.PARTITIONING, "partitions", _pow2(0, 8), point, ("SR", "SW"))
+    return _sweep(cfg, Micro.PARTITIONING, "partitions", PARTITION_COUNTS, point, ("SR", "SW"))
 
 
 def _expand_order(cfg: SuiteConfig) -> list[ExperimentSpec]:

@@ -14,14 +14,14 @@ the schedule byte for byte.  A schedule is held as columns, one entry
 per IO: the gap the runner inserts between the previous IO's completion
 and its own submission, the address, the size and whether it writes.
 Submission times follow from measured response times, which only the
-runner knows.  Iterating a schedule gives its rows.
+runner knows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -153,22 +153,12 @@ class Partitioned:
 Location = Union[Sequential, Random, Ordered, Partitioned]
 
 
-class IORequest(NamedTuple):
-    """One scheduled IO: gap_us is the pause between the completion of the
-    previous IO and this IO's submission."""
-
-    gap_us: int
-    lba: int
-    size: int
-    mode: Mode
-
-
 @dataclass(frozen=True)
 class Schedule:
     """A schedule's columns, one entry per IO in issue order: the gap
-    before it (see IORequest), its address, its size and whether it
-    writes (else it reads).  Its length is its IO count; indexing and
-    iteration give IORequest rows."""
+    before it, in µs between the completion of the previous IO and its
+    own submission; its address; its size; and whether it writes (else
+    it reads).  Its length is its IO count."""
 
     gaps: list[int]
     lbas: list[int]
@@ -177,16 +167,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.lbas)
-
-    def __getitem__(self, i: int) -> IORequest:
-        return IORequest(self.gaps[i], self.lbas[i], self.sizes[i], _MODES[self.writes[i]])
-
-    def __iter__(self) -> Iterator[IORequest]:
-        modes = map(_MODES.__getitem__, self.writes)
-        return map(IORequest, self.gaps, self.lbas, self.sizes, modes)
-
-
-_MODES = (Mode.READ, Mode.WRITE)  # indexed by a schedule's write flag
 
 
 @dataclass(frozen=True)
@@ -391,11 +371,6 @@ def _lbas(spec: PatternSpec, i: np.ndarray) -> np.ndarray:
     else:  # pragma: no cover - exhaustive over Location
         raise PatternError(f"unknown location function: {loc!r}")
     return spec.target_offset + spec.io_shift + off
-
-
-def lba_at(spec: PatternSpec, i: int) -> int:
-    """Address of the i-th IO of a pattern (see _lbas)."""
-    return int(_lbas(spec, np.array([i], dtype=np.int64))[0])
 
 
 def _gaps(spec: PatternSpec) -> list[int]:

@@ -17,6 +17,7 @@ from flashmark.analysis import (
     order_ratios,
     running_average,
 )
+from flashmark.microbench import Micro, SuiteConfig, expand_suite
 from flashmark.serialization import dumps
 
 KB = 1024
@@ -261,6 +262,29 @@ class TestBuildSummary:
             outcome("pause", "RW", "pause_us", 25_600, 8_800.0),
         ]
         assert summary(out).pause_effect_us is None
+
+    def _declared_sweeps(self):
+        """One outcome per declared point of the locality and partitioning
+        sweeps, with the SW cost that the summary judges them against."""
+        experiments = expand_suite(SuiteConfig(), [Micro.LOCALITY, Micro.PARTITIONING])
+        return [outcome("granularity", "SW", "io_size", 32 * KB, 400.0)] + [
+            outcome(e.micro.value, e.baseline, e.varying_name, e.varying_value, 500.0)
+            for e in experiments
+        ]
+
+    def test_every_declared_sweep_point_gives_no_note(self):
+        assert summary(self._declared_sweeps()).notes == []
+
+    def test_one_missing_sweep_point_gives_a_partial_note(self):
+        out = [
+            o for o in self._declared_sweeps()
+            if (o.micro, o.baseline, o.varying_value) not in
+            {("locality", "RW", 32 * KB), ("partitioning", "SW", 4)}
+        ]
+        assert summary(out).notes == [
+            "locality/RW sweep partial: 16 of 17 points (largest 2147483648 bytes)",
+            "partitioning/SW sweep partial: 8 of 9 points",
+        ]
 
     def test_empty_outcomes_give_null_report(self):
         rep = summary([], device="empty")

@@ -331,13 +331,23 @@ class TestSnapshot:
         lambda blob, header, source: with_header(blob, {
             **header, "scalars": {**header["scalars"], "_host": [header["pool"][0], 0]},
         }),
+        lambda blob, header, source: with_header(blob, {**header, "journaled": "3"}),
+        lambda blob, header, source: with_header(blob, {**header, "journaled": True}),
+        with_scalar("_clock_us", lambda clock: "x"),
+        with_scalar("_erases", lambda erases: 1.5),
+        with_scalar("_drain_credit", lambda credit: "0.5"),
+        with_scalar("_drain_credit", lambda credit: False),
+        lambda blob, header, source: with_header(blob, {**header, "cached_regions": ["a"]}),
+        lambda blob, header, source: with_header(blob, {**header, "streams": [[0, 4096.0]]}),
     ], ids=[
         "truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range",
         "map-entry-past-the-last-slot", "two-units-one-slot", "map-8-bytes-short", "format-3",
         "unit-in-a-pool-block", "unit-past-the-host-fill", "map-not-zlib", "map-checksum-cut",
         "bytes-after-the-map", "map-one-unit-short", "map-one-unit-long",
         "pool-block-negative", "pool-block-repeated", "host-fill-negative", "host-fill-40",
-        "gc-fill-past-ups", "host-block-in-the-pool",
+        "gc-fill-past-ups", "host-block-in-the-pool", "journaled-a-string",
+        "journaled-a-bool", "clock-a-string", "erases-a-float", "drain-credit-a-string",
+        "drain-credit-a-bool", "cached-region-a-string", "stream-bound-a-float",
     ])
     def test_failed_restore_changes_nothing(self, damage):
         prof = builtin_profile("highend-ssd", capacity=16 * MB)
@@ -1047,3 +1057,26 @@ class TestRawBackend:
             assert {r.worker for r in trace.records} == {0, 1, 2, 3}
         finally:
             dev.close()
+
+    def test_paused_run_waits_the_pause_after_each_completion(self, tmp_path):
+        # a gapped run on the real clock: precision_sleep holds every IO
+        # after the first until the pause has passed since the previous
+        # IO completed, less 2 us for the us clock's rounding
+        from flashmark.patterns import Pause, baseline_pattern
+        from flashmark.runner import execute_run
+
+        pause = 2000
+        path = tmp_path / "blob"
+        path.write_bytes(b"\0" * (4 * MB))
+        dev = RawDevice(str(path), require_direct=False)
+        try:
+            pattern = baseline_pattern("RW", 32 * KB, 32, 4 * MB, seed=1, timing=Pause(pause))
+            trace = execute_run(dev, pattern)
+        finally:
+            dev.close()
+        assert trace.error is None
+        records = trace.records
+        assert len(records) == 32
+        for prev, io in zip(records, records[1:]):
+            completed = prev.actual_submit_us + prev.response_time_us
+            assert io.actual_submit_us - completed >= pause - 2

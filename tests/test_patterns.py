@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flashmark.patterns import (
     Burst,
     Consecutive,
-    IORequest,
     MixSpec,
     Mode,
     Ordered,
@@ -19,11 +18,11 @@ from flashmark.patterns import (
     PatternSpec,
     Pause,
     Random,
+    Schedule,
     ScheduleError,
     Sequential,
     generate_schedule,
     interleave_mix,
-    lba_at,
     split_parallel,
     uniform_index,
     uniform_indices,
@@ -83,10 +82,14 @@ def pattern_specs(draw):
     )
 
 
+def lbas(spec):
+    return generate_schedule(spec).lbas
+
+
 class TestLbaAt:
     def test_sequential_direct_formula(self):
         spec = make_spec(io_size=32768, target_offset=0)
-        assert lba_at(spec, 3) == 98304
+        assert lbas(spec)[3] == 98304
 
     def test_partitioned_hand_evaluated_walk(self):
         # 3 partitions over 6 slots of 512B: PS = 2 slots.
@@ -96,47 +99,45 @@ class TestLbaAt:
             target_size=6 * 512,
             io_count=6,
         )
-        units = [lba_at(spec, i) // 512 for i in range(6)]
-        assert units == [0, 2, 4, 1, 3, 5]
+        assert [lba // 512 for lba in lbas(spec)] == [0, 2, 4, 1, 3, 5]
 
     def test_ordered_in_place(self):
         spec = make_spec(location=Ordered(incr=0), target_offset=4096, io_count=32)
-        assert {lba_at(spec, i) for i in range(32)} == {4096}
+        assert set(lbas(spec)) == {4096}
 
     def test_random_same_index_same_address(self):
+        # an IO's address depends on its index alone, not on the IO count
         spec = make_spec(location=Random(), io_count=64)
-        for i in (0, 7, 63):
-            assert lba_at(spec, i) == lba_at(spec, i)
+        assert lbas(replace(spec, io_count=8)) == lbas(spec)[:8]
 
     def test_ordered_negative_counts_down_from_top(self):
         spec = make_spec(location=Ordered(incr=-1), io_count=16, target_size=16 * 32 * KB)
-        lbas = [lba_at(spec, i) for i in range(16)]
-        assert lbas[0] == spec.target_size - spec.io_size
-        assert lbas[-1] == 0
-        assert sorted(lbas) == [i * spec.io_size for i in range(16)]
+        walk = lbas(spec)
+        assert walk[0] == spec.target_size - spec.io_size
+        assert walk[-1] == 0
+        assert sorted(walk) == [i * spec.io_size for i in range(16)]
 
     def test_ordered_overflow_error_names_index(self):
+        # a 64-slot step leaves the 16-slot space at the second IO
         spec = make_spec(location=Ordered(incr=64), io_count=16, target_size=16 * 32 * KB)
         with pytest.raises(ScheduleError) as exc:
-            lba_at(spec, 15)
-        assert exc.value.index == 15
+            generate_schedule(spec)
+        assert exc.value.index == 1
 
     def test_sequential_wraps_modulo_target(self):
-        spec = make_spec(target_size=4 * 32 * KB, io_count=10)
-        assert lba_at(spec, 4) == lba_at(spec, 0)
-        assert lba_at(spec, 7) == lba_at(spec, 3)
+        walk = lbas(make_spec(target_size=4 * 32 * KB, io_count=10))
+        assert walk[4] == walk[0]
+        assert walk[7] == walk[3]
 
     @given(pattern_specs())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, spec):
-        for i in range(spec.io_count):
-            assert lba_at(spec, i) == oracle_lba(spec, i)
+        assert lbas(spec) == [oracle_lba(spec, i) for i in range(spec.io_count)]
 
     @given(pattern_specs())
     @settings(max_examples=100, deadline=None)
     def test_containment_and_alignment(self, spec):
-        for i in range(spec.io_count):
-            lba = lba_at(spec, i)
+        for lba in lbas(spec):
             assert spec.target_offset <= lba
             assert lba + spec.io_size <= spec.target_offset + spec.target_size + spec.io_shift
             assert (lba - spec.target_offset - spec.io_shift) % spec.io_size == 0
@@ -145,25 +146,23 @@ class TestLbaAt:
 class TestGenerateSchedule:
     def test_sequential_write_schedule(self):
         spec = make_spec(io_count=4, io_size=32768)
-        sched = generate_schedule(spec)
-        assert list(sched) == [
-            IORequest(gap_us=0, lba=lba, size=32768, mode=Mode.WRITE)
-            for lba in (0, 32768, 65536, 98304)
-        ]
-        assert IORequest._fields == ("gap_us", "lba", "size", "mode")
+        assert generate_schedule(spec) == Schedule(
+            gaps=[0] * 4,
+            lbas=[0, 32768, 65536, 98304],
+            sizes=[32768] * 4,
+            writes=[True] * 4,
+        )
 
     def test_pause_gap_precedes_every_io_but_the_first(self):
         sched = generate_schedule(make_spec(timing=Pause(pause_us=250), io_count=4))
-        assert [r.gap_us for r in sched] == [0, 250, 250, 250]
+        assert sched.gaps == [0, 250, 250, 250]
 
     def test_partitioned_is_permutation_of_sequential(self):
         part = make_spec(
             location=Partitioned(partitions=3), io_size=512, target_size=6 * 512, io_count=6
         )
         seq = replace(part, location=Sequential())
-        got = sorted(r.lba for r in generate_schedule(part))
-        want = sorted(r.lba for r in generate_schedule(seq))
-        assert got == want
+        assert sorted(lbas(part)) == sorted(lbas(seq))
 
     def test_zero_io_count_rejected(self):
         with pytest.raises(PatternError):
@@ -178,18 +177,18 @@ class TestGenerateSchedule:
         p = 5000
         burst1 = generate_schedule(make_spec(timing=Burst(pause_us=p, burst_count=1), io_count=32))
         pause = generate_schedule(make_spec(timing=Pause(pause_us=p), io_count=32))
-        assert [r.gap_us for r in burst1] == [r.gap_us for r in pause]
+        assert burst1.gaps == pause.gaps
 
         burst0 = generate_schedule(make_spec(timing=Burst(pause_us=0, burst_count=9), io_count=32))
         cons = generate_schedule(make_spec(io_count=32))
-        assert [r.gap_us for r in burst0] == [r.gap_us for r in cons]
+        assert burst0.gaps == cons.gaps
 
     def test_burst_submit_lower_bounds(self):
         sched = generate_schedule(
             make_spec(timing=Burst(pause_us=100, burst_count=4), io_count=12)
         )
         # one pause before each group of 4 but the first
-        assert [r.gap_us for r in sched] == [
+        assert sched.gaps == [
             0, 0, 0, 0, 100, 0, 0, 0, 100, 0, 0, 0,
         ]
 
@@ -197,9 +196,9 @@ class TestGenerateSchedule:
     @settings(max_examples=50, deadline=None)
     def test_submit_times_non_decreasing(self, spec):
         # a gap is never negative, and the first IO waits for nothing
-        sched = generate_schedule(spec)
-        assert sched[0].gap_us == 0
-        assert all(r.gap_us >= 0 for r in sched)
+        gaps = generate_schedule(spec).gaps
+        assert gaps[0] == 0
+        assert all(gap >= 0 for gap in gaps)
 
 
 class TestMix:
@@ -215,27 +214,23 @@ class TestMix:
 
     def test_ratio_four_round_robin(self):
         mix = self._mk_mix(4, first_count=8, second_count=2)
-        modes = [r.mode for r in interleave_mix(mix)]
-        assert modes == [Mode.READ] * 4 + [Mode.WRITE] + [Mode.READ] * 4 + [Mode.WRITE]
+        writes = interleave_mix(mix).writes
+        assert writes == [False] * 4 + [True] + [False] * 4 + [True]
 
     def test_ratio_one_alternates(self):
         mix = self._mk_mix(1, first_count=3, second_count=3)
-        modes = [r.mode for r in interleave_mix(mix)]
-        assert modes == [Mode.READ, Mode.WRITE] * 3
+        assert interleave_mix(mix).writes == [False, True] * 3
 
     def test_truncates_when_first_exhausts(self):
         mix = self._mk_mix(4, first_count=6, second_count=100)
-        seq = interleave_mix(mix)
         # 4 reads, 1 write, then only 2 reads remain: stop there.
-        assert [r.mode for r in seq] == [Mode.READ] * 4 + [Mode.WRITE] + [Mode.READ] * 2
+        assert interleave_mix(mix).writes == [False] * 4 + [True] + [False] * 2
 
     def test_component_indices_advance_independently(self):
         mix = self._mk_mix(2, first_count=6, second_count=3)
         seq = interleave_mix(mix)
-        reads = [r for r in seq if r.mode is Mode.READ]
-        from flashmark.patterns import lba_at as _lba
-
-        assert [r.lba for r in reads] == [_lba(mix.first, i) for i in range(len(reads))]
+        reads = [lba for lba, write in zip(seq.lbas, seq.writes) if not write]
+        assert reads == lbas(mix.first)[: len(reads)]
 
     def test_overlapping_targets_rejected(self):
         first = make_spec(location=Random(), mode=Mode.READ)
@@ -247,11 +242,10 @@ class TestMix:
     @settings(max_examples=20, deadline=None)
     def test_exactly_ratio_firsts_between_seconds(self, ratio):
         mix = self._mk_mix(ratio, first_count=ratio * 5, second_count=5)
-        seq = interleave_mix(mix)
         runs = []
         count = 0
-        for r in seq:
-            if r.mode is Mode.WRITE:
+        for write in interleave_mix(mix).writes:
+            if write:
                 runs.append(count)
                 count = 0
             else:
@@ -376,7 +370,7 @@ def reference_gap(spec, i):
 def reference_mix(mix):
     """interleave_mix one IO at a time: whose turn, then that component's
     next index, until the component whose turn it is has run out."""
-    out = []
+    out = Schedule([], [], [], [])
     k = 0
     while True:
         group, turn = divmod(k, mix.ratio + 1)
@@ -386,7 +380,10 @@ def reference_mix(mix):
             sub, i = mix.second, group
         if i >= sub.io_count:
             return out
-        out.append(IORequest(0, lba_at(sub, i), sub.io_size, sub.mode))
+        out.gaps.append(0)
+        out.lbas.append(oracle_lba(sub, i))
+        out.sizes.append(sub.io_size)
+        out.writes.append(sub.mode is Mode.WRITE)
         k += 1
 
 
@@ -424,14 +421,15 @@ class TestSeedStreams:
     @settings(max_examples=200, deadline=None)
     def test_schedule_rows_match_per_io_rows(self, spec, timing, mode):
         spec = replace(spec, timing=timing, mode=mode)
-        want = [
-            IORequest(reference_gap(spec, i), lba_at(spec, i), spec.io_size, spec.mode)
-            for i in range(spec.io_count)
-        ]
+        n = spec.io_count
         schedule = generate_schedule(spec)
-        assert len(schedule) == spec.io_count
-        assert list(schedule) == want
-        assert [r.lba for r in want] == [oracle_lba(spec, i) for i in range(spec.io_count)]
+        assert len(schedule) == n
+        assert schedule == Schedule(
+            [reference_gap(spec, i) for i in range(n)],
+            [oracle_lba(spec, i) for i in range(n)],
+            [spec.io_size] * n,
+            [spec.mode is Mode.WRITE] * n,
+        )
 
     @given(
         st.sampled_from([Sequential(), Random()]),
@@ -451,7 +449,7 @@ class TestSeedStreams:
         mix = MixSpec(first=first, second=second, ratio=ratio)
         schedule = interleave_mix(mix)
         assert len(schedule) == mix.io_count
-        assert list(schedule) == reference_mix(mix)
+        assert schedule == reference_mix(mix)
 
     @pytest.mark.parametrize("incr", [-3, -1, 1, 2, 64, 10**15])
     def test_ordered_out_of_range_names_the_first_index(self, incr):

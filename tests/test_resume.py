@@ -243,6 +243,7 @@ class TestResume:
         assert r.exit_code == 2
         # calibrate's snapshot reflects format done and calibrate done
         assert "journal holds 0 entries, but the device snapshot reflects 2" in r.output
+        assert "start the campaign again from format in a new output_dir" in r.output
 
     def test_format_two_snapshot_exits_three_and_keeps_the_journal(self, tmp_path):
         config_path = write_campaign(tmp_path, "lowend-usb")
@@ -261,17 +262,19 @@ class TestResume:
         assert "snapshot version mismatch: 2" in r.output
         assert (out / "journal.jsonl").read_bytes() == journal
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-pool"])
+    @pytest.mark.parametrize("damage", ["truncated", "no-pool", "journaled-a-string"])
     def test_unusable_snapshot_exits_three_and_changes_nothing(self, tmp_path, damage):
         config_path = write_campaign(tmp_path, "highend-ssd")
         out = tmp_path / "out"
         assert invoke("format", config_path).exit_code == 0
         blob = (out / "device_state.bin").read_bytes()
+        header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
         if damage == "truncated":
             blob = blob[:-100]
-        else:
-            header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
+        elif damage == "no-pool":
             blob = with_header(blob, {k: v for k, v in header.items() if k != "pool"})
+        else:
+            blob = with_header(blob, {**header, "journaled": str(header["journaled"])})
         (out / "device_state.bin").write_bytes(blob)
         journal = (out / "journal.jsonl").read_bytes()
         r = invoke("calibrate", config_path)
