@@ -47,7 +47,7 @@ from .methodology import (
     calibrate_pause,
     calibrate_phases,
     enforce_random_state,
-    verify_plan,
+    verify_plan,  # unused here; perfbench/tracer.py wraps it under this name
 )
 from .microbench import (
     BenchmarkPlan, ExperimentSpec, Micro, StateReset, SuiteConfig, expand_suite,
@@ -237,7 +237,10 @@ def _enforce_state(dev: BlockDevice, journal: Journal, commit, step: str, seed: 
     or `reset/<i>`.  Does nothing if the step's latest entry is done, and
     otherwise resumes at its last checkpoint.  Every CHECKPOINT_IOS IOs it
     commits a checkpoint and prints coverage, IOs and an ETA; at the end it
-    commits done, as a stage end if end is set.  None if nothing was done."""
+    commits done, as a stage end if end is set, with the IOs, coverage and
+    bytes written.  The bytes count the replayed writes, so a resumed
+    enforcement journals what an uninterrupted one does.  None if nothing
+    was done."""
     last = journal.last(step) or {}
     if last.get("status") == "done":
         return None
@@ -264,8 +267,8 @@ def _enforce_state(dev: BlockDevice, journal: Journal, commit, step: str, seed: 
     )
     show(result.coverage, result.ios_issued)
     click.echo("", err=True)
-    commit(step, result.ios_issued % CHECKPOINT_IOS, end=end,
-           status="done", ios=result.ios_issued, coverage=result.coverage)
+    commit(step, result.ios_issued % CHECKPOINT_IOS, end=end, status="done",
+           ios=result.ios_issued, coverage=result.coverage, bytes=result.bytes_written)
     return result
 
 
@@ -459,7 +462,6 @@ def cmd_run(config_path: str) -> None:
     journal, commit = cfg.resume(dev)
     _require(journal, "calibrate")
     plan, plan_hash = _load_plan(cfg, journal)
-    verify_plan(plan)
     if journal.last("run") is None:
         journal.record("run", plan=plan_hash)
     done = journal.done_steps()

@@ -54,14 +54,22 @@ are one-row calls of it.  The loop keeps the device's maps and counters
 in local names; a failing IO ends the call, with the state it leaves
 stored back.
 
+The direct map, the inverse map, the id table and the queue of
+overwritten slots are 32-bit arrays, so a geometry of 2**31 map units or
+flash slots or more is refused before any array is made.
+
 A snapshot (format 5) is an 8-byte little-endian header length, a JSON
 header (the scalars, frontiers included, the journaled count, the pool,
 streams and cached regions), then the direct map alone, as the int64
 differences of successive entries compressed with zlib.  Host writes
-place units in runs, so most differences are 1: the 512 KB map of a
-128 MB highend-ssd device compresses to 27-75 KB.  Restore inflates and
-sums the map, derives the inverse map and valid counts from it, and
-checks the whole state before it assigns any of it.
+place units in runs, so most differences are 1: the map of a 128 MB
+highend-ssd device, 256 KB in memory and 512 KB of differences,
+compresses to 27-75 KB.  The differences are deflated a chunk of the map
+at a time, through one stream with no flush between chunks, which gives
+the bytes of a one-shot compression.  Restore inflates and sums them
+chunk by chunk into one 32-bit scratch map, checking each entry in 64
+bits before it narrows it, derives the inverse map and valid counts from
+it, and checks the whole state before it assigns any of it.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ KB = 1024
 MB = 1024 * 1024
 
 _SNAPSHOT_VERSION = 5
+_CHUNK = 2**14  # direct-map entries a snapshot deflates or inflates at a time
 
 
 class SimulationStall(DeviceError):
@@ -243,13 +252,16 @@ class SimulatedDevice:
 
         # direct map: unit -> slot; inverse: slot -> unit; valid slots per block
         n_units, n_slots = p.capacity // self._unit, self._n_blocks * self._ups
-        self._direct = array("q", [-1]) * n_units
-        self._inverse = array("q", [-1]) * n_slots
+        if max(n_units, n_slots) >= 2**31:
+            raise ValueError(f"{n_units} map units and {n_slots} flash slots: "
+                             "the maps hold at most 2**31 - 1 of each")
+        self._direct = array("i", [-1]) * n_units
+        self._inverse = array("i", [-1]) * n_slots
         self._valid = array("i", [0]) * self._n_blocks
         # i at index i: write copies runs of unit and slot numbers from it
-        self._ids = array("q", range(max(n_units, n_slots)))
+        self._ids = array("i", range(max(n_units, n_slots)))
         # slots overwritten since the last _retire, which unmaps them
-        self._retired = array("q")
+        self._retired = array("i")
 
         self._pool = deque(range(p.free_block_pool))
         self._host = [-1, self._ups]
@@ -267,11 +279,11 @@ class SimulatedDevice:
         self._gc_copies = 0
         # campaign journal entries this state reflects, kept in the snapshot
         self.journaled = 0
-        self._direct_view = np.frombuffer(self._direct, dtype=np.int64)
-        self._inverse_view = np.frombuffer(self._inverse, dtype=np.int64)
+        self._direct_view = np.frombuffer(self._direct, dtype=np.int32)
+        self._inverse_view = np.frombuffer(self._inverse, dtype=np.int32)
         self._inverse_blocks = self._inverse_view.reshape(self._n_blocks, self._ups)
         self._valid_view = np.frombuffer(self._valid, dtype=np.int32)
-        self._block_slots = np.arange(self._ups)
+        self._block_slots = np.arange(self._ups, dtype=np.int32)
         self._held = self._held_blocks()
         # little-endian scores (valid + held <= 2 * ups + 1), searched by _ranked
         dtype = np.min_scalar_type(2 * self._ups + 1).newbyteorder("<")
@@ -564,7 +576,8 @@ class SimulatedDevice:
                 units = rows[rows >= 0]
                 self._inverse_blocks[victims] = -1
                 valid[victims] = 0
-                slots = (np.array([first, *opened])[:, None] * ups + self._block_slots).ravel()
+                blocks = np.array([first, *opened], dtype=np.int32)
+                slots = (blocks[:, None] * ups + self._block_slots).ravel()
                 slots = slots[fill : fill + copies]
                 self._direct_view[units] = slots
                 self._inverse_view[slots] = units
@@ -593,7 +606,7 @@ class SimulatedDevice:
         is skipped."""
         queue = self._retired
         if queue:
-            old = np.array(queue, dtype=np.int64)  # a copy: the queue is emptied below
+            old = np.array(queue, dtype=np.int32)  # a copy: the queue is emptied below
             old = old[old >= 0]
             self._inverse_view[old] = -1
             counts = np.bincount(old // self._ups, minlength=self._n_blocks)
@@ -639,10 +652,10 @@ class SimulatedDevice:
         (built with one extra last slot, which the -1 of unmapped units hits);
         raises error when a unit maps outside the flash slots, two to one, into
         a block of pool, or past the fill of one of frontiers."""
-        inverse = np.full(self._inverse_view.size + 1, -1, dtype=np.int64)
+        inverse = np.full(self._inverse_view.size + 1, -1, dtype=np.int32)
         if not -1 <= direct.min() <= direct.max() < inverse.size - 1:
             raise error("a logical unit maps outside the flash slots")
-        inverse[direct] = np.frombuffer(self._ids, dtype=np.int64)[: direct.size]
+        inverse[direct] = np.frombuffer(self._ids, dtype=np.int32)[: direct.size]
         mapped = (inverse[:-1] >= 0).reshape(self._n_blocks, self._ups)
         if np.count_nonzero(mapped) != np.count_nonzero(direct >= 0):
             raise error("two logical units map to the same slot")
@@ -697,14 +710,27 @@ class SimulatedDevice:
             "cached_regions": list(self._cached_regions),
         }
         head = json.dumps(header, sort_keys=True).encode()
-        packed = zlib.compress(np.diff(self._direct_view, prepend=0).tobytes(), 1)
-        return b"".join([len(head).to_bytes(8, "little"), head, packed])
+        parts = [len(head).to_bytes(8, "little"), head]
+        # the differences, a chunk at a time, through one deflate stream:
+        # unflushed, its output is the one-shot compression's
+        deflater = zlib.compressobj(1)
+        direct = self._direct_view
+        deltas = np.empty(min(_CHUNK, direct.size), dtype=np.int64)
+        last = 0
+        for i in range(0, direct.size, _CHUNK):
+            chunk = direct[i : i + _CHUNK]
+            part = deltas[: chunk.size]
+            part[0] = int(chunk[0]) - last
+            np.subtract(chunk[1:], chunk[:-1], out=part[1:], dtype=np.int64)
+            parts.append(deflater.compress(part))
+            last = int(chunk[-1])
+        parts.append(deflater.flush())
+        return b"".join(parts)
 
     def restore_state(self, blob: bytes) -> None:
-        """Load a snapshot_state blob of this format and profile: inflate the
-        direct map's differences (to exactly 8 bytes per map unit, with
-        nothing after the stream) and sum them, then derive the inverse map
-        and valid counts and check the pool and frontiers against them.  Every
+        """Load a snapshot_state blob of this format and profile: inflate and
+        sum the direct map (_inflated_map), then derive the inverse map and
+        valid counts and check the pool and frontiers against them.  Every
         header value must have the type the device keeps: an int (not a
         bool), or for the drain credit an int or a float.  A blob that fails
         any of this raises DeviceError, nothing loaded."""
@@ -739,21 +765,44 @@ class SimulatedDevice:
             held = self._held_blocks(state["_pool"], frontiers)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DeviceError(f"snapshot header malformed: {exc!r}") from None
-        size = self._direct_view.nbytes
-        inflater = zlib.decompressobj()
-        try:
-            deltas = inflater.decompress(blob[8 + n :], size + 1)
-        except zlib.error as exc:
-            raise DeviceError(f"snapshot map does not inflate: {exc}") from None
-        if not inflater.eof or inflater.unused_data or len(deltas) != size:
-            raise DeviceError("snapshot truncated, trailed by stray bytes or of another geometry")
-        direct = np.cumsum(np.frombuffer(deltas, dtype=np.int64))
+        direct = self._inflated_map(memoryview(blob)[8 + n :])
         inverse, valid = self._derived_maps(direct, state["_pool"], frontiers)
         for name, value in state.items():
             setattr(self, name, value)
         self._direct_view[:], self._inverse_view[:], self._valid_view[:] = direct, inverse, valid
         del self._retired[:]
         self._held[:] = held
+
+    def _inflated_map(self, stream) -> np.ndarray:
+        """The direct map whose differences the zlib stream holds, inflated
+        and summed _CHUNK entries at a time into a 32-bit scratch map.  Each
+        sum is checked in 64 bits to be -1 or a flash slot before it is
+        narrowed.  Raises DeviceError unless the stream inflates to exactly
+        8 bytes per map unit, with nothing after it."""
+        direct = np.empty_like(self._direct_view)
+        sums = np.empty(min(_CHUNK, direct.size), dtype=np.int64)
+        inflater = zlib.decompressobj()
+        refusal = "snapshot truncated, trailed by stray bytes or of another geometry"
+        last = 0
+        try:
+            for i in range(0, direct.size, _CHUNK):
+                part = sums[: direct.size - i]
+                deltas = inflater.decompress(stream, part.nbytes)
+                stream = inflater.unconsumed_tail
+                if len(deltas) < part.nbytes:
+                    raise DeviceError(refusal)
+                np.cumsum(np.frombuffer(deltas, dtype=np.int64), out=part)
+                part += last
+                if not -1 <= part.min() <= part.max() < self._inverse_view.size:
+                    raise DeviceError("a logical unit maps outside the flash slots")
+                direct[i : i + part.size] = part
+                last = int(part[-1])
+            trailing = inflater.decompress(stream, 1)
+        except zlib.error as exc:
+            raise DeviceError(f"snapshot map does not inflate: {exc}") from None
+        if trailing or not inflater.eof or inflater.unused_data:
+            raise DeviceError(refusal)
+        return direct
 
     def save_state(self, path: str | Path) -> None:
         write_atomic(path, self.snapshot_state())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from flashmark.device import (
     check_alignment,
     probe_raw_capabilities,
 )
+from flashmark.device import simulator
 from flashmark.device.simulator import SimulationStall
 from flashmark.methodology import enforce_random_state
 from flashmark.patterns import uniform_index
@@ -206,8 +208,9 @@ def with_map(blob, data):
 
 def with_direct(blob, direct):
     """blob, a snapshot, with its direct map replaced by direct, encoded as
-    format 5 encodes it: successive differences, compressed with zlib."""
-    return with_map(blob, zlib.compress(np.diff(direct, prepend=0).tobytes()))
+    format 5 encodes it: successive int64 differences, compressed with zlib."""
+    deltas = np.diff(np.asarray(direct, dtype=np.int64), prepend=0)
+    return with_map(blob, zlib.compress(deltas.tobytes()))
 
 
 def remapped_unit_zero(slot):
@@ -229,6 +232,15 @@ def two_units_one_slot(blob, header, source):
     direct = source._direct_view.copy()
     first, second = np.flatnonzero(direct >= 0)[:2]
     direct[second] = direct[first]
+    return with_direct(blob, direct)
+
+
+def wrapped_past_32_bits(blob, header, source):
+    """A mapped unit sent to 2**32 + its slot: narrowed to 32 bits before the
+    range check, the entry would wrap to the slot and load."""
+    direct = source._direct_view.astype(np.int64)
+    first = np.flatnonzero(direct >= 0)[0]
+    direct[first] += 2**32
     return with_direct(blob, direct)
 
 
@@ -339,6 +351,7 @@ class TestSnapshot:
         with_scalar("_drain_credit", lambda credit: False),
         lambda blob, header, source: with_header(blob, {**header, "cached_regions": ["a"]}),
         lambda blob, header, source: with_header(blob, {**header, "streams": [[0, 4096.0]]}),
+        wrapped_past_32_bits,
     ], ids=[
         "truncated", "no-pool", "not-json", "version", "profile", "pool-block-out-of-range",
         "map-entry-past-the-last-slot", "two-units-one-slot", "map-8-bytes-short", "format-3",
@@ -348,6 +361,7 @@ class TestSnapshot:
         "gc-fill-past-ups", "host-block-in-the-pool", "journaled-a-string",
         "journaled-a-bool", "clock-a-string", "erases-a-float", "drain-credit-a-string",
         "drain-credit-a-bool", "cached-region-a-string", "stream-bound-a-float",
+        "map-entry-wrapping-past-32-bits",
     ])
     def test_failed_restore_changes_nothing(self, damage):
         prof = builtin_profile("highend-ssd", capacity=16 * MB)
@@ -898,6 +912,67 @@ class TestPinnedBehaviour:
         assert resumed.snapshot_state() == dev.snapshot_state()
 
 
+# SHA-256 of snapshot_state() at the half-way point of pinned_mix, per
+# shrunk built-in profile as in PINNED_SIM, and of a 16 MB highend-ssd
+# device after enforce_random_state(seed=3).  They pin snapshot format 5
+# byte for byte, and with it the bytes every state persist writes.
+PINNED_SNAPSHOTS = {
+    "highend-ssd": "a6abc2e723224624791af4c95586aa8d2f34dd4f51594a03065c6f948055f59b",
+    "lowend-usb": "c5248ff6d0aa310f722256af6192b1292f9c4f6a4c8bc5caca4a082f071d057d",
+    "enforced": "69aede2032525b45b8d96e296321b058657a15cf4cca0b0f33269db0a921f198",
+}
+
+
+class TestPinnedSnapshots:
+    @pytest.mark.parametrize("name", sorted(PINNED_SIM))
+    def test_pinned_mix_half_way_snapshot(self, name):
+        prof = builtin_profile(name, **PINNED_SIM[name][0])
+        ops = pinned_mix(prof.capacity)
+        dev = SimulatedDevice(prof)
+        apply_ops(dev, ops[: len(ops) // 2])
+        assert hashlib.sha256(dev.snapshot_state()).hexdigest() == PINNED_SNAPSHOTS[name]
+
+    def test_enforced_snapshot(self):
+        dev = SimulatedDevice(builtin_profile("highend-ssd", capacity=16 * MB))
+        enforce_random_state(dev, seed=3)
+        assert hashlib.sha256(dev.snapshot_state()).hexdigest() == PINNED_SNAPSHOTS["enforced"]
+
+
+def traced_peak(call) -> int:
+    """The most bytes tracemalloc saw allocated at once during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSnapshotMemory:
+    # tracemalloc counts numpy's buffers and zlib's state exactly, where the
+    # process's peak RSS depends on the allocator.  The map of a 256 MB
+    # highend-ssd device is 1 MiB at 8 bytes per unit.
+    @staticmethod
+    def enforced():
+        dev = SimulatedDevice(builtin_profile("highend-ssd", capacity=256 * MB))
+        enforce_random_state(dev, seed=3)
+        return dev
+
+    def test_snapshot_copies_no_whole_map(self):
+        dev = self.enforced()
+        assert traced_peak(dev.snapshot_state) <= 0.75 * 8 * dev._direct_view.size
+
+    def test_restore_holds_only_its_two_scratch_maps(self):
+        dev = self.enforced()
+        blob = dev.snapshot_state()
+        restored = SimulatedDevice(dev.profile)
+        peak = traced_peak(lambda: restored.restore_state(blob))
+        # the 32-bit scratch maps: direct, and inverse with its one extra slot
+        scratch = 4 * (dev._direct_view.size + dev._inverse_view.size + 1)
+        assert peak <= 1.75 * scratch
+        assert device_state(restored) == device_state(dev)
+
+
 class TestProfiles:
     def test_json_round_trip(self):
         prof = builtin_profile("lowend-usb")
@@ -914,6 +989,15 @@ class TestProfiles:
             SimProfile(map_granularity=3000)
         with pytest.raises(ValueError):
             SimProfile(gc_mode="lazy")
+
+    def test_geometry_past_32_bit_maps_refused_before_allocating(self, monkeypatch):
+        # 2**42 bytes in 2 KB units is 2**31 units: no 32-bit map holds them
+        def allocate(*args):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(simulator, "array", allocate)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            SimulatedDevice(builtin_profile("highend-ssd", capacity=2**42))
 
     @pytest.mark.parametrize("field, bad, least", [
         ("capacity", 0, 1), ("page_size", 0, 1), ("pages_per_block", 0, 1),

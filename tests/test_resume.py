@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from flashmark import cli
 from flashmark.device import builtin_profile
 from flashmark.journal import Journal
+from flashmark.methodology import enforce_random_state
 from flashmark.microbench import StateReset
+from flashmark.patterns import derive_seed
 from flashmark.runner import trace_relpath
 from flashmark.serialization import load_plan
 from faults import failing_writes
 from test_cli import assert_run_refuses_the_plan, record_device_ios
 from test_device_sim import with_header
+from test_methodology import WriteLog
 
 MB = 1024 * 1024
 STAGES = ("format", "calibrate", "plan", "run", "report")
@@ -174,6 +177,27 @@ def test_run_seeds_each_reset_from_the_plan(tmp_path, monkeypatch):
     plan = load_plan(tmp_path / "out" / "plan.json")
     assert seeds == [s.seed for s in plan.steps if isinstance(s, StateReset)]
     assert len(set(seeds)) == len(seeds) > 1
+
+
+def test_each_enforcement_journals_the_bytes_it_writes(tmp_path):
+    # format's and every reset's done entry carries the bytes its writes
+    # total, as a do-nothing device counts them; a resumed enforcement
+    # counts its replayed writes too, so it journals the same (the journals
+    # of test_state_reset_resumes_at_its_checkpoint are equal)
+    config_path = write_campaign(tmp_path, "lowend-usb")
+    for stage in ("format", "calibrate", "plan", "run"):
+        assert invoke(stage, config_path).exit_code == 0
+    out = tmp_path / "out"
+    plan = load_plan(out / "plan.json")
+    done = {e["step"]: e for e in Journal(out / "journal.jsonl").entries
+            if e.get("status") == "done"}
+    seeds = {"format": derive_seed(5, 0xF0)}
+    seeds.update((f"reset/{i}", s.seed) for i, s in enumerate(plan.steps)
+                 if isinstance(s, StateReset))
+    assert len(seeds) > 2
+    for step, seed in seeds.items():
+        written = enforce_random_state(WriteLog(plan.capacity), seed).bytes_written
+        assert done[step]["bytes"] == written
 
 
 def test_run_refuses_a_plan_with_an_edited_reset_seed(tmp_path, monkeypatch):
