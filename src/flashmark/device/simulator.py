@@ -258,8 +258,10 @@ class SimulatedDevice:
         self._direct = array("i", [-1]) * n_units
         self._inverse = array("i", [-1]) * n_slots
         self._valid = array("i", [0]) * self._n_blocks
-        # i at index i: write copies runs of unit and slot numbers from it
-        self._ids = array("i", range(max(n_units, n_slots)))
+        # i at index i: write copies runs of unit and slot numbers from it.
+        # Filled from numpy, whose int32 range is the only transient
+        self._ids = array("i", [0]) * max(n_units, n_slots)
+        np.frombuffer(self._ids, dtype=np.int32)[:] = np.arange(len(self._ids), dtype=np.int32)
         # slots overwritten since the last _retire, which unmaps them
         self._retired = array("i")
 

@@ -108,6 +108,7 @@ class EnforceResult:
 MAX_FORMAT_IO = 128 * KB  # writes range from one sector to the flash block size
 OVERWRITE_FACTOR = 1.1  # random writes cover this many capacities before the hole fill
 HOLE_FILL_SECTORS = MAX_FORMAT_IO // 512 - 1  # longest targeted write, in sectors
+HOLE_SCAN_SECTORS = 1 << 16  # bitmap entries _hole_fill compares at a time
 
 
 def _random_writes(seed: int, cap: int) -> tuple[list[int], list[int]]:
@@ -140,11 +141,23 @@ def _hole_fill(covered: np.ndarray) -> tuple[list[int], list[int]]:
     """(lbas, sizes) of the targeted writes that cover every unwritten
     sector: each run of holes, in address order, cut from its start into
     chunks of at most HOLE_FILL_SECTORS sectors."""
-    # runs start where covered falls to 0 and end where it rises; int8
-    # bounds keep the edges int8 (a Python int would widen them to int64)
-    edges = np.diff(covered.view(np.int8), prepend=np.int8(1), append=np.int8(1))
-    run_start = np.flatnonzero(edges == -1)
-    run_len = np.flatnonzero(edges == 1) - run_start
+    # runs start where covered falls to 0 and end where it rises, with a
+    # covered sector before and after the bitmap.  It is compared
+    # HOLE_SCAN_SECTORS at a time, so no temporary is the bitmap's size;
+    # int8 bounds keep the edges int8 (a Python int would widen them to int64)
+    bits = covered.view(np.int8)
+    falls, rises = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    before = np.int8(1)
+    for lo in range(0, bits.size, HOLE_SCAN_SECTORS):
+        window = bits[lo : lo + HOLE_SCAN_SECTORS]
+        edges = np.diff(window, prepend=before)
+        falls.append(np.flatnonzero(edges == -1) + lo)
+        rises.append(np.flatnonzero(edges == 1) + lo)
+        before = window[-1]  # a run open here goes on in the next window
+    if before == 0:
+        rises.append(np.array([bits.size]))
+    run_start = np.concatenate(falls)
+    run_len = np.concatenate(rises) - run_start
     pieces = -(-run_len // HOLE_FILL_SECTORS)
     # k: the chunk's place within its run
     k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -358,7 +371,7 @@ def build_plan(
             # was its position when a pause step preceded every run (plan
             # format 3): every reset keeps its seed, and the device its history
             steps.append(StateReset(derive_seed(suite.seed, 0xF0, len(steps) + runs)))
-        steps.extend(RunStep(pos, k) for k in range(exp.repetitions))
+        steps.extend(map(RunStep, repeat(pos), range(exp.repetitions)))
         runs += exp.repetitions
     plan = BenchmarkPlan(experiments, steps, capacity=capacity, io_size=suite.base_io_size,
                          inter_run_pause_us=pause)
@@ -374,34 +387,43 @@ def verify_plan(plan: BenchmarkPlan) -> None:
     step), that every run's target ranges lie inside the device, and, per
     state epoch, that the ranges of sequential-write-bearing experiments
     never overlap.  A range includes the io_shift overhang past the
-    nominal target end, as the allocator reserves it.
+    nominal target end, as the allocator reserves it.  The runs of one
+    experiment share its ranges, so they are checked at its first run.
     """
     if plan.inter_run_pause_us < MIN_INTER_RUN_PAUSE_US:
         raise PlanError(
             f"inter-run pause {plan.inter_run_pause_us} us is below the minimum "
             f"{MIN_INTER_RUN_PAUSE_US} us"
         )
+    ids = [exp.experiment_id for exp in plan.experiments]
     epoch_ranges: list[tuple[int, int]] = []
     seen_first_rep: set[str] = set()
-    step_ids: set[str] = set()
+    # a step id is its experiment's id and "/run<index>", so the pair names it
+    step_ids: set[tuple[str, int]] = set()
+    checked: set[int] = set()  # experiments by position
     for step in plan.steps:
         if isinstance(step, StateReset):
             epoch_ranges = []
             continue
-        exp, step_id = plan.resolve(step)
+        pos = step.experiment
+        step_id = (ids[pos], step.run_index)
         if step_id in step_ids:
-            raise PlanError(f"{step_id}: repeated step id; two runs would share one trace "
-                            "and one journal step")
+            raise PlanError(f"{plan.resolve(step)[1]}: repeated step id; two runs would "
+                            "share one trace and one journal step")
         step_ids.add(step_id)
+        if pos in checked:
+            continue
+        checked.add(pos)
+        exp = plan.experiments[pos]
         for offset, size in exp.target_ranges:
             if offset + size > plan.capacity:
-                raise PlanError(f"{exp.experiment_id}: target range [{offset}, "
+                raise PlanError(f"{ids[pos]}: target range [{offset}, "
                                 f"{offset + size}) exceeds capacity {plan.capacity}")
-        if not exp.sequential_write_bearing or exp.experiment_id in seen_first_rep:
+        if not exp.sequential_write_bearing or ids[pos] in seen_first_rep:
             continue
-        seen_first_rep.add(exp.experiment_id)
+        seen_first_rep.add(ids[pos])
         for rng in exp.target_ranges:
             if any(_ranges_overlap(rng, other) for other in epoch_ranges):
-                raise PlanError(f"{exp.experiment_id}: reserved range overlaps an "
+                raise PlanError(f"{ids[pos]}: reserved range overlaps an "
                                 f"earlier one in the same epoch")
             epoch_ranges.append(rng)

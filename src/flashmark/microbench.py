@@ -27,7 +27,7 @@ from .patterns import (
     PatternSpec,
     Pause,
     baseline_pattern,
-    derive_seed,
+    derive_seeds,
     interleave_mix,  # unused here; perfbench/tracer.py still wraps this name
 )
 
@@ -168,13 +168,18 @@ class ExperimentSpec:
         return any(s.writes_sequentially for s in self.pattern.components)
 
     def rebase(self, new_offset: int) -> "ExperimentSpec":
-        """Shift all target ranges so the lowest one starts at new_offset."""
+        """Shift all target ranges so the lowest one starts at new_offset;
+        the experiment itself if it already does."""
         lowest = min(s.target_offset for s in self.pattern.components)
+        if lowest == new_offset:
+            return self
         return replace(self, pattern=self.pattern.shifted(new_offset - lowest))
 
     def with_io_ignore(self, io_ignore: int) -> "ExperimentSpec":
-        """Set the per-run warm-up count (clamped below the run length)."""
-        return replace(self, io_ignore=max(0, min(io_ignore, self.io_count - 1)))
+        """Set the per-run warm-up count (clamped below the run length);
+        the experiment itself if that is its count already."""
+        io_ignore = max(0, min(io_ignore, self.io_count - 1))
+        return self if io_ignore == self.io_ignore else replace(self, io_ignore=io_ignore)
 
     def describe(self) -> str:
         offs = ",".join(str(o) for o, _ in self.target_ranges)
@@ -188,13 +193,14 @@ class ExperimentSpec:
 def _baseline_pattern(cfg: SuiteConfig, baseline: str, seed: int, **varied) -> PatternSpec:
     """The suite's baseline pattern; `varied` replaces any keyword of
     patterns.baseline_pattern."""
-    values = dict(
-        io_size=cfg.base_io_size,
-        io_count=cfg.io_count(baseline),
-        roam_size=cfg.base_target_size,
-        target_offset=cfg.base_target_offset,
-    )
-    return baseline_pattern(baseline, seed=seed, **{**values, **varied})
+    return baseline_pattern(baseline, **{
+        "io_size": cfg.base_io_size,
+        "io_count": cfg.io_count(baseline),
+        "roam_size": cfg.base_target_size,
+        "target_offset": cfg.base_target_offset,
+        "seed": seed,
+        **varied,
+    })
 
 
 def _pow2(lo: int, hi: int) -> list[int]:
@@ -237,9 +243,10 @@ def _sweep(
     counted from first_index, and the baseline's position in BASELINES.
     """
     out = []
+    positions = [BASELINES.index(b) for b in baselines]
     for index, value in enumerate(values, first_index):
-        for baseline in baselines:
-            seed = derive_seed(cfg.seed, _SEED_TAG[micro], index, BASELINES.index(baseline))
+        seeds = derive_seeds(cfg.seed, (_SEED_TAG[micro], index), positions)
+        for baseline, seed in zip(baselines, seeds):
             pattern = point(baseline, value, seed)
             if pattern is not None:
                 out.append(ExperimentSpec(micro, baseline, name, value, pattern, cfg.repetitions))
@@ -321,14 +328,9 @@ def _expand_mix(cfg: SuiteConfig) -> list[ExperimentSpec]:
     for pair_idx, (b1, b2) in enumerate(MIX_PAIRS):
         for value_idx, ratio in enumerate(_pow2(0, 6)):
             n2 = max(1, max(cfg.io_count(b1), cfg.io_count(b2)) // (ratio + 1))
-            first = _baseline_pattern(
-                cfg, b1, derive_seed(cfg.seed, _SEED_TAG[Micro.MIX], pair_idx, value_idx, 0),
-                io_count=ratio * n2, roam_size=half,
-            )
-            second = _baseline_pattern(
-                cfg, b2, derive_seed(cfg.seed, _SEED_TAG[Micro.MIX], pair_idx, value_idx, 1),
-                io_count=n2, roam_size=half,
-            )
+            seeds = derive_seeds(cfg.seed, (_SEED_TAG[Micro.MIX], pair_idx, value_idx), (0, 1))
+            first = _baseline_pattern(cfg, b1, seeds[0], io_count=ratio * n2, roam_size=half)
+            second = _baseline_pattern(cfg, b2, seeds[1], io_count=n2, roam_size=half)
             mix = MixSpec(first=first, second=second.shifted(first.target_size), ratio=ratio)
             out.append(ExperimentSpec(Micro.MIX, f"{b1}+{b2}", "ratio", ratio, mix, cfg.repetitions))
     return out
@@ -381,20 +383,21 @@ def assign_target_offsets(
     an enforced random state.  Any experiment whose target ranges
     together pass the device end raises CapacityError.
     """
-    spans = []
+    passive, writers = [], []  # writers: (experiment, span), in input order
     for e in experiments:
         # the ranges are contiguous once rebased, so they span their sum
         span = sum(size for _, size in e.target_ranges)
         if base_offset + span > device_capacity:
             raise CapacityError(f"{e.experiment_id}: target of {span} bytes exceeds capacity")
-        spans.append(span)
+        if e.sequential_write_bearing:
+            writers.append((e, span))
+        else:
+            passive.append(e)
 
-    out = [e.rebase(base_offset) for e in experiments if not e.sequential_write_bearing]
+    out = [e.rebase(base_offset) for e in passive]
     resets: set[int] = set()
     cursor = base_offset
-    for e, span in zip(experiments, spans):
-        if not e.sequential_write_bearing:
-            continue
+    for e, span in writers:
         if cursor + span > device_capacity:
             resets.add(len(out))
             cursor = base_offset

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -46,6 +46,13 @@ def derive_seed(seed: int, *tags: int) -> int:
     for t in tags:
         z = mix64(z ^ (t & _M64))
     return z
+
+
+def derive_seeds(seed: int, tags: tuple[int, ...], last: Iterable[int]) -> list[int]:
+    """derive_seed(seed, *tags, t) for each t in last; the shared tags
+    are mixed once."""
+    z = derive_seed(seed, *tags)
+    return [mix64(z ^ (t & _M64)) for t in last]
 
 
 def uniform_index(seed: int, i: int, n: int) -> int:

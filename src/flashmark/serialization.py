@@ -14,7 +14,9 @@ or a float; ``X | None`` also takes null.
 ``plan.json`` is a BenchmarkPlan under its format version.  The plan
 states each experiment once and its run steps name one by position, so
 decoding also refuses a run that names no experiment and an experiment
-that no run names.
+that no run names.  It is written compact, keys sorted, on one line;
+other artifacts are indented.  Whitespace means nothing to the decoder,
+so a plan.json written indented loads alike.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 from .microbench import BenchmarkPlan, RunStep
 
 PLAN_FORMAT_VERSION = 6
+PLAN_ENCODE_ITEMS = 16  # experiments or steps per call of json's encoder in save_plan
 
 
 class SchemaError(ValueError):
@@ -92,7 +95,11 @@ def _encode(obj, tp):
         return {k: _encode(v, item) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj):
         cls = type(obj)
-        data = {name: _encode(getattr(obj, name), t) for name, t in _field_types(cls).items()}
+        data = {}
+        for name, t in _field_types(cls).items():
+            value = getattr(obj, name)
+            # most fields are scalars, which encode as themselves
+            data[name] = value if type(value) in _SCALARS else _encode(value, t)
         if hasattr(cls, "kind") and tp is not cls:
             data["kind"] = cls.kind
         return data
@@ -204,12 +211,26 @@ def plan_from_dict(d: dict) -> BenchmarkPlan:
 
 
 def save_plan(plan: BenchmarkPlan, path: str | Path) -> None:
-    # plan_to_dict already holds JSON values; dumps would copy them again.
-    # The indenting encoder yields a small string per token, and dumps
-    # would hold a list of them all, several times the file's size
+    """Write plan.json compact, keys sorted, on one line."""
+    # json's C encoder holds a list of every token of what it encodes,
+    # several times the text's size for a whole plan, so each list is
+    # encoded PLAN_ENCODE_ITEMS items at a time into one buffer
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    data = plan_to_dict(plan)
     text = bytearray()
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(plan_to_dict(plan)):
-        text += chunk.encode()
+    for key in sorted(data):
+        text += b"," if text else b"{"
+        text += f"{encode(key)}:".encode()
+        value = data[key]
+        if not isinstance(value, list):
+            text += encode(value).encode()
+            continue
+        text += b"["
+        for i in range(0, len(value), PLAN_ENCODE_ITEMS):
+            items = encode(value[i : i + PLAN_ENCODE_ITEMS])[1:-1]  # without the brackets
+            text += f"{',' if i else ''}{items}".encode()
+        text += b"]"
+    text += b"}"
     write_atomic(path, text)
 
 

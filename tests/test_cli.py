@@ -449,6 +449,25 @@ class TestPipeline:
         assert PLAN_DRIFT in r.output
         assert {p: p.read_bytes() for p in (out / "report").rglob("*") if p.is_file()} == report
 
+    def test_plan_json_indented_as_before_still_runs_and_reports(self, campaign):
+        # plan.json was written indented until the same format 6 went
+        # compact; a campaign planned then resumes, and run journals the
+        # hash of the file it finds
+        config_path, out = campaign
+        for cmd in ("format", "calibrate", "plan"):
+            assert invoke([cmd, "--config", str(config_path)]).exit_code == 0
+        compact = (out / "plan.json").read_text()
+        assert "\n" not in compact
+        indented = json.dumps(json.loads(compact), indent=2, sort_keys=True)
+        (out / "plan.json").write_text(indented)
+        for cmd in ("run", "report", "report"):
+            r = invoke([cmd, "--config", str(config_path)])
+            assert r.exit_code == 0, r.output
+        journal = (out / "journal.jsonl").read_text().splitlines()
+        runs = [e for e in map(json.loads, journal) if e["step"] == "run"]
+        assert runs and {e["plan"] for e in runs} == {hashlib.sha256(indented.encode()).hexdigest()}
+        assert (out / "plan.json").read_text() == indented
+
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p["steps"][0].update(experiment=len(p["experiments"])), "out of range"),
         (lambda p: p["steps"][0].update(experiment=-1), "experiment -1 out of range"),

@@ -973,6 +973,20 @@ class TestSnapshotMemory:
         assert device_state(restored) == device_state(dev)
 
 
+class TestConstructionMemory:
+    def test_construction_allocates_at_most_one_map_beyond_its_maps(self):
+        # the id table is filled from an int32 range, the one transient; a
+        # fill through int64 or bytes would hold two or three maps more
+        profile = builtin_profile("highend-ssd", capacity=256 * MB)
+        tracemalloc.start()
+        try:
+            dev = SimulatedDevice(profile)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + 4 * len(dev._ids)
+
+
 class TestProfiles:
     def test_json_round_trip(self):
         prof = builtin_profile("lowend-usb")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from flashmark.methodology import (
     DeviceProfile,
     EnforcementError,
     HOLE_FILL_SECTORS,
+    HOLE_SCAN_SECTORS,
     MIN_INTER_RUN_PAUSE_US,
     PlanError,
     RunStep,
@@ -149,6 +151,40 @@ class TestEnforceRandomState:
             covered[start : start + n] = False
         lbas, sizes = _hole_fill(covered)
         assert list(zip(lbas, sizes)) == [(start * 512, n * 512) for start, n in writes]
+
+    @pytest.mark.parametrize("holes", [
+        [(HOLE_SCAN_SECTORS - 5, 10)],
+        [(HOLE_SCAN_SECTORS - HOLE_FILL_SECTORS, HOLE_FILL_SECTORS)],
+        [(HOLE_SCAN_SECTORS, 3), (2 * HOLE_SCAN_SECTORS - 1, 2)],
+        [(HOLE_SCAN_SECTORS - 100, HOLE_SCAN_SECTORS + 300)],
+        [(0, 2), (2 * HOLE_SCAN_SECTORS - 7, 1007)],
+    ], ids=["across-an-edge", "full-write-ending-at-an-edge", "at-edges",
+            "across-a-whole-window", "open-at-the-end"])
+    def test_hole_fill_carries_a_run_across_scan_windows(self, holes):
+        # the bitmap is compared HOLE_SCAN_SECTORS at a time; each hole run
+        # is cut from its start whichever windows it spans
+        covered = np.ones(2 * HOLE_SCAN_SECTORS + 1000, dtype=bool)
+        for start, n in holes:
+            covered[start : start + n] = False
+        writes = [
+            (start + k, min(HOLE_FILL_SECTORS, n - k))
+            for start, n in holes for k in range(0, n, HOLE_FILL_SECTORS)
+        ]
+        lbas, sizes = _hole_fill(covered)
+        assert list(zip(lbas, sizes)) == [(start * 512, n * 512) for start, n in writes]
+
+    def test_hole_fill_holds_no_temporary_the_bitmap_s_size(self):
+        # a 1 GB device's bitmap is 2 MiB, one byte per sector
+        covered = np.ones(GB // 512, dtype=bool)
+        for start in range(1000, covered.size, 100_003):
+            covered[start : start + 300] = False
+        tracemalloc.start()
+        try:
+            _hole_fill(covered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 * MB
 
 
 class WriteLog:
@@ -364,6 +400,20 @@ class TestBuildPlan:
                 inside = suite.base_target_offset <= offset and offset + size <= capacity
                 assert inside, exp.experiment_id
 
+    def test_experiments_neither_moved_nor_warmed_up_are_not_copied(self):
+        capacity = 128 * MB
+        suite = SuiteConfig.for_device(capacity, seed=41, io_count_by_pattern=REDUCED_COUNTS)
+        expanded = expand_suite(suite)
+        plan = build_plan(expanded, DeviceProfile(), capacity, suite)
+        kept = [e for e in plan.experiments if not e.sequential_write_bearing]
+        assert len(kept) == 198
+        by_id = {e.experiment_id: e for e in expanded}
+        assert all(e is by_id[e.experiment_id] for e in kept)
+        # a sequential writer moved past offset 0 is a new object; the
+        # first one, left at the base offset, is not
+        writers = [e for e in plan.experiments if e.sequential_write_bearing]
+        assert [e is by_id[e.experiment_id] for e in writers[:2]] == [True, False]
+
     def test_empty_experiment_list(self):
         plan = build_plan([], profile_with(), 1 * GB, SuiteConfig())
         assert plan.steps == []
@@ -533,11 +583,11 @@ PINNED_SUITES = {
 # SHA-256 of each suite's plan.json text.  A change to expansion, target
 # offsets, io_ignore scaling or the plan encoding shows here.
 PINNED_PLAN_DIGESTS = {
-    "perfbench-128m": "6b2a691d2919cf500e448277cc3798a1b599b5a63002eefe108b8f7430e74d03",
-    "acceptance8-256m": "72e4ff9cbb20cb54881461f0fbfd5456801bd0ae915fe34ff46e3596e5ba7175",
-    "default-32g": "646af8306e6b11054534e25cc5b22cc98951847d438fb0430fdf87248bcb5be0",
-    "default-32g-offset-1g": "73d576f5749e3cb9877b8553941355434b96bfbcf27228a7354b71d9fa464a6e",
-    "io16k-512m": "79d75acdd1af8a011ed660f36c374ff8351ff30b85c365d7da8c189672205ef1",
+    "perfbench-128m": "99ee1e8cdd5cd0a69c44e6a43fd165c4654c383eb6c3d19c595ce28cd39087c2",
+    "acceptance8-256m": "1adaa4d14e41ed9567b006b66f50a68cce6c73e372826ec21056d05aac3e9c75",
+    "default-32g": "9e0fce04086ce301630ffc9ea48e47c277410b141946a2f09c284030aaeabedb",
+    "default-32g-offset-1g": "cc4c2b78e620e9ada47538e64e1cb11fc383ca7d5459e2216a9c9352eec4cdd8",
+    "io16k-512m": "af12e0d1fa0d794f20f18b34692562dec6b4e69983039f52ad5313d636ec9f47",
 }
 # The perfbench-128m plan.json in plan format 5, which wrote an
 # experiment's whole spec into each of its run steps: 858 runs of 286
@@ -585,7 +635,19 @@ class TestPlanBytes:
         ]
         planned = {plan.resolve(s)[0].experiment_id for s in plan.run_steps()}
         assert sorted(written) == sorted(planned)
-        assert len(text) <= 0.4 * FORMAT5_PERFBENCH_PLAN_BYTES
+        assert len(text) <= 0.25 * FORMAT5_PERFBENCH_PLAN_BYTES
+
+    def test_save_plan_holds_no_token_list_of_the_whole_plan(self, tmp_path):
+        # a one-shot json.dumps of this plan peaks at 1.77 MiB, nearly all of
+        # it the encoder's token list
+        plan = pinned_plan("perfbench-128m")
+        tracemalloc.start()
+        try:
+            save_plan(plan, tmp_path / "plan.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * MB
 
 
 class TestDeviceProfileSerialization:

@@ -21,6 +21,8 @@ from flashmark.patterns import (
     Schedule,
     ScheduleError,
     Sequential,
+    derive_seed,
+    derive_seeds,
     generate_schedule,
     interleave_mix,
     split_parallel,
@@ -409,6 +411,15 @@ class TestSeedStreams:
         assert uniform_indices(seed, np.array(idx), n[0]).tolist() == [
             uniform_index(seed, i, n[0]) for i in idx
         ]
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=4),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_derive_seeds_match_derive_seed(self, seed, tags, last):
+        assert derive_seeds(seed, tuple(tags), last) == [derive_seed(seed, *tags, t) for t in last]
 
     @pytest.mark.parametrize("seed", [0, 1, 41, 2**63, 2**63 + 12345, 2**64 - 1])
     def test_uniform_indices_at_edge_seeds(self, seed):
